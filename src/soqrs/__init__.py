@@ -12,18 +12,15 @@ from .qarith import (
     InexactSpectralError,
     QParam,
     SpectralParam,
+    bracket_vanishes,
     normalize_spectral,
-    qnum_eval,
-    qnum_vanishes,
 )
 from .gtbasis import (
     ChainPattern,
     DoublePattern,
     TruncatedSpace,
-    build_space,
     class1_dim,
     enumerate_chain,
-    pattern_index,
 )
 from .compactrep import (
     GeneratorMatrix,
@@ -35,7 +32,6 @@ from .compactrep import (
 from .degenrep import (
     DegenerateRep,
     K_coeff,
-    L_coeff,
     PrimedBasisUndefined,
     PrimedTransform,
     RepSpec,
@@ -73,12 +69,12 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QParam", "SpectralParam", "InexactSpectralError", "qnum_eval",
-    "qnum_vanishes", "normalize_spectral", "IDENTICAL", "EQUIVALENT_FLIP",
-    "ChainPattern", "DoublePattern", "TruncatedSpace", "build_space",
-    "class1_dim", "enumerate_chain", "pattern_index",
+    "QParam", "SpectralParam", "InexactSpectralError", "bracket_vanishes",
+    "normalize_spectral", "IDENTICAL", "EQUIVALENT_FLIP",
+    "ChainPattern", "DoublePattern", "TruncatedSpace",
+    "class1_dim", "enumerate_chain",
     "GeneratorMatrix", "d_coeff", "R_coeff", "build_so3", "build_class1",
-    "RepSpec", "DegenerateRep", "K_coeff", "L_coeff", "build_degenerate",
+    "RepSpec", "DegenerateRep", "K_coeff", "build_degenerate",
     "build_degenerate_primed", "primed_transform", "PrimedTransform",
     "PrimedBasisUndefined",
     "check_relations", "check_star", "solve_metric", "solve_intertwiner",

@@ -41,6 +41,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .degenrep import RepSpec
+from .gtbasis import enumerate_blocks
 from .qarith import (
     EQUIVALENT_FLIP,
     QParam,
@@ -93,12 +94,8 @@ class Region:
         return True
 
     def blocks(self, epsilon: int, cutoff: int) -> frozenset:
-        out = []
-        for sigma in range(epsilon, cutoff + 1, 2):
-            for m in range(sigma + 1):
-                if self.contains(m, sigma - m):
-                    out.append((m, sigma - m))
-        return frozenset(out)
+        return frozenset(b for b in enumerate_blocks(epsilon, cutoff)
+                         if self.contains(*b))
 
     def swapped(self) -> "Region":
         """The same region with the roles of m and m' exchanged."""
@@ -283,10 +280,7 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
     component whose closure is the whole lattice.
     """
     spec.lam.require_exact("lattice scan")
-    blocks = []
-    for sigma in range(spec.epsilon, spec.cutoff + 1, 2):
-        blocks.extend((m, sigma - m) for m in range(sigma + 1))
-    blocks.sort(key=lambda b: (b[0] + b[1], b[0]))
+    blocks = enumerate_blocks(spec.epsilon, spec.cutoff)
     pos = {b: i for i, b in enumerate(blocks)}
     n = len(blocks)
     rows, cols = [], []
@@ -346,16 +340,14 @@ def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
     leave the window upward keep d and therefore cannot witness a leak of
     a sigma-unbounded region.
     """
-    for sigma in range(epsilon, window + 1, 2):
-        for m in range(sigma + 1):
-            mp = sigma - m
-            if not region.contains(m, mp):
+    for m, mp in enumerate_blocks(epsilon, window):
+        if not region.contains(m, mp):
+            continue
+        for tm, tmp in _moves(r, s, lam, m, mp):
+            if tm + tmp > window:
                 continue
-            for tm, tmp in _moves(r, s, lam, m, mp):
-                if tm + tmp > window:
-                    continue
-                if not region.contains(tm, tmp):
-                    return False
+            if not region.contains(tm, tmp):
+                return False
     return True
 
 

@@ -12,14 +12,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .compactrep import GeneratorMatrix, build_class1, build_so3
+import numpy as np
+
+from .compactrep import GeneratorMatrix, assemble, build_class1, build_so3
 from .classify import (
     UnclassifiedReducibleCase,
     cross_check,
     predict_constituents,
     scan_lattice,
 )
-from .degenrep import RepSpec, build_degenerate, build_degenerate_primed
+from .degenrep import DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed
+from .gtbasis import TruncatedSpace, enumerate_chain
 from .qarith import InexactSpectralError, QParam, SpectralParam
 from .verify import check_relations, check_star, solve_metric
 
@@ -138,8 +141,6 @@ def cmd_build(args) -> int:
     qp = QParam(args.q)
     if args.so3:
         gens = build_so3(Fraction(args.l), qp)
-        from .gtbasis import enumerate_chain
-
         lf = Fraction(args.l)
         basis = enumerate_chain(3, lf if lf.denominator == 2 else int(lf))
         payload = {
@@ -151,8 +152,6 @@ def cmd_build(args) -> int:
         }
     elif args.class1:
         gens = build_class1(args.n, args.m, qp)
-        from .gtbasis import enumerate_chain
-
         basis = enumerate_chain(args.n, args.m)
         payload = {
             "kind": "class1",
@@ -207,10 +206,8 @@ def cmd_verify(args) -> int:
         qp = QParam(q)
         gens = []
         for g in data["generators"]:
-            trips = [(r, c, complex(re, im)) for r, c, re, im in g["entries"]]
-            from .compactrep import assemble
-
-            gens.append(GeneratorMatrix(g["i"], assemble(dim, trips)))
+            rows, cols, re, im = np.array(g["entries"], dtype=float).reshape(-1, 4).T
+            gens.append(GeneratorMatrix(g["i"], assemble(dim, rows, cols, re + 1j * im)))
         if data["kind"] == "degenerate":
             cfg = data["config"]
             lam = SpectralParam.exact(
@@ -220,10 +217,7 @@ def cmd_verify(args) -> int:
                 complex(*cfg["lambda_float"]))
             spec = RepSpec(cfg["r"], cfg["s"], cfg["epsilon"], lam, qp,
                            cfg["cutoff"])
-            from .degenrep import DegenerateRep
-            from .gtbasis import build_space
-
-            space = build_space(spec.r, spec.s, spec.epsilon, spec.cutoff)
+            space = TruncatedSpace(spec.r, spec.s, spec.epsilon, spec.cutoff)
             rep = DegenerateRep(spec, space, gens, cfg.get("basis_kind", "standard"))
             record("relations(dump)", check_relations(rep, depth=args.depth,
                                                       tol=args.tol))

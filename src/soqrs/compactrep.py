@@ -40,13 +40,12 @@ class GeneratorMatrix:
         return [(r, c, v.real, v.imag) for c, r, v in items]
 
 
-def assemble(dim: int, triples) -> sparse.csc_matrix:
-    """COO triples (row, col, value) -> csc matrix of fixed shape."""
-    if not triples:
-        return sparse.csc_matrix((dim, dim), dtype=np.complex128)
-    rows, cols, vals = zip(*triples)
+def assemble(dim: int, rows, cols, vals) -> sparse.csc_matrix:
+    """COO arrays (rows, cols, vals) -> csc matrix of fixed shape."""
     return sparse.coo_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(dim, dim)
+        (np.asarray(vals, dtype=np.complex128),
+         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(dim, dim),
     ).tocsc()
 
 
@@ -183,13 +182,15 @@ def _build_from_chains(
     dim = len(basis)
     gens = []
     for k in range(2, n + 1):
-        triples = []
+        rows, cols, vals = [], [], []
         for col, chain in enumerate(basis):
             for new_entries, coeff in chain_action(chain.entries, k, p):
                 if coeff == 0:
                     continue
-                triples.append((index[new_entries], col, coeff))
-        gens.append(GeneratorMatrix(k, assemble(dim, triples)))
+                rows.append(index[new_entries])
+                cols.append(col)
+                vals.append(coeff)
+        gens.append(GeneratorMatrix(k, assemble(dim, rows, cols, vals)))
     return gens
 
 

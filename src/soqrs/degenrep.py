@@ -1,37 +1,47 @@
 """The degenerate principal series T_{eps,lambda} of so'_q(r,s) on a truncated basis.
 
-Compact generators act blockwise through the chain formulas; the single
-noncompact generator moves the pair of top labels (m, m') by (+-1, +-1)
-with amplitudes
+A block (m, m') of the space is the tensor product of the class-1
+representations of so'_q(r) with top label m and of so'_q(s) with top
+label m'.  Compact generator i <= r acts on block (m, m') as
+kron(G_i(m), I) and generator i >= r+2 as kron(I, G_{r+s+2-i}(m')), with
+G the class-1 matrices of compactrep.  The single noncompact generator
+moves the pair of top labels (m, m') by (+-1, +-1) and keeps every inner
+label; on each block edge it is
+
+    kron(E_L diag K, E_R diag L) * (sign * bracket factor),
+
+where E embeds the chains of one top label into the next, K and L depend
+only on the two leading labels of the respective chain, and the factor is
+a scalar of the edge.  In the standard basis the four families are
 
     up/up      +K_m L_{m'}     [lambda + m + m']
     up/down    -K_m L_{m'-1}   [lambda + m - m' - s + 2]
     down/up    +K_{m-1} L_{m'} [lambda - m + m' - r + 2]
     down/down  -K_{m-1} L_{m'-1} [lambda - m - m' - r - s + 4]
 
-where K and L depend only on the two leading labels of the respective
-chain.  Lower walls are exact: K_{-1} and L_{-1} vanish through a [0]
-factor, so no clipping happens at m = 0 or m' = 0.  Transitions that
-would leave the cutoff are dropped; the interior mask of the space marks
-the columns that are unaffected by this.
+Lower walls are exact: K_{-1} and L_{-1} vanish through a [0] factor, so
+no clipping happens at m = 0 or m' = 0.  Transitions that would leave the
+cutoff are dropped; the interior mask of the space marks the columns that
+are unaffected by this.
 
 A rescaled ("primed") basis makes the noncompact generator Hermitian on
-the principal line Re lambda = (r+s-2)/2.  Its amplitudes replace each
-bracket by a square-root pair; the square-root branches are fixed by the
-diagonal change of basis, not by a naive principal branch of the bracket
-products (the two prescriptions differ by a sign on the lowering terms).
+the principal line Re lambda = (r+s-2)/2.  It shares the block edges and
+the K, L tables and replaces each bracket by a square-root pair; the
+square-root branches are fixed by the diagonal change of basis, not by a
+naive principal branch of the bracket products (the two prescriptions
+differ by a sign on the lowering terms).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .compactrep import GeneratorMatrix, assemble, chain_action, _bracket_product
-from .gtbasis import ChainPattern, DoublePattern, TruncatedSpace, build_space
+from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, build_class1
+from .gtbasis import TruncatedSpace, enumerate_blocks
 from .qarith import QParam, SpectralParam, bracket_vanishes
 
 
@@ -62,8 +72,11 @@ class RepSpec:
             raise ValueError(f"ranks must exceed 2, got r={self.r}, s={self.s}")
         if self.epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {self.cutoff}")
+        if self.cutoff < self.epsilon:
+            raise ValueError(
+                f"cutoff {self.cutoff} is below epsilon {self.epsilon}: "
+                "the truncated tower has no blocks"
+            )
 
     @property
     def lambda_value(self) -> complex:
@@ -92,7 +105,6 @@ class DegenerateRep:
     space: TruncatedSpace
     generators: list[GeneratorMatrix]
     basis_kind: str = "standard"
-    branch_signs: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -107,143 +119,160 @@ class DegenerateRep:
     def noncompact(self) -> GeneratorMatrix:
         return self.gen(self.spec.r + 1)
 
-    def interior_indices(self, depth: int) -> list[int]:
+    def interior_indices(self, depth: int) -> range:
         return self.space.interior_indices(depth)
 
 
 def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
-    """Left transition factor ([m-k+1][m+k+r-2] / [2m+r][2m+r-2])^{1/2}.
+    """Transition factor ([m-k+1][m+k+r-2] / [2m+r][2m+r-2])^{1/2}.
 
-    k is the second label of the left chain (for r = 3 the possibly
-    negative so(2) label; the expression is even in k).  K_{-1}, queried
-    when lowering from m = 0, is 0 through the [m-k+1] factor, before the
+    K for the left chain (r, m, k) and L for the right chain (s, m', k').
+    k is the second label of the chain (for r = 3 the possibly negative
+    so(2) label; the expression is even in k).  K_{-1}, queried when
+    lowering from m = 0, is 0 through the [m-k+1] factor, before the
     denominator (which may itself vanish there) is ever evaluated.
     """
-    num = _bracket_product((m - k + 1, m + k + r - 2), p)
-    if num == 0.0:
-        return 0.0
-    den = p.qnum(2 * m + r) * p.qnum(2 * m + r - 2)
-    radicand = num / den
-    if radicand <= 0.0:
-        raise ArithmeticError(
-            f"negative radicand in K/L factor: m={m}, k={k}, size={r}"
-        )
-    return math.sqrt(radicand)
+    return _ratio_sqrt((m - k + 1, m + k + r - 2), (2 * m + r, 2 * m + r - 2), p)
 
 
-def L_coeff(mp: int, kp: int, s: int, p: QParam) -> float:
-    """Right transition factor; same expression as K_coeff with (m', k', s)."""
-    return K_coeff(mp, kp, s, p)
+def _assemble_parts(dim: int, parts: list) -> sparse.csc_matrix:
+    """One csc matrix from a list of (rows, cols, vals) array triples."""
+    if not parts:
+        return assemble(dim, (), (), ())
+    return assemble(dim, *(np.concatenate(x) for x in zip(*parts)))
 
 
-def _compact_generator_triples(space: TruncatedSpace, i: int, p: QParam):
-    """Triples of the compact generator i.
+def _kron_index(rows_a, cols_a, rows_b, cols_b, nrows_b: int, ncols_b: int):
+    """Row and column indices of kron(A, B) from the COO indices of A and B."""
+    return ((rows_a[:, None] * nrows_b + rows_b).ravel(),
+            (cols_a[:, None] * ncols_b + cols_b).ravel())
 
-    i <= r acts on the left chain as generator i of so'_q(r).  i >= r+2
-    acts on the right chain as generator r+s+2-i of so'_q(s): both towers
-    peel coordinates away from the boundary the noncompact generator sits
-    on, so the neighbour I_{r+2,r+1} moves the second right label (the one
-    entering L_{m'}) and the far end I_{r+s,r+s-1} is the diagonal.
+
+def _compact_generator(space: TruncatedSpace, i: int, class1) -> sparse.csc_matrix:
+    """Compact generator i as kron(G_i(m), I) or kron(I, G_{r+s+2-i}(m')) per block.
+
+    class1[n][top] holds the COO arrays of build_class1 for so'_q(n) in
+    the space's chain order.  Both towers peel coordinates away from the
+    boundary the noncompact generator sits on, so the neighbour
+    I_{r+2,r+1} moves the second right label (the one entering L_{m'})
+    and the far end I_{r+s,r+s-1} is the diagonal.
     """
     r, s = space.r, space.s
-    triples = []
-    for col, pat in enumerate(space.basis):
+    parts = []
+    for (m, mp), o in zip(space.blocks, space.offsets):
+        nl, nr = len(space.chains[0][m]), len(space.chains[1][mp])
         if i <= r:
-            for new_entries, coeff in chain_action(pat.left.entries, i, p):
-                target = DoublePattern(ChainPattern(r, new_entries), pat.right)
-                triples.append((space.index[target], col, coeff))
+            a, c, g = class1[r][m][i - 2]
+            eye = np.arange(nr)
+            rows, cols = _kron_index(a, c, eye, eye, nr, nr)
+            vals = np.repeat(g, nr)
         else:
-            for new_entries, coeff in chain_action(pat.right.entries, r + s + 2 - i, p):
-                target = DoublePattern(pat.left, ChainPattern(s, new_entries))
-                triples.append((space.index[target], col, coeff))
-    return triples
+            a, c, g = class1[s][mp][r + s - i]
+            eye = np.arange(nl)
+            rows, cols = _kron_index(eye, eye, a, c, nr, nr)
+            vals = np.tile(g, nl)
+        parts.append((o + rows, o + cols, vals))
+    return _assemble_parts(space.dim, parts)
 
 
-class _KLCache:
-    def __init__(self, size: int, p: QParam):
-        self.size = size
-        self.p = p
-        self._c: dict[tuple[int, int], float] = {}
+def _class1_blocks(space: TruncatedSpace, p: QParam) -> dict:
+    """COO arrays of every class-1 generator, per rank and top label.
 
-    def __call__(self, m: int, k: int) -> float:
-        key = (m, k)
-        v = self._c.get(key)
-        if v is None:
-            v = K_coeff(m, k, self.size, self.p)
-            self._c[key] = v
-        return v
-
-
-def _noncompact_transitions(spec: RepSpec, pat: DoublePattern, K, L, wbr):
-    """The four (target_block_delta, coefficient) moves of the noncompact generator.
-
-    wbr(t) must return the bracket value [lambda + t] for integer t.
+    build_class1 orders chains ascending; the space orders them
+    descending, so positions are flipped.  Equal ranks share one tower.
     """
-    r, s = spec.r, spec.s
-    m, k = pat.left.entries[0], pat.left.entries[1]
-    mp, kp = pat.right.entries[0], pat.right.entries[1]
-    sigma = m + mp
-    d = m - mp
-    moves = []
-    km, km1 = K(m, k), K(m - 1, k)
-    lm, lm1 = L(mp, kp), L(mp - 1, kp)
-    if km != 0.0 and lm != 0.0:
-        moves.append(((1, 1), km * lm * wbr(sigma)))
-    if km != 0.0 and lm1 != 0.0:
-        moves.append(((1, -1), -km * lm1 * wbr(d - s + 2)))
-    if km1 != 0.0 and lm != 0.0:
-        moves.append(((-1, 1), km1 * lm * wbr(-d - r + 2)))
-    if km1 != 0.0 and lm1 != 0.0:
-        moves.append(((-1, -1), -km1 * lm1 * wbr(-sigma - r - s + 4)))
-    return moves
+    out = {}
+    for n, side in {space.r: 0, space.s: 1}.items():
+        per_top = out[n] = {}
+        for top, chains in space.chains[side].items():
+            last = len(chains) - 1
+            coos = (g.mat.tocoo() for g in build_class1(n, top, p))
+            per_top[top] = [(last - c.row, last - c.col, c.data) for c in coos]
+    return out
 
 
-def _build(spec: RepSpec, noncompact_triples_fn, basis_kind: str,
-           branch_signs=None) -> DegenerateRep:
-    space = build_space(spec.r, spec.s, spec.epsilon, spec.cutoff)
+def _embeddings(space: TruncatedSpace, p: QParam) -> dict:
+    """E diag K for every (rank, top, step): chains of top `top` into top+step.
+
+    Each entry is (src, dst, values): positions in the two descending chain
+    lists of the chains whose K factor is nonzero, and that factor.  Inner
+    labels are kept, so only the top label changes.  Equal ranks share
+    one table.
+    """
+    tables = {}
+    for n, side in {space.r: 0, space.s: 1}.items():
+        positions = space.positions[side]
+        for top, chains in space.chains[side].items():
+            for step in (1, -1):
+                if top + step > space.top_ring:
+                    continue
+                m = top if step == 1 else top - 1
+                factor = {k: K_coeff(m, k, n, p) for k in {c.entries[1] for c in chains}}
+                src = [i for i, c in enumerate(chains) if factor[c.entries[1]]]
+                tables[n, top, step] = (
+                    np.array(src, dtype=np.int64),
+                    np.array([positions[(top + step,) + chains[i].entries[1:]]
+                              for i in src], dtype=np.int64),
+                    np.array([factor[chains[i].entries[1]] for i in src]),
+                )
+    return tables
+
+
+def _noncompact_generator(space: TruncatedSpace, p: QParam,
+                          families: dict) -> sparse.csc_matrix:
+    """Noncompact generator from the block edges and the per-family factors.
+
+    families maps the step (dm, dm') to (sign, factor), where factor(sigma, d)
+    gives the scalar of the edge leaving block (m, m') with sigma = m+m',
+    d = m-m'.  Edges whose factor vanishes or whose target block lies
+    beyond the cutoff carry no entries.
+    """
+    tables = _embeddings(space, p)
+    right = space.chains[1]
+    parts = []
+    for (m, mp), o in zip(space.blocks, space.offsets):
+        for (dm, dmp), (sign, factor) in families.items():
+            target = space.block_slices.get((m + dm, mp + dmp))
+            if target is None:
+                continue
+            value = factor(m + mp, m - mp)
+            if value == 0:
+                continue
+            src_l, dst_l, k = tables[space.r, m, dm]
+            src_r, dst_r, l = tables[space.s, mp, dmp]
+            rows, cols = _kron_index(dst_l, src_l, dst_r, src_r,
+                                     len(right[mp + dmp]), len(right[mp]))
+            vals = ((sign * k)[:, None] * l).ravel() * value
+            parts.append((target.start + rows, o + cols, vals))
+    return _assemble_parts(space.dim, parts)
+
+
+def _build(spec: RepSpec, families: dict, basis_kind: str) -> DegenerateRep:
+    space = TruncatedSpace(spec.r, spec.s, spec.epsilon, spec.cutoff)
+    class1 = _class1_blocks(space, spec.qp)
     gens = []
     for i in range(2, spec.r + spec.s + 1):
         if i == spec.r + 1:
-            triples = noncompact_triples_fn(space)
+            mat = _noncompact_generator(space, spec.qp, families)
         else:
-            triples = _compact_generator_triples(space, i, spec.qp)
-        gens.append(GeneratorMatrix(i, assemble(space.dim, triples)))
-    return DegenerateRep(spec, space, gens, basis_kind, branch_signs or {})
+            mat = _compact_generator(space, i, class1)
+        gens.append(GeneratorMatrix(i, mat))
+    return DegenerateRep(spec, space, gens, basis_kind)
 
 
 def build_degenerate(spec: RepSpec) -> DegenerateRep:
     """T_{eps,lambda} in the standard (orthonormal product) basis."""
-    lam = spec.lambda_value
-    p = spec.qp
-    wcache: dict[int, complex] = {}
+    lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
 
-    def wbr(t: int) -> complex:
-        v = wcache.get(t)
-        if v is None:
-            v = p.qnum(lam + t)
-            wcache[t] = v
-        return v
+    def w(t: int) -> complex:
+        return p.qnum(lam + t)
 
-    K = _KLCache(spec.r, p)
-    L = _KLCache(spec.s, p)
-
-    def noncompact(space: TruncatedSpace):
-        triples = []
-        top = space.top_ring
-        for col, pat in enumerate(space.basis):
-            for (dm, dmp), coeff in _noncompact_transitions(spec, pat, K, L, wbr):
-                if coeff == 0:
-                    continue
-                m2, mp2 = pat.m + dm, pat.mp + dmp
-                if m2 + mp2 > top:
-                    continue  # upper cutoff: transition dropped, column non-interior
-                target = DoublePattern(
-                    pat.left.replace(0, m2), pat.right.replace(0, mp2)
-                )
-                triples.append((space.index[target], col, coeff))
-        return triples
-
-    return _build(spec, noncompact, "standard")
+    return _build(spec, {
+        (1, 1): (1, lambda sigma, d: w(sigma)),
+        (1, -1): (-1, lambda sigma, d: w(d - s + 2)),
+        (-1, 1): (1, lambda sigma, d: w(-d - r + 2)),
+        (-1, -1): (-1, lambda sigma, d: w(-sigma - r - s + 4)),
+    }, "standard")
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +308,7 @@ class PrimedTransform:
         return self.coefficients[(m, mp)]
 
     def diagonal(self, space: TruncatedSpace) -> np.ndarray:
-        out = np.empty(space.dim, dtype=complex)
-        for i, pat in enumerate(space.basis):
-            out[i] = self.coefficients[pat.block]
-        return out
+        return space.block_diagonal(self.coefficients)
 
 
 def _checked_sqrt_factor(spec: RepSpec, sign: int, offset: int, block) -> complex:
@@ -301,10 +327,9 @@ def _checked_sqrt_factor(spec: RepSpec, sign: int, offset: int, block) -> comple
 def primed_transform(spec: RepSpec) -> PrimedTransform:
     """Change-of-basis coefficients to the primed basis, block by block."""
     eps = spec.epsilon
-    space_blocks = build_space(spec.r, spec.s, eps, spec.cutoff).blocks
     r, s = spec.r, spec.s
     coeffs: dict[tuple[int, int], complex] = {}
-    for m, mp in space_blocks:
+    for m, mp in enumerate_blocks(eps, spec.cutoff):
         block = (m, mp)
         m0 = (m + mp - eps) // 2
         c = complex(1.0)
@@ -340,87 +365,16 @@ def build_degenerate_primed(spec: RepSpec) -> DegenerateRep:
     with sigma = m+m', d = m-m'.  This is the exact conjugate of the
     standard matrix by the primed transform wherever that is defined; the
     lowering rows differ from the naive principal branch of the written
-    bracket products by a sign, which is recorded per block edge in
-    branch_signs.
+    bracket products by a sign.
     """
-    lam = spec.lambda_value
-    p = spec.qp
-    r, s = spec.r, spec.s
-    sq_plus: dict[int, complex] = {}
-    sq_minus: dict[int, complex] = {}
+    lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
 
-    def wp(t: int) -> complex:
-        v = sq_plus.get(t)
-        if v is None:
-            v = cmath.sqrt(p.qnum(lam + t))
-            sq_plus[t] = v
-        return v
+    def w2(t_plus: int, t_minus: int) -> complex:
+        return cmath.sqrt(p.qnum(lam + t_plus)) * cmath.sqrt(p.qnum(-lam + t_minus))
 
-    def wm(t: int) -> complex:
-        v = sq_minus.get(t)
-        if v is None:
-            v = cmath.sqrt(p.qnum(-lam + t))
-            sq_minus[t] = v
-        return v
-
-    K = _KLCache(r, p)
-    L = _KLCache(s, p)
-    branch_signs: dict[tuple, int] = {}
-
-    def record_branch(src, dst, used: complex, written_sign: int,
-                      written_product: complex):
-        # sign of the used amplitude against the literal principal-branch
-        # reading (written_sign * sqrt(written_product)) of the same entry
-        key = (src, dst)
-        if key in branch_signs or used == 0:
-            return
-        naive = written_sign * cmath.sqrt(written_product)
-        if naive == 0:
-            return
-        ratio = used / naive
-        branch_signs[key] = 1 if ratio.real >= 0 else -1
-
-    def noncompact(space: TruncatedSpace):
-        triples = []
-        top = space.top_ring
-        for col, pat in enumerate(space.basis):
-            m, k = pat.left.entries[0], pat.left.entries[1]
-            mp, kp = pat.right.entries[0], pat.right.entries[1]
-            sigma, d = m + mp, m - mp
-            km, km1 = K(m, k), K(m - 1, k)
-            lm, lm1 = L(mp, kp), L(mp - 1, kp)
-            moves = []
-            if km and lm and sigma + 2 <= top:
-                amp = km * lm * wp(sigma) * wm(sigma + r + s - 2)
-                moves.append(((1, 1), amp))
-                record_branch(pat.block, (m + 1, mp + 1), amp, +1,
-                              (km * lm) ** 2 * p.qnum(lam + sigma)
-                              * p.qnum(-lam + sigma + r + s - 2))
-            if km and lm1:
-                amp = -km * lm1 * wp(d - s + 2) * wm(d + r)
-                moves.append(((1, -1), amp))
-                record_branch(pat.block, (m + 1, mp - 1), amp, -1,
-                              (km * lm1) ** 2 * p.qnum(lam + d - s + 2)
-                              * p.qnum(-lam + d + r))
-            if km1 and lm:
-                amp = -km1 * lm * wp(d - s) * wm(d + r - 2)
-                moves.append(((-1, 1), amp))
-                record_branch(pat.block, (m - 1, mp + 1), amp, +1,
-                              (km1 * lm) ** 2 * p.qnum(lam - d - r + 2)
-                              * p.qnum(-lam - d + s))
-            if km1 and lm1:
-                amp = km1 * lm1 * wp(sigma - 2) * wm(sigma + r + s - 4)
-                moves.append(((-1, -1), amp))
-                record_branch(pat.block, (m - 1, mp - 1), amp, -1,
-                              (km1 * lm1) ** 2 * p.qnum(lam - sigma - r - s + 4)
-                              * p.qnum(-lam - sigma + 2))
-            for (dm, dmp), coeff in moves:
-                if coeff == 0:
-                    continue
-                target = DoublePattern(
-                    pat.left.replace(0, m + dm), pat.right.replace(0, mp + dmp)
-                )
-                triples.append((space.index[target], col, coeff))
-        return triples
-
-    return _build(spec, noncompact, "primed", branch_signs)
+    return _build(spec, {
+        (1, 1): (1, lambda sigma, d: w2(sigma, sigma + r + s - 2)),
+        (1, -1): (-1, lambda sigma, d: w2(d - s + 2, d + r)),
+        (-1, 1): (-1, lambda sigma, d: w2(d - s, d + r - 2)),
+        (-1, -1): (1, lambda sigma, d: w2(sigma - 2, sigma + r + s - 4)),
+    }, "primed")

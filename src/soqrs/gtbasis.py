@@ -11,9 +11,12 @@ m + m' <= cutoff; compact blocks are never truncated internally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 def _is_half_integer(x) -> bool:
@@ -57,11 +60,6 @@ class ChainPattern:
     @property
     def top(self):
         return self.entries[0]
-
-    def replace(self, pos: int, value) -> "ChainPattern":
-        e = list(self.entries)
-        e[pos] = value
-        return ChainPattern(self.n, tuple(e))
 
 
 @dataclass(frozen=True)
@@ -125,13 +123,29 @@ def enumerate_chain(n: int, top) -> list[ChainPattern]:
     return chains
 
 
+def enumerate_blocks(epsilon: int, cutoff: int) -> list[tuple[int, int]]:
+    """Blocks (m, m') with m + m' <= cutoff and m + m' == epsilon (mod 2).
+
+    Ordered by (m+m', m): every ring sigma = m+m' is contiguous and rings
+    ascend, so the blocks below any ring form a prefix.
+    """
+    return [(m, sigma - m) for sigma in range(epsilon, cutoff + 1, 2)
+            for m in range(sigma + 1)]
+
+
 class TruncatedSpace:
     """Ordered double-pattern basis of the degenerate series, cut at m+m' <= cutoff.
 
     The basis holds every double pattern with m + m' <= cutoff and
     m + m' == epsilon (mod 2).  Ordering is lexicographic by
     (m+m', m, left entries descending, right entries descending), which
-    keeps each (m, m') block contiguous and reproducible.
+    keeps each (m, m') block contiguous and reproducible: block (m, m')
+    starts at its offset and is ordered left-chain-major, so the column of
+    (left chain a, right chain b) is offset + a * len(right chains) + b.
+
+    The space stores only the blocks, their offsets and one descending
+    chain list per top label and side; `basis` lists every pattern and is
+    built on first use.
     """
 
     def __init__(self, r: int, s: int, epsilon: int, cutoff: int):
@@ -139,39 +153,36 @@ class TruncatedSpace:
             raise ValueError(f"ranks r, s must exceed 2, got r={r}, s={s}")
         if epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
+        if cutoff < epsilon:
+            raise ValueError(
+                f"cutoff {cutoff} is below epsilon {epsilon}: no block fits"
+            )
         self.r = int(r)
         self.s = int(s)
         self.epsilon = int(epsilon)
         self.cutoff = int(cutoff)
 
-        self._left_chains: dict[int, list[ChainPattern]] = {}
-        self._right_chains: dict[int, list[ChainPattern]] = {}
-
-        self.blocks: list[tuple[int, int]] = []
-        for sigma in range(self.epsilon, self.cutoff + 1, 2):
-            for m in range(sigma + 1):
-                self.blocks.append((m, sigma - m))
-        self.blocks.sort(key=lambda b: (b[0] + b[1], b[0]))
-
-        self.basis: list[DoublePattern] = []
-        self.block_slices: dict[tuple[int, int], slice] = {}
-        for m, mp in self.blocks:
-            start = len(self.basis)
-            lefts = sorted(self.left_chains(m), key=lambda c: c.entries, reverse=True)
-            rights = sorted(self.right_chains(mp), key=lambda c: c.entries, reverse=True)
-            for lc in lefts:
-                for rc in rights:
-                    self.basis.append(DoublePattern(lc, rc))
-            self.block_slices[(m, mp)] = slice(start, len(self.basis))
-        self.index: dict[DoublePattern, int] = {
-            p: i for i, p in enumerate(self.basis)
+        self.blocks = enumerate_blocks(self.epsilon, self.cutoff)
+        tops = range(self.top_ring + 1)
+        # chains[0][m]: so'_q(r) chains with top m, chains[1][m']: so'_q(s)
+        self.chains = tuple(
+            {t: enumerate_chain(n, t)[::-1] for t in tops} for n in (self.r, self.s)
+        )
+        self.positions = tuple(
+            {c.entries: i for chains in side.values() for i, c in enumerate(chains)}
+            for side in self.chains
+        )
+        sizes = [len(self.chains[0][m]) * len(self.chains[1][mp])
+                 for m, mp in self.blocks]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        self.block_slices: dict[tuple[int, int], slice] = {
+            b: slice(int(self.offsets[j]), int(self.offsets[j + 1]))
+            for j, b in enumerate(self.blocks)
         }
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return int(self.offsets[-1])
 
     @property
     def top_ring(self) -> int:
@@ -180,34 +191,41 @@ class TruncatedSpace:
             return self.cutoff
         return self.cutoff - 1
 
-    def left_chains(self, m: int) -> list[ChainPattern]:
-        if m not in self._left_chains:
-            self._left_chains[m] = enumerate_chain(self.r, m)
-        return self._left_chains[m]
+    @functools.cached_property
+    def basis(self) -> list[DoublePattern]:
+        return [DoublePattern(lc, rc) for m, mp in self.blocks
+                for lc in self.chains[0][m] for rc in self.chains[1][mp]]
 
-    def right_chains(self, mp: int) -> list[ChainPattern]:
-        if mp not in self._right_chains:
-            self._right_chains[mp] = enumerate_chain(self.s, mp)
-        return self._right_chains[mp]
+    def pattern(self, i: int) -> DoublePattern:
+        """The pattern at column i, without building the basis."""
+        j = int(np.searchsorted(self.offsets, i, side="right")) - 1
+        m, mp = self.blocks[j]
+        a, b = divmod(i - int(self.offsets[j]), len(self.chains[1][mp]))
+        return DoublePattern(self.chains[0][m][a], self.chains[1][mp][b])
 
     def index_of(self, p: DoublePattern) -> int:
-        try:
-            return self.index[p]
-        except KeyError:
-            raise KeyError(f"pattern {p} is not in the truncated space") from None
+        sl = self.block_slices.get(p.block)
+        a = self.positions[0].get(p.left.entries)
+        b = self.positions[1].get(p.right.entries)
+        if sl is None or a is None or b is None:
+            raise KeyError(f"pattern {p} is not in the truncated space")
+        return sl.start + a * len(self.chains[1][p.mp]) + b
 
-    def interior_indices(self, depth: int) -> list[int]:
+    def interior_indices(self, depth: int) -> range:
         """Columns whose m+m' is at least `depth` below the top ring.
 
         Relative to the top admissible ring rather than the raw cutoff, so
         that a depth-3 interior is truncation-free for cubic relations at
-        either parity of the cutoff.
+        either parity of the cutoff.  Rings ascend, so this is a prefix.
         """
         limit = self.top_ring - depth
-        return [i for i, p in enumerate(self.basis) if p.m + p.mp <= limit]
+        inner = sum(1 for m, mp in self.blocks if m + mp <= limit)
+        return range(int(self.offsets[inner]))
 
-    def is_interior(self, p: DoublePattern, depth: int) -> bool:
-        return p.m + p.mp <= self.top_ring - depth
+    def block_diagonal(self, values: dict) -> np.ndarray:
+        """Diagonal of the block-scalar operator equal to values[b] on block b."""
+        return np.repeat(np.array([values[b] for b in self.blocks]),
+                         np.diff(self.offsets))
 
     def dump_basis(self) -> list[list[int]]:
         return [p.as_list() for p in self.basis]
@@ -217,13 +235,3 @@ class TruncatedSpace:
             f"TruncatedSpace(r={self.r}, s={self.s}, epsilon={self.epsilon}, "
             f"cutoff={self.cutoff}, dim={self.dim})"
         )
-
-
-def build_space(r: int, s: int, epsilon: int, cutoff: int) -> TruncatedSpace:
-    """Construct the truncated degenerate-series basis."""
-    return TruncatedSpace(r, s, epsilon, cutoff)
-
-
-def pattern_index(space: TruncatedSpace, p: DoublePattern) -> int:
-    """Stable position of a pattern in the deterministic ordering."""
-    return space.index_of(p)

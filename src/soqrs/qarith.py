@@ -78,11 +78,6 @@ class QParam:
         return f"QParam(q={self.q!r})"
 
 
-def qnum_eval(p: QParam, z):
-    """[z] at deformation p.q; sinh form, entire in z."""
-    return p.qnum(z)
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -201,11 +196,6 @@ def bracket_vanishes(lam: SpectralParam, c, sign: int = 1) -> bool:
         return False
     t = lam.im_t
     return t.denominator == 1 and t.numerator % 2 == 0
-
-
-def qnum_vanishes(lam: SpectralParam, c, p: QParam | None = None) -> bool:
-    """Whether [lambda + c] = 0; exact, independent of q within q > 0."""
-    return bracket_vanishes(lam, c, 1)
 
 
 def normalize_spectral(lam: SpectralParam):

@@ -84,18 +84,20 @@ def _coerce(rep, qp: QParam | None, need_qp: bool = True):
     return gens, qp, None, None
 
 
-def _column_max(mat: sparse.spmatrix, cols, patterns):
-    """Largest |entry| over the given columns and the pattern of its column."""
-    if cols is not None:
-        mat = mat.tocsc()[:, cols]
+def _column_max(mat: sparse.spmatrix, ncols, space):
+    """Largest |entry| over the first ncols columns and the pattern of its column.
+
+    ncols None means every column; without a space the column index
+    itself stands in for the pattern.
+    """
+    if ncols is not None:
+        mat = mat.tocsc()[:, :ncols]
     coo = mat.tocoo()
     if coo.nnz == 0:
         return 0.0, None
     k = int(np.argmax(np.abs(coo.data)))
     col = int(coo.col[k])
-    if cols is not None:
-        col = cols[col]
-    worst = patterns[col] if patterns is not None else col
+    worst = space.pattern(col) if space is not None else col
     return float(abs(coo.data[k])), worst
 
 
@@ -109,8 +111,7 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     """
     gens, p, space, _ = _coerce(rep, qp)
     a = p.a
-    cols = space.interior_indices(depth) if space is not None else None
-    patterns = space.basis if space is not None else None
+    ncols = len(space.interior_indices(depth)) if space is not None else None
     mats = {g.i: g.mat for g in gens}
     idxs = sorted(mats)
     rows = []
@@ -118,17 +119,17 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
         X, Y = mats[i], mats[i + 1]
         YY, XX = Y @ Y, X @ X
         r1 = X @ YY - a * (Y @ (X @ Y)) + YY @ X + X
-        res, worst = _column_max(r1, cols, patterns)
+        res, worst = _column_max(r1, ncols, space)
         rows.append(RelationResidual(f"cubic[{i},{i + 1}]a", res, worst))
         r2 = XX @ Y - a * (X @ (Y @ X)) + Y @ XX + Y
-        res, worst = _column_max(r2, cols, patterns)
+        res, worst = _column_max(r2, ncols, space)
         rows.append(RelationResidual(f"cubic[{i},{i + 1}]b", res, worst))
     for ii, i in enumerate(idxs):
         for j in idxs[ii + 1:]:
             if j - i <= 1:
                 continue
             c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            res, worst = _column_max(c, cols, patterns)
+            res, worst = _column_max(c, ncols, space)
             rows.append(RelationResidual(f"commutator[{i},{j}]", res, worst))
     return ResidualReport(rows, tol)
 
@@ -140,15 +141,14 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
     representation the noncompact generator must satisfy M* = M instead.
     """
     gens, _, space, noncompact_i = _coerce(rep, qp, need_qp=False)
-    patterns = space.basis if space is not None else None
     rows = []
     for g in gens:
         adj = g.mat.conjugate().transpose().tocsc()
         if g.i == noncompact_i:
-            res, worst = _column_max(adj - g.mat, None, patterns)
+            res, worst = _column_max(adj - g.mat, None, space)
             rows.append(RelationResidual(f"star[{g.i}] hermitian", res, worst))
         else:
-            res, worst = _column_max(adj + g.mat, None, patterns)
+            res, worst = _column_max(adj + g.mat, None, space)
             rows.append(RelationResidual(f"star[{g.i}] anti-hermitian", res, worst))
     return ResidualReport(rows, tol)
 
@@ -186,7 +186,7 @@ def _zero_chain_index(space, m: int, mp: int) -> int:
     """Index of the pattern of block (m, m') with all inner labels zero."""
     left = ChainPattern(space.r, (m,) + (0,) * (space.r - 2))
     right = ChainPattern(space.s, (mp,) + (0,) * (space.s - 2))
-    return space.index[DoublePattern(left, right)]
+    return space.index_of(DoublePattern(left, right))
 
 
 def _block_edges(rep: DegenerateRep):
@@ -280,12 +280,10 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     if np.max(np.abs(vals.imag)) > tol * np.max(np.abs(vals)):
         return MetricSolution(NONE, None, None, connected)
 
-    weights = {b: float(v.real) for b, v in values.items()}
-    diag = np.empty(rep.dim)
-    for i, pat in enumerate(rep.space.basis):
-        diag[i] = weights.get(pat.block, np.nan)
-    if np.any(np.isnan(diag)):
+    if not connected:
         return MetricSolution(NONE, None, None, False)
+    weights = {b: float(v.real) for b, v in values.items()}
+    diag = rep.space.block_diagonal(weights)
 
     A = rep.noncompact.mat
     C = sparse.diags(diag).tocsc()
@@ -337,9 +335,7 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     if any(v == 0.0 for v in values.values()) or mismatch > tol or not connected:
         return None
 
-    diag = np.empty(space.dim, dtype=complex)
-    for i, pat in enumerate(space.basis):
-        diag[i] = values[pat.block]
+    diag = space.block_diagonal(values)
     S = sparse.diags(diag).tocsc()
     residual = 0.0
     for ga, gb in zip(repA.generators, repB.generators):
@@ -354,9 +350,7 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
 
 def conjugate_rep(rep: DegenerateRep, block_values: dict) -> DegenerateRep:
     """Conjugate every generator by the block-scalar diagonal D: A -> D A D^-1."""
-    diag = np.empty(rep.dim, dtype=complex)
-    for i, pat in enumerate(rep.space.basis):
-        diag[i] = block_values[pat.block]
+    diag = rep.space.block_diagonal(block_values)
     D = sparse.diags(diag).tocsc()
     Dinv = sparse.diags(1.0 / diag).tocsc()
     gens = [GeneratorMatrix(g.i, (D @ g.mat @ Dinv).tocsc()) for g in rep.generators]

@@ -1,6 +1,7 @@
 """Independent oracles for the test suite.
 
-Everything here is coded directly from the classical (q = 1) formulas and
+Everything here is coded directly from the classical (q = 1) formulas,
+the q-deformed noncompact formulas with [x] in its exponential form, and
 plain combinatorics, without importing any evaluation code from the
 package, so that package output can be checked against an independent
 path.  Basis ORDER is taken from the package where entrywise comparison
@@ -100,11 +101,18 @@ def cl_chain_action(entries, k):
     return out
 
 
-def cl_KL(m: int, k: int, size: int) -> float:
-    num = (m - k + 1) * (m + k + size - 2)
+def q_bracket(q: float):
+    """[x] = (q^{x/2} - q^{-x/2}) / (q^{1/2} - q^{-1/2}), and [x] = x at q = 1."""
+    if q == 1.0:
+        return lambda x: x
+    return lambda x: (q ** (x / 2) - q ** (-x / 2)) / (q ** 0.5 - q ** -0.5)
+
+
+def q_KL(m: int, k: int, size: int, br) -> float:
+    num = br(m - k + 1) * br(m + k + size - 2)
     if num == 0:
         return 0.0
-    val = num / ((2 * m + size) * (2 * m + size - 2))
+    val = num / (br(2 * m + size) * br(2 * m + size - 2))
     assert val > 0
     return math.sqrt(val)
 
@@ -159,19 +167,32 @@ def cl_degenerate_noncompact(r, s, epsilon, lam, patterns, top_ring):
     """
     import numpy as np
 
+    M = np.zeros((len(patterns), len(patterns)), dtype=complex)
+    entries = q_degenerate_noncompact_entries(r, s, lam, 1.0, patterns, top_ring)
+    for (row, col), coeff in entries.items():
+        M[row, col] = coeff
+    return M
+
+
+def q_degenerate_noncompact_entries(r, s, lam, q, patterns, top_ring) -> dict:
+    """Nonzero entries {(row, col): value} of the noncompact generator at q.
+
+    `patterns` is a list of (left_entries, right_entries) tuples; `lam` may
+    be complex.
+    """
+    br = q_bracket(q)
     index = {p: i for i, p in enumerate(patterns)}
-    dim = len(patterns)
-    M = np.zeros((dim, dim), dtype=complex)
+    out = {}
     for col, (left, right) in enumerate(patterns):
         m, k = left[0], left[1]
         mp, kp = right[0], right[1]
-        km, km1 = cl_KL(m, k, r), cl_KL(m - 1, k, r)
-        lm, lm1 = cl_KL(mp, kp, s), cl_KL(mp - 1, kp, s)
+        km, km1 = q_KL(m, k, r, br), q_KL(m - 1, k, r, br)
+        lm, lm1 = q_KL(mp, kp, s, br), q_KL(mp - 1, kp, s, br)
         moves = [
-            ((1, 1), km * lm * (lam + m + mp)),
-            ((1, -1), -km * lm1 * (lam + m - mp - s + 2)),
-            ((-1, 1), km1 * lm * (lam - m + mp - r + 2)),
-            ((-1, -1), -km1 * lm1 * (lam - m - mp - r - s + 4)),
+            ((1, 1), km * lm * br(lam + m + mp)),
+            ((1, -1), -km * lm1 * br(lam + m - mp - s + 2)),
+            ((-1, 1), km1 * lm * br(lam - m + mp - r + 2)),
+            ((-1, -1), -km1 * lm1 * br(lam - m - mp - r - s + 4)),
         ]
         for (dm, dmp), coeff in moves:
             if coeff == 0:
@@ -181,5 +202,5 @@ def cl_degenerate_noncompact(r, s, epsilon, lam, patterns, top_ring):
                 continue
             tgt = ((m2,) + left[1:], (mp2,) + right[1:])
             if tgt in index:
-                M[index[tgt], col] += coeff
-    return M
+                out[index[tgt], col] = coeff
+    return out

@@ -113,6 +113,14 @@ def test_usage_error_exit_code(capsys):
     assert code == 3
 
 
+def test_verify_empty_tower_is_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--degenerate", "--r", "3", "--s", "3",
+                       "--epsilon", "1", "--lambda-re", "1/3", "--cutoff", "0",
+                       "--metric")
+    assert code == 3
+    assert "below epsilon" in err
+
+
 def test_reports_embed_config(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["verify", "--so3", "--l", "2", "--q", "2",

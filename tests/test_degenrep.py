@@ -6,7 +6,6 @@ import pytest
 
 from soqrs import (
     K_coeff,
-    L_coeff,
     PrimedBasisUndefined,
     QParam,
     RepSpec,
@@ -17,7 +16,7 @@ from soqrs import (
     check_star,
     primed_transform,
 )
-from oracles import cl_degenerate_noncompact
+from oracles import cl_degenerate_noncompact, q_degenerate_noncompact_entries
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -31,7 +30,7 @@ def test_K_coeff_values():
     # direct numeric oracle for L_0 at s=4, q=2
     w = lambda b: (2 ** (b / 2) - 2 ** (-b / 2)) / (2 ** 0.5 - 2 ** -0.5)
     expected = math.sqrt(w(1) * w(2) / (w(4) * w(2)))
-    assert L_coeff(0, 0, 4, Q2) == pytest.approx(expected, abs=1e-14)
+    assert K_coeff(0, 0, 4, Q2) == pytest.approx(expected, abs=1e-14)
 
 
 def test_K_coeff_even_in_k():
@@ -88,6 +87,14 @@ def test_sparsity_contract():
             assert percol.max() <= 2
 
 
+def test_no_stored_zeros():
+    for spec in [RepSpec(4, 4, 0, E(Fraction(37, 100)), Q2, 6),
+                 RepSpec(3, 4, 1, E(-2), QParam(0.5), 6)]:
+        for rep in (build_degenerate(spec), build_degenerate_primed(spec)):
+            for g in rep.generators:
+                assert g.mat.nnz == g.mat.count_nonzero(), (rep.basis_kind, g.i)
+
+
 @pytest.mark.parametrize("r,s,eps,q", [(3, 3, 1, 2.0), (4, 3, 0, 0.5)])
 def test_relations_generic_lambda(r, s, eps, q):
     spec = RepSpec(r, s, eps, E(Fraction(7, 10)), QParam(q), 8)
@@ -122,6 +129,23 @@ def test_classical_entries_match_oracle():
         expected = cl_degenerate_noncompact(
             3, 4, 0, lam_plain, patterns, rep.space.top_ring)
         assert np.allclose(rep.noncompact.mat.toarray(), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_q_deformed_entries_match_oracle(q):
+    for lam_exact, lam_plain in [(E(Fraction(37, 100)), 0.37),
+                                 (E(Fraction(3, 2), 0, Fraction(7, 10)), 1.5 + 0.7j)]:
+        for r, s in [(3, 4), (4, 3), (4, 4)]:
+            for eps in (0, 1):
+                rep = build_degenerate(RepSpec(r, s, eps, lam_exact, QParam(q), 6))
+                patterns = [(p.left.entries, p.right.entries) for p in rep.space.basis]
+                expected = q_degenerate_noncompact_entries(
+                    r, s, lam_plain, q, patterns, rep.space.top_ring)
+                coo = rep.noncompact.mat.tocoo()
+                got = dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data))
+                assert got.keys() == expected.keys(), (r, s, eps)
+                for key, want in expected.items():
+                    assert abs(got[key] - want) <= 1e-12 * abs(want), (r, s, eps, key)
 
 
 def test_near_classical_limit_degenerate():
@@ -192,14 +216,6 @@ def test_primed_relations_hold():
     assert report.passed, report.max_residual
 
 
-def test_primed_branch_signs_recorded():
-    spec = RepSpec(3, 3, 0, E(Fraction(2, 5)), Q2, 6)
-    rep = build_degenerate_primed(spec)
-    signs = set(rep.branch_signs.values())
-    assert signs <= {1, -1}
-    assert -1 in signs  # lowering rows differ from the naive product branch
-
-
 def test_repspec_validation():
     with pytest.raises(ValueError):
         RepSpec(2, 3, 0, E(1), Q2, 4)
@@ -207,3 +223,5 @@ def test_repspec_validation():
         RepSpec(3, 3, 2, E(1), Q2, 4)
     with pytest.raises(ValueError):
         RepSpec(3, 3, 0, E(1), Q2, -1)
+    with pytest.raises(ValueError, match="below epsilon"):
+        RepSpec(3, 3, 1, E(1), Q2, 0)  # the tower would have no blocks

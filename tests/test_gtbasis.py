@@ -5,10 +5,9 @@ import pytest
 from soqrs import (
     ChainPattern,
     DoublePattern,
-    build_space,
+    TruncatedSpace,
     class1_dim,
     enumerate_chain,
-    pattern_index,
 )
 from oracles import brute_chain_count, brute_space_dim, class1_dim_formula
 
@@ -55,27 +54,29 @@ def test_chain_pattern_validation():
 
 
 def test_build_space_dimensions():
-    assert build_space(3, 3, 0, 2).dim == 20
-    assert build_space(3, 3, 1, 1).dim == 6
-    assert build_space(4, 3, 0, 0).dim == 1
+    assert TruncatedSpace(3, 3, 0, 2).dim == 20
+    assert TruncatedSpace(3, 3, 1, 1).dim == 6
+    assert TruncatedSpace(4, 3, 0, 0).dim == 1
 
 
 @pytest.mark.parametrize("r,s,eps,cutoff", [
     (3, 3, 0, 4), (3, 4, 1, 5), (4, 4, 0, 4), (5, 3, 1, 4),
 ])
 def test_build_space_dim_matches_brute_force(r, s, eps, cutoff):
-    assert build_space(r, s, eps, cutoff).dim == brute_space_dim(r, s, eps, cutoff)
+    assert TruncatedSpace(r, s, eps, cutoff).dim == brute_space_dim(r, s, eps, cutoff)
 
 
 def test_build_space_rejects_small_ranks():
     with pytest.raises(ValueError):
-        build_space(2, 3, 0, 4)
+        TruncatedSpace(2, 3, 0, 4)
     with pytest.raises(ValueError):
-        build_space(3, 1, 0, 4)
+        TruncatedSpace(3, 1, 0, 4)
+    with pytest.raises(ValueError, match="below epsilon"):
+        TruncatedSpace(3, 3, 1, 0)  # no block of odd m+m' fits
 
 
 def test_block_completeness():
-    sp = build_space(4, 3, 0, 6)
+    sp = TruncatedSpace(4, 3, 0, 6)
     for (m, mp), sl in sp.block_slices.items():
         expected = class1_dim(4, m) * class1_dim(3, mp)
         assert sl.stop - sl.start == expected
@@ -84,26 +85,27 @@ def test_block_completeness():
 
 
 def test_ordering_and_index_roundtrip():
-    sp = build_space(3, 3, 0, 2)
+    sp = TruncatedSpace(3, 3, 0, 2)
     first = sp.basis[0]
     assert first.block == (0, 0)
-    assert pattern_index(sp, first) == 0
+    assert sp.index_of(first) == 0
     for i, pat in enumerate(sp.basis):
-        assert pattern_index(sp, pat) == i
+        assert sp.index_of(pat) == i
+        assert sp.pattern(i) == pat
     # blocks ordered by (m+m', m)
     keys = [(p.m + p.mp, p.m) for p in sp.basis]
     assert keys == sorted(keys)
 
 
 def test_pattern_index_not_found():
-    sp = build_space(3, 3, 0, 2)
+    sp = TruncatedSpace(3, 3, 0, 2)
     outside = DoublePattern(ChainPattern(3, (2, 0)), ChainPattern(3, (2, 0)))
     with pytest.raises(KeyError):
-        pattern_index(sp, outside)
+        sp.index_of(outside)
 
 
 def test_interior_indices_and_top_ring():
-    sp = build_space(3, 3, 0, 8)
+    sp = TruncatedSpace(3, 3, 0, 8)
     assert sp.top_ring == 8
     interior = sp.interior_indices(3)
     assert all(sp.basis[i].m + sp.basis[i].mp <= 5 for i in interior)
@@ -111,13 +113,13 @@ def test_interior_indices_and_top_ring():
         i in interior
         for i, p in enumerate(sp.basis) if p.m + p.mp <= 5
     )
-    sp1 = build_space(3, 3, 1, 8)
+    sp1 = TruncatedSpace(3, 3, 1, 8)
     assert sp1.top_ring == 7
     assert max(sp1.basis[i].m + sp1.basis[i].mp for i in sp1.interior_indices(3)) <= 4
 
 
 def test_dump_basis_is_integer_lists():
-    sp = build_space(3, 4, 1, 3)
+    sp = TruncatedSpace(3, 4, 1, 3)
     dump = sp.dump_basis()
     assert len(dump) == sp.dim
     assert all(isinstance(x, int) for row in dump for x in row)

@@ -9,20 +9,19 @@ from soqrs import (
     InexactSpectralError,
     QParam,
     SpectralParam,
+    bracket_vanishes,
     normalize_spectral,
-    qnum_eval,
-    qnum_vanishes,
 )
 
 E = SpectralParam.exact
 
 
 def test_qnum_basic_values():
-    assert qnum_eval(QParam(2.0), 0) == 0.0
-    assert qnum_eval(QParam(4.0), 2) == pytest.approx(2.5, abs=1e-14)
-    assert qnum_eval(QParam(1.0), 5) == 5.0
+    assert QParam(2.0).qnum(0) == 0.0
+    assert QParam(4.0).qnum(2) == pytest.approx(2.5, abs=1e-14)
+    assert QParam(1.0).qnum(5) == 5.0
     h = math.log(2.0)
-    assert abs(qnum_eval(QParam(2.0), 2j * math.pi / h)) < 1e-12
+    assert abs(QParam(2.0).qnum(2j * math.pi / h)) < 1e-12
 
 
 def test_qnum_real_input_gives_real_output():
@@ -36,7 +35,7 @@ def test_qnum_real_input_gives_real_output():
 def test_qnum_half_integer_value():
     # [1/2] at q=2 from the power form
     expected = (2 ** 0.25 - 2 ** -0.25) / (2 ** 0.5 - 2 ** -0.5)
-    assert qnum_eval(QParam(2.0), Fraction(1, 2)) == pytest.approx(expected, abs=1e-14)
+    assert QParam(2.0).qnum(Fraction(1, 2)) == pytest.approx(expected, abs=1e-14)
 
 
 @pytest.mark.parametrize("q", [0.5, 2.0, 3.7])
@@ -64,9 +63,9 @@ def test_qparam_validation():
 
 
 def test_vanishing_examples():
-    assert qnum_vanishes(E(-3), 3)
-    assert not qnum_vanishes(E(-3, 1), 3)  # Im lambda = pi/h
-    assert not qnum_vanishes(E(Fraction(3, 2)), 3)
+    assert bracket_vanishes(E(-3), 3)
+    assert not bracket_vanishes(E(-3, 1), 3)  # Im lambda = pi/h
+    assert not bracket_vanishes(E(Fraction(3, 2)), 3)
     # direct numeric oracle for the pi/h case: bracket value is i-cosh-like
     p = QParam(2.0)
     z = complex(0.0, math.pi / p.h)
@@ -80,19 +79,19 @@ def test_vanishing_matches_numeric_oracle():
             lam = E(re, im_t)
             val = lam.value(p)
             for c in range(-3, 4):
-                exact = qnum_vanishes(lam, c)
+                exact = bracket_vanishes(lam, c)
                 numeric = abs(p.qnum(val + c)) < 1e-12
                 assert exact == numeric, (re, im_t, c)
 
 
 def test_vanishing_with_absolute_imag():
-    assert not qnum_vanishes(E(-3, 0, 2), 3)
-    assert qnum_vanishes(E(-3, 0, 0), 3)
+    assert not bracket_vanishes(E(-3, 0, 2), 3)
+    assert bracket_vanishes(E(-3, 0, 0), 3)
 
 
 def test_vanishing_rejects_inexact():
     with pytest.raises(InexactSpectralError):
-        qnum_vanishes(SpectralParam.inexact(0.5 + 1j), 3)
+        bracket_vanishes(SpectralParam.inexact(0.5 + 1j), 3)
 
 
 def test_normalize_spectral():
