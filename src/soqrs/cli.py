@@ -185,7 +185,8 @@ def _report_rows(report) -> str:
         status = "PASS" if row.residual < report.tol else "FAIL"
         lines.append(f"{status}  {row.relation:24s} residual={row.residual:.3e}")
     lines.append(f"{'PASS' if report.passed else 'FAIL'}  overall "
-                 f"max={report.max_residual:.3e} tol={report.tol:.1e}")
+                 f"max={report.max_residual:.3e} tol={report.tol:.1e} "
+                 f"on {report.columns:,} of {report.dim:,} columns")
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,11 @@ n > 3, act on GT chains: the generator indexed k shifts the label
 m_{k-1} by one with coefficients built from the neighbouring labels
 m_k and m_{k-2}.  All matrices are anti-Hermitian in the orthonormal
 chain basis and have at most two nonzero entries per column.
+
+The matrices are assembled from an integer array of chain labels, one
+row per chain: brackets are looked up in a per-call table of
+QParam.qnum values, and target chains are found by searchsorted, so no
+Python runs per chain.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from .gtbasis import ChainPattern, enumerate_chain
+from .gtbasis import chain_labels
 from .qarith import QParam
 
 
@@ -73,19 +78,6 @@ def _bracket_product(args, p: QParam) -> float:
     return v
 
 
-def _sqrt_product(args, p: QParam) -> float:
-    """sqrt of a product of brackets; admissible patterns give radicand >= 0."""
-    v = _bracket_product(args, p)
-    if v == 0.0:
-        return 0.0
-    if v < 0.0:
-        raise ArithmeticError(
-            f"negative radicand {v} for brackets {args}; "
-            "inadmissible pattern slipped through"
-        )
-    return math.sqrt(v)
-
-
 def _ratio_sqrt(num_args, den_args, p: QParam) -> float:
     """sqrt([a1][a2] / [b1][b2]) with the numerator wall short-circuit.
 
@@ -121,77 +113,83 @@ def R_coeff(m1: int, m2: int, n: int, p: QParam) -> float:
     )
 
 
-def so3_action(l, m, p: QParam) -> list[tuple[int, float]]:
-    """Raising/lowering amplitudes of the second so'_q(3) generator.
+class _Table:
+    """f(x) for every integer x in [lo, hi], looked up by integer arrays.
 
-    Returns [(delta_m, coefficient)] for the transitions m -> m + delta_m,
-    with the lowering term carrying the minus sign.
+    Arguments past hi raise IndexError in numpy itself; arguments below lo
+    would index from the end, so they are refused here.
     """
-    out = []
-    up = _sqrt_product((l - m, l + m + 1), p)
-    if up != 0.0:
-        out.append((1, d_coeff(m, p) * up))
-    down = _sqrt_product((l + m, l - m + 1), p)
-    if down != 0.0:
-        out.append((-1, -d_coeff(m - 1, p) * down))
-    return out
+
+    def __init__(self, f, lo: int, hi: int):
+        self.lo = lo
+        self.values = np.array([f(x) for x in range(lo, hi + 1)], dtype=np.float64)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        i = x - self.lo
+        if i.size and i.min() < 0:
+            raise IndexError(f"argument {x.min()} below the table start {self.lo}")
+        return self.values[i]
 
 
-def chain_action(entries: tuple, k: int, p: QParam) -> list[tuple[tuple, complex]]:
-    """Action of generator k of so'_q(n) on one chain (m_n, ..., m_2).
+def class1_arrays(labels: np.ndarray, p: QParam, half: int = 0) -> list:
+    """COO arrays (rows, cols, vals) of generators 2..n on an array of chains.
 
-    Returns [(new_entries, coefficient)].  k = 2 is the diagonal i[m_2];
-    k = 3 shifts m_2 inside the so'_q(3) block with top m_3; k >= 4 shifts
-    m_{k-1} with outer label m_k and inner label m_{k-2}.
+    labels holds one admissible chain (m_n, ..., m_2) per row, ascending;
+    half = 1 marks the half-integer so'_q(3) labels, stored as m - 1/2.
+    Generator 2 is the diagonal i[m_2].  Generator 3 raises m_2 inside the
+    so'_q(3) block of top l = m_3 with d(m) ([l-m][l+m+1])^{1/2}, and
+    generator k >= 4 raises m_{k-1} with ([m_k+m_{k-1}+k-2][m_k-m_{k-1}])^{1/2}
+    R(m_{k-1}).  Each of these is E - E^T for its raising part E: the
+    lowering coefficient of a chain is minus the raising one of its lower
+    neighbour.  On admissible chains every raising bracket has a
+    nonnegative argument, and only the upper wall [m_k - m_{k-1}] = [0]
+    vanishes, so no term leaves the chain set.
     """
-    n = len(entries) + 1
-    if not 2 <= k <= n:
-        raise ValueError(f"generator index {k} out of range for so'_q({n})")
-    if k == 2:
-        return [(entries, 1j * p.qnum(entries[-1]))]
-    if k == 3:
-        l, m = entries[-2], entries[-1]
-        out = []
-        for dm, c in so3_action(l, m, p):
-            new = entries[:-1] + (m + dm,)
-            out.append((new, c))
-        return out
+    width = labels.shape[1]
+    n = width + 1
+    m3, m2 = labels[:, -2], labels[:, -1]
+    shift = Fraction(1, 2) if half else 0
+    q = _Table(p.qnum, int(labels.min()), 2 * int(labels.max()) + n)
+    lo2, hi2 = int(m2.min()), int(m2.max())
+    qm = _Table(lambda x: p.qnum(x + shift), lo2, hi2) if half else q
+    d = _Table(lambda x: d_coeff(x + shift, p), lo2, hi2)
 
-    pos = n - k + 1  # index of m_{k-1} within (m_n, ..., m_2)
-    mk = entries[pos - 1]
-    mk1 = entries[pos]
-    mk2 = entries[pos + 1]
-    out = []
-    up_outer = _sqrt_product((mk + mk1 + k - 2, mk - mk1), p)
-    if up_outer != 0.0:
-        c = up_outer * R_coeff(mk1, mk2, k, p)
-        if c != 0.0:
-            out.append((entries[:pos] + (mk1 + 1,) + entries[pos + 1:], c))
-    down_outer = _sqrt_product((mk + mk1 + k - 3, mk - mk1 + 1), p)
-    if down_outer != 0.0:
-        c = down_outer * R_coeff(mk1 - 1, mk2, k, p)
-        if c != 0.0:
-            out.append((entries[:pos] + (mk1 - 1,) + entries[pos + 1:], -c))
-    return out
+    # mixed-radix keys ascend with the chains; raising column c adds
+    # place[c], so target rows come from one searchsorted
+    lo = labels.min(axis=0) - 1
+    radix = [int(x) for x in labels.max(axis=0) - lo + 2]
+    place = [math.prod(radix[c + 1:]) for c in range(width)]
+    if place[0] * radix[0] >= 2 ** 63:
+        raise ValueError(f"chain keys of {labels.shape} labels overflow int64")
+    keys = (labels - lo) @ np.array(place, dtype=np.int64)
 
+    def ladder(c, outer, factor):
+        """E - E^T, E raising label c by outer^{1/2} factor; zeros not stored."""
+        vals = np.sqrt(outer) * factor
+        src = np.flatnonzero(vals)
+        dst = np.searchsorted(keys, keys[src] + place[c])
+        vals = vals[src]
+        return (np.concatenate((dst, src)), np.concatenate((src, dst)),
+                np.concatenate((vals, -vals)))
 
-def _build_from_chains(
-    n: int, basis: list[ChainPattern], p: QParam
-) -> list[GeneratorMatrix]:
-    index = {c.entries: i for i, c in enumerate(basis)}
-    dim = len(basis)
-    gens = []
-    for k in range(2, n + 1):
-        rows, cols, vals = [], [], []
-        for col, chain in enumerate(basis):
-            for new_entries, coeff in chain_action(chain.entries, k, p):
-                if coeff == 0:
-                    continue
-                rows.append(index[new_entries])
-                cols.append(col)
-                vals.append(coeff)
-        gens.append(GeneratorMatrix(k, assemble(dim, rows, cols, vals)))
+    diag = qm(m2)
+    nonzero = np.flatnonzero(diag)
+    gens = [(nonzero, nonzero, 1j * diag[nonzero]),
+            ladder(width - 1, q(m3 - m2) * q(m3 + m2 + 1 + half), d(m2))]
+    for k in range(4, n + 1):
+        c = n - k + 1  # column of m_{k-1}
+        mk, mk1, mk2 = labels[:, c - 1], labels[:, c], labels[:, c + 1]
+        R = np.sqrt((q(mk1 + mk2 + k - 3) * q(mk1 - mk2 + 1))
+                    / (q(2 * mk1 + k - 3) * q(2 * mk1 + k - 1)))
+        gens.append(ladder(c, q(mk + mk1 + k - 2) * q(mk - mk1), R))
     return gens
+
+
+def _assemble_generators(labels: np.ndarray, p: QParam,
+                         half: int = 0) -> list[GeneratorMatrix]:
+    dim = len(labels)
+    return [GeneratorMatrix(k, assemble(dim, *coo))
+            for k, coo in enumerate(class1_arrays(labels, p, half), start=2)]
 
 
 def build_so3(l, p: QParam) -> list[GeneratorMatrix]:
@@ -201,17 +199,23 @@ def build_so3(l, p: QParam) -> list[GeneratorMatrix]:
     by ascending m, so the diagonal generator reads i*diag([-l], ..., [l]).
     """
     lf = Fraction(l)
-    if lf < 0:
-        raise ValueError(f"so'_q(3) label must be nonnegative, got {l}")
-    basis = enumerate_chain(3, lf if lf.denominator == 2 else int(lf))
-    return _build_from_chains(3, basis, p)
+    if lf < 0 or lf.denominator > 2:
+        raise ValueError(
+            f"so'_q(3) label must be a nonnegative (half-)integer, got {l}")
+    if lf.denominator == 1:
+        return _assemble_generators(chain_labels(3, int(lf))[-1], p)
+    top = int(lf - Fraction(1, 2))  # labels stored as m - 1/2
+    labels = np.stack((np.full(2 * top + 2, top), np.arange(-top - 1, top + 1)), axis=1)
+    return _assemble_generators(labels, p, half=1)
 
 
-def build_class1(n: int, m_top: int, p: QParam) -> list[GeneratorMatrix]:
+def build_class1(n: int, m_top, p: QParam) -> list[GeneratorMatrix]:
     """Generator matrices of the class-1 representation of so'_q(n).
 
     Matrices act on the enumerate_chain(n, m_top) basis; the generator
-    indexed k only changes the label m_{k-1}.
+    indexed k only changes the label m_{k-1}.  For n = 3 this is
+    build_so3(m_top), half-integer labels included.
     """
-    basis = enumerate_chain(n, m_top)
-    return _build_from_chains(n, basis, p)
+    if n == 3:
+        return build_so3(m_top, p)
+    return _assemble_generators(chain_labels(n, m_top)[-1], p)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, build_class1
+from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, class1_arrays
 from .gtbasis import TruncatedSpace, enumerate_blocks
 from .qarith import QParam, SpectralParam, bracket_vanishes
 
@@ -119,9 +119,6 @@ class DegenerateRep:
     def noncompact(self) -> GeneratorMatrix:
         return self.gen(self.spec.r + 1)
 
-    def interior_indices(self, depth: int) -> range:
-        return self.space.interior_indices(depth)
-
 
 def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
     """Transition factor ([m-k+1][m+k+r-2] / [2m+r][2m+r-2])^{1/2}.
@@ -151,7 +148,7 @@ def _kron_index(rows_a, cols_a, rows_b, cols_b, nrows_b: int, ncols_b: int):
 def _compact_generator(space: TruncatedSpace, i: int, class1) -> sparse.csc_matrix:
     """Compact generator i as kron(G_i(m), I) or kron(I, G_{r+s+2-i}(m')) per block.
 
-    class1[n][top] holds the COO arrays of build_class1 for so'_q(n) in
+    class1[n][top] holds the COO arrays of class1_arrays for so'_q(n) in
     the space's chain order.  Both towers peel coordinates away from the
     boundary the noncompact generator sits on, so the neighbour
     I_{r+2,r+1} moves the second right label (the one entering L_{m'})
@@ -178,16 +175,16 @@ def _compact_generator(space: TruncatedSpace, i: int, class1) -> sparse.csc_matr
 def _class1_blocks(space: TruncatedSpace, p: QParam) -> dict:
     """COO arrays of every class-1 generator, per rank and top label.
 
-    build_class1 orders chains ascending; the space orders them
+    class1_arrays orders chains ascending; the space orders them
     descending, so positions are flipped.  Equal ranks share one tower.
     """
     out = {}
     for n, side in {space.r: 0, space.s: 1}.items():
         per_top = out[n] = {}
-        for top, chains in space.chains[side].items():
-            last = len(chains) - 1
-            coos = (g.mat.tocoo() for g in build_class1(n, top, p))
-            per_top[top] = [(last - c.row, last - c.col, c.data) for c in coos]
+        for top, labels in enumerate(space.labels[side]):
+            last = len(labels) - 1
+            per_top[top] = [(last - rows, last - cols, vals)
+                            for rows, cols, vals in class1_arrays(labels, p)]
     return out
 
 

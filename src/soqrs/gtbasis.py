@@ -95,12 +95,7 @@ def class1_dim(n: int, m) -> int:
     )
 
 
-def enumerate_chain(n: int, top) -> list[ChainPattern]:
-    """All chains with the given top label, ascending lexicographic order.
-
-    Half-integer tops are allowed only for n = 3; class-1 representations
-    of so'_q(n), n > 3, carry integer weights.
-    """
+def _checked_top(n: int, top):
     if n < 3:
         raise ValueError(f"rank must be >= 3, got n={n}")
     top = _as_label(top)
@@ -110,17 +105,37 @@ def enumerate_chain(n: int, top) -> list[ChainPattern]:
         raise ValueError(
             f"half-integer top label {top} is only supported for n=3"
         )
+    return top
 
-    def build(k: int, t):
-        # all suffixes (m_k, m_{k-1}, ..., m_2) with m_k = t
-        if k == 3:
-            count = int(2 * t)
-            return [(t, t - count + j) for j in range(count + 1)]
-        return [(t,) + rest for t2 in range(int(t) + 1) for rest in build(k - 1, t2)]
 
-    chains = [ChainPattern(n, entries) for entries in build(n, top)]
-    chains.sort(key=lambda c: c.entries)
-    return chains
+def enumerate_chain(n: int, top) -> list[ChainPattern]:
+    """All chains with the given top label, ascending lexicographic order.
+
+    Half-integer tops are allowed only for n = 3; class-1 representations
+    of so'_q(n), n > 3, carry integer weights.
+    """
+    top = _checked_top(n, top)
+    if _is_half_integer(top):
+        return [ChainPattern(3, (top, j - top)) for j in range(int(2 * top) + 1)]
+    return [ChainPattern(n, tuple(e)) for e in chain_labels(n, top)[top].tolist()]
+
+
+def chain_labels(n: int, top) -> list[np.ndarray]:
+    """The chains of enumerate_chain(n, t) as rows (m_n, ..., m_2), for t = 0..top.
+
+    One int64 array per integer top label t, rows in ascending order.
+    """
+    top = _checked_top(n, top)
+    if _is_half_integer(top):
+        raise ValueError(f"chain_labels needs an integer top label, got {top}")
+    # labels[t] holds every (m_k, ..., m_2) with m_k = t, starting at k = 3
+    labels = [np.stack((np.full(2 * t + 1, t), np.arange(-t, t + 1)), axis=1)
+              for t in range(top + 1)]
+    for _ in range(n - 3):
+        labels = [np.concatenate(labels[:t + 1]) for t in range(top + 1)]
+        labels = [np.column_stack((np.full(len(rest), t), rest))
+                  for t, rest in enumerate(labels)]
+    return [a.astype(np.int64) for a in labels]
 
 
 def enumerate_blocks(epsilon: int, cutoff: int) -> list[tuple[int, int]]:
@@ -143,9 +158,9 @@ class TruncatedSpace:
     starts at its offset and is ordered left-chain-major, so the column of
     (left chain a, right chain b) is offset + a * len(right chains) + b.
 
-    The space stores only the blocks, their offsets and one descending
-    chain list per top label and side; `basis` lists every pattern and is
-    built on first use.
+    The space stores only the blocks, their offsets and, per top label and
+    side, the ascending chain_labels array and the descending chain list;
+    `basis` lists every pattern and is built on first use.
     """
 
     def __init__(self, r: int, s: int, epsilon: int, cutoff: int):
@@ -163,10 +178,14 @@ class TruncatedSpace:
         self.cutoff = int(cutoff)
 
         self.blocks = enumerate_blocks(self.epsilon, self.cutoff)
-        tops = range(self.top_ring + 1)
-        # chains[0][m]: so'_q(r) chains with top m, chains[1][m']: so'_q(s)
+        # labels[0][m]: ascending label array of the so'_q(r) chains with
+        # top m, labels[1][m']: so'_q(s); chains[side][m] lists them descending
+        towers = {n: chain_labels(n, self.top_ring) for n in {self.r, self.s}}
+        self.labels = (towers[self.r], towers[self.s])
         self.chains = tuple(
-            {t: enumerate_chain(n, t)[::-1] for t in tops} for n in (self.r, self.s)
+            {t: [ChainPattern(n, tuple(e)) for e in a[::-1].tolist()]
+             for t, a in enumerate(self.labels[side])}
+            for side, n in enumerate((self.r, self.s))
         )
         self.positions = tuple(
             {c.entries: i for chains in side.values() for i, c in enumerate(chains)}

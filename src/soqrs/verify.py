@@ -6,7 +6,9 @@ The deformed Serre-type relations for adjacent generators X, Y read
 
 with a = q^{1/2} + q^{-1/2}, and distant generators commute.  On a
 truncated degenerate-series space these hold exactly on interior columns
-(far enough below the cutoff that no length-3 walk leaves the space).
+(far enough below the cutoff that no length-3 walk leaves the space), so
+the residuals are formed on those columns only; every report records how
+many columns it checked out of the dimension.
 
 The adjoint conditions distinguish the compact involution (every
 generator anti-Hermitian) from the noncompact one (the generator that
@@ -49,8 +51,12 @@ class RelationResidual:
 
 @dataclass
 class ResidualReport:
+    """Residual rows of one check, over `columns` of the `dim` basis columns."""
+
     rows: list[RelationResidual]
     tol: float
+    columns: int
+    dim: int
 
     @property
     def max_residual(self) -> float:
@@ -68,6 +74,8 @@ class ResidualReport:
             "tol": self.tol,
             "max_residual": self.max_residual,
             "passed": self.passed,
+            "columns": self.columns,
+            "dim": self.dim,
             "rows": [r.to_dict() for r in self.rows],
         }
 
@@ -84,14 +92,11 @@ def _coerce(rep, qp: QParam | None, need_qp: bool = True):
     return gens, qp, None, None
 
 
-def _column_max(mat: sparse.spmatrix, ncols, space):
-    """Largest |entry| over the first ncols columns and the pattern of its column.
+def _column_max(mat: sparse.spmatrix, space):
+    """Largest |entry| of mat and the pattern of its column.
 
-    ncols None means every column; without a space the column index
-    itself stands in for the pattern.
+    Without a space the column index itself stands in for the pattern.
     """
-    if ncols is not None:
-        mat = mat.tocsc()[:, :ncols]
     coo = mat.tocoo()
     if coo.nnz == 0:
         return 0.0, None
@@ -107,31 +112,56 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
 
     For a compact representation there is no truncation and every column
     counts; for a degenerate representation only columns at least `depth`
-    below the top ring enter the report.
+    below the top ring enter the report, and the residuals are formed on
+    those columns only: each product is evaluated right to left on the
+    interior columns of its rightmost factor.  The terms Y^2 X and X^2 Y
+    keep the association (Y Y) X, with Y Y formed only on the columns
+    that X reaches, so every reported entry is summed in the same order
+    as from the full products.
     """
     gens, p, space, _ = _coerce(rep, qp)
     a = p.a
-    ncols = len(space.interior_indices(depth)) if space is not None else None
-    mats = {g.i: g.mat for g in gens}
+    mats = {g.i: g.mat.tocsc() for g in gens}
+    dim = gens[0].mat.shape[1]
+    ncols = dim if space is None else len(space.interior_indices(depth))
+    cols = {i: M if ncols == dim else M[:, :ncols] for i, M in mats.items()}
+    squares = {}
+
+    def square(i: int, n: int):
+        """mats[i] @ mats[i] on its first n columns, formed once per (i, n)."""
+        if (i, n) not in squares:
+            M = mats[i]
+            squares[i, n] = M @ (M if n == dim else M[:, :n])
+        return squares[i, n]
+
+    def square_times(i: int, right):
+        """(mats[i] @ mats[i]) @ right, squaring only the columns right reaches."""
+        n = dim
+        if ncols != dim:
+            n = int(right.indices.max()) + 1 if right.nnz else 0
+            right = right[:n, :]
+        return square(i, n) @ right
+
     idxs = sorted(mats)
     rows = []
     for i in idxs[:-1]:
-        X, Y = mats[i], mats[i + 1]
-        YY, XX = Y @ Y, X @ X
-        r1 = X @ YY - a * (Y @ (X @ Y)) + YY @ X + X
-        res, worst = _column_max(r1, ncols, space)
+        X, Y, Xc, Yc = mats[i], mats[i + 1], cols[i], cols[i + 1]
+        r1 = (X @ square(i + 1, ncols) - a * (Y @ (X @ Yc))
+              + square_times(i + 1, Xc) + Xc)
+        res, worst = _column_max(r1, space)
         rows.append(RelationResidual(f"cubic[{i},{i + 1}]a", res, worst))
-        r2 = XX @ Y - a * (X @ (Y @ X)) + Y @ XX + Y
-        res, worst = _column_max(r2, ncols, space)
+        r2 = (square_times(i, Yc) - a * (X @ (Y @ Xc))
+              + Y @ square(i, ncols) + Yc)
+        res, worst = _column_max(r2, space)
         rows.append(RelationResidual(f"cubic[{i},{i + 1}]b", res, worst))
     for ii, i in enumerate(idxs):
         for j in idxs[ii + 1:]:
             if j - i <= 1:
                 continue
-            c = mats[i] @ mats[j] - mats[j] @ mats[i]
-            res, worst = _column_max(c, ncols, space)
+            c = mats[i] @ cols[j] - mats[j] @ cols[i]
+            res, worst = _column_max(c, space)
             rows.append(RelationResidual(f"commutator[{i},{j}]", res, worst))
-    return ResidualReport(rows, tol)
+    return ResidualReport(rows, tol, ncols, dim)
 
 
 def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualReport:
@@ -145,12 +175,13 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
     for g in gens:
         adj = g.mat.conjugate().transpose().tocsc()
         if g.i == noncompact_i:
-            res, worst = _column_max(adj - g.mat, None, space)
+            res, worst = _column_max(adj - g.mat, space)
             rows.append(RelationResidual(f"star[{g.i}] hermitian", res, worst))
         else:
-            res, worst = _column_max(adj + g.mat, None, space)
+            res, worst = _column_max(adj + g.mat, space)
             rows.append(RelationResidual(f"star[{g.i}] anti-hermitian", res, worst))
-    return ResidualReport(rows, tol)
+    dim = gens[0].mat.shape[1]
+    return ResidualReport(rows, tol, dim, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ the q-deformed noncompact formulas with [x] in its exponential form, and
 plain combinatorics, without importing any evaluation code from the
 package, so that package output can be checked against an independent
 path.  Basis ORDER is taken from the package where entrywise comparison
-requires it; entry VALUES are always computed here.
+requires it; entry VALUES are computed here, except where a caller
+passes the scalar functions in: the per-chain compact reference takes
+the bracket and d(m) as arguments, so that a byte-for-byte comparison
+checks the walk over the chains rather than the libm calls.  The
+relation reference forms the full products with scipy and cuts the
+columns afterwards.
 """
 
 import itertools
@@ -16,20 +21,22 @@ import math
 # brute-force pattern counting
 
 
-def brute_chain_count(n: int, top: int) -> int:
-    """Count chains (m_n, ..., m_2) with m_n = top by exhaustive search."""
-    if n == 3:
-        return 2 * top + 1
-    inner = n - 2  # labels m_{n-1} ... m_2
-    count = 0
-    for tup in itertools.product(range(-top, top + 1), repeat=inner):
+def brute_chains(n: int, top: int) -> list:
+    """Chains (m_n, ..., m_2) with m_n = top by exhaustive search, ascending."""
+    chains = []
+    for tup in itertools.product(range(-top, top + 1), repeat=n - 2):
         chain = (top,) + tup
         ok = all(chain[i] >= chain[i + 1] for i in range(len(chain) - 2))
         ok = ok and all(x >= 0 for x in chain[:-1])
         ok = ok and chain[-2] >= abs(chain[-1])
         if ok:
-            count += 1
-    return count
+            chains.append(chain)
+    return chains
+
+
+def brute_chain_count(n: int, top: int) -> int:
+    """Count chains (m_n, ..., m_2) with m_n = top by exhaustive search."""
+    return len(brute_chains(n, top))
 
 
 def class1_dim_formula(n: int, m: int) -> int:
@@ -57,48 +64,114 @@ def cl_d(m: float) -> float:
 
 
 def cl_R(m1: int, m2: int, n: int) -> float:
-    num = (m1 + m2 + n - 3) * (m1 - m2 + 1)
-    if num == 0:
-        return 0.0
-    return math.sqrt(num / ((2 * m1 + n - 3) * (2 * m1 + n - 1)))
-
-
-def cl_so3_action(l, m):
-    """[(delta_m, coeff)] of the classical so(3) ladder generator."""
-    out = []
-    up = (l - m) * (l + m + 1)
-    if up:
-        out.append((1, cl_d(m) * math.sqrt(up)))
-    down = (l + m) * (l - m + 1)
-    if down:
-        out.append((-1, -cl_d(m - 1) * math.sqrt(down)))
-    return out
+    return q_R(m1, m2, n, q_bracket(1.0))
 
 
 def cl_chain_action(entries, k):
-    """Classical action of generator k on one chain; mirrors the q action."""
+    """Classical action of generator k on one chain."""
+    return q_chain_action(entries, k, q_bracket(1.0), cl_d)
+
+
+# ---------------------------------------------------------------------------
+# q-deformed compact generators, one chain at a time
+
+
+def q_R(m1: int, m2: int, n: int, br) -> float:
+    """R(m1) = ([m1+m2+n-3][m1-m2+1] / [2m1+n-3][2m1+n-1])^{1/2}, 0 at the walls."""
+    num = br(m1 + m2 + n - 3) * br(m1 - m2 + 1)
+    if num == 0:
+        return 0.0
+    return math.sqrt(num / (br(2 * m1 + n - 3) * br(2 * m1 + n - 1)))
+
+
+def q_chain_action(entries, k, br, d):
+    """[(new_entries, coeff)] of generator k on the chain (m_n, ..., m_2).
+
+    br(x) evaluates the bracket [x] and d(m) the so'_q(3) weight factor.
+    Generator 2 is the diagonal i[m_2], generator 3 the so'_q(3) ladder
+    on (m_3, m_2), generator k >= 4 moves m_{k-1}; lowering terms carry
+    the minus sign and vanishing brackets drop the term.
+    """
     n = len(entries) + 1
     if k == 2:
-        return [(entries, 1j * entries[-1])]
+        return [(entries, 1j * br(entries[-1]))]
     if k == 3:
         l, m = entries[-2], entries[-1]
-        return [
-            (entries[:-1] + (m + dm,), c) for dm, c in cl_so3_action(l, m)
-        ]
-    pos = n - k + 1
-    mk, mk1, mk2 = entries[pos - 1], entries[pos], entries[pos + 1]
+        moves = [(1, (l - m, l + m + 1), d(m)), (-1, (l + m, l - m + 1), d(m - 1))]
+        pos = n - 2
+    else:
+        pos = n - k + 1
+        mk, mk1, mk2 = entries[pos - 1], entries[pos], entries[pos + 1]
+        moves = [(1, (mk + mk1 + k - 2, mk - mk1), q_R(mk1, mk2, k, br)),
+                 (-1, (mk + mk1 + k - 3, mk - mk1 + 1), q_R(mk1 - 1, mk2, k, br))]
     out = []
-    up = (mk + mk1 + k - 2) * (mk - mk1)
-    if up:
-        c = math.sqrt(up) * cl_R(mk1, mk2, k)
+    for step, (a, b), factor in moves:
+        outer = br(a) * br(b)
+        if outer == 0:
+            continue
+        c = math.sqrt(outer) * factor
         if c:
-            out.append((entries[:pos] + (mk1 + 1,) + entries[pos + 1:], c))
-    down = (mk + mk1 + k - 3) * (mk - mk1 + 1)
-    if down:
-        c = math.sqrt(down) * cl_R(mk1 - 1, mk2, k)
-        if c:
-            out.append((entries[:pos] + (mk1 - 1,) + entries[pos + 1:], -c))
+            new = entries[:pos] + (entries[pos] + step,) + entries[pos + 1:]
+            out.append((new, step * c))
     return out
+
+
+def q_compact_coo(chains, br, d) -> dict:
+    """{k: (rows, cols, vals)} of every generator on the given chain order."""
+    index = {c: i for i, c in enumerate(chains)}
+    n = len(chains[0]) + 1
+    out = {}
+    for k in range(2, n + 1):
+        rows, cols, vals = [], [], []
+        for col, chain in enumerate(chains):
+            for new, coeff in q_chain_action(chain, k, br, d):
+                if coeff == 0:
+                    continue
+                rows.append(index[new])
+                cols.append(col)
+                vals.append(coeff)
+        out[k] = (rows, cols, vals)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# relation residuals from the full products
+
+
+def full_product_relations(gens, a, ncols, pattern) -> list:
+    """[(relation, residual, worst)] of the defining relations.
+
+    Forms every product on all columns, then keeps the first ncols
+    columns (all of them when ncols is None); worst is pattern(column)
+    of the largest entry.
+    """
+    import numpy as np
+
+    def column_max(mat):
+        if ncols is not None:
+            mat = mat.tocsc()[:, :ncols]
+        coo = mat.tocoo()
+        if coo.nnz == 0:
+            return 0.0, None
+        k = int(np.argmax(np.abs(coo.data)))
+        return float(abs(coo.data[k])), pattern(int(coo.col[k]))
+
+    mats = {g.i: g.mat for g in gens}
+    idxs = sorted(mats)
+    rows = []
+    for i in idxs[:-1]:
+        X, Y = mats[i], mats[i + 1]
+        YY, XX = Y @ Y, X @ X
+        r1 = X @ YY - a * (Y @ (X @ Y)) + YY @ X + X
+        rows.append((f"cubic[{i},{i + 1}]a", *column_max(r1)))
+        r2 = XX @ Y - a * (X @ (Y @ X)) + Y @ XX + Y
+        rows.append((f"cubic[{i},{i + 1}]b", *column_max(r2)))
+    for ii, i in enumerate(idxs):
+        for j in idxs[ii + 1:]:
+            if j - i > 1:
+                c = mats[i] @ mats[j] - mats[j] @ mats[i]
+                rows.append((f"commutator[{i},{j}]", *column_max(c)))
+    return rows
 
 
 def q_bracket(q: float):

@@ -1,8 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from soqrs import (
     QParam,
@@ -14,7 +16,7 @@ from soqrs import (
     d_coeff,
     enumerate_chain,
 )
-from oracles import cl_compact_matrices, cl_R
+from oracles import cl_compact_matrices, cl_R, q_compact_coo
 
 
 def test_d_coeff_at_singular_points():
@@ -143,3 +145,33 @@ def test_anti_hermiticity_exact():
     for g in build_class1(5, 2, QParam(0.5)):
         diff = g.mat.conjugate().transpose() + g.mat
         assert abs(diff).max() < 1e-12 if diff.nnz else True
+
+
+def _same_bytes(a, b) -> bool:
+    """Equal csc arrays, compared as bytes so that signed zeros count."""
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                            (a.data, b.data)))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 7.0])
+def test_class1_matches_per_chain_reference(q):
+    # the array assembly against the chain-by-chain walk with the same
+    # bracket and d(m) functions: identical bytes, and no 0/0 at a wall
+    p = QParam(q)
+    cases = [(n, top) for n in range(3, 8) for top in range(0, 9)]
+    cases += [(3, Fraction(k, 2)) for k in range(1, 18, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, top in cases:
+            gens = build_so3(top, p) if n == 3 else build_class1(n, top, p)
+            chains = [c.entries for c in enumerate_chain(n, top)]
+            ref = q_compact_coo(chains, p.qnum, lambda m: d_coeff(m, p))
+            assert [g.i for g in gens] == sorted(ref)
+            for g in gens:
+                rows, cols, vals = ref[g.i]
+                want = sparse.coo_matrix(
+                    (np.asarray(vals, dtype=np.complex128), (rows, cols)),
+                    shape=(len(chains), len(chains)),
+                ).tocsc()
+                assert _same_bytes(g.mat, want), (n, top, q, g.i)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from soqrs import (
@@ -9,7 +10,8 @@ from soqrs import (
     class1_dim,
     enumerate_chain,
 )
-from oracles import brute_chain_count, brute_space_dim, class1_dim_formula
+from soqrs.gtbasis import chain_labels
+from oracles import brute_chain_count, brute_chains, brute_space_dim, class1_dim_formula
 
 
 def test_enumerate_chain_examples():
@@ -35,6 +37,20 @@ def test_enumerate_chain_half_integer():
     ]
     with pytest.raises(ValueError):
         enumerate_chain(4, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_chain_labels_match_brute_force(n):
+    # every admissible chain once, in ascending order, for each top label
+    labels = chain_labels(n, 5)
+    assert len(labels) == 6
+    for top, rows in enumerate(labels):
+        assert rows.dtype == np.int64
+        assert [tuple(e) for e in rows.tolist()] == brute_chains(n, top)
+    with pytest.raises(ValueError):
+        chain_labels(3, Fraction(3, 2))
+    with pytest.raises(ValueError):
+        chain_labels(2, 1)
 
 
 def test_enumerate_chain_betweenness():

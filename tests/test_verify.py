@@ -13,6 +13,7 @@ from soqrs import (
     SpectralParam,
     build_degenerate,
     build_degenerate_primed,
+    build_class1,
     build_so3,
     check_relations,
     check_star,
@@ -21,6 +22,7 @@ from soqrs import (
     solve_intertwiner,
     solve_metric,
 )
+from oracles import full_product_relations
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -32,6 +34,47 @@ def test_so3_relations_pass():
     assert report.passed, report.max_residual
 
 
+def _rows(report):
+    return [(r.relation, r.residual, r.worst) for r in report.rows]
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+def test_relations_match_full_products(q):
+    # residuals formed on the interior columns only equal the full
+    # products cut afterwards: same rows, residuals and worst patterns
+    specs = [(4, 4, 0, 6), (3, 4, 1, 7), (3, 5, 0, 7), (5, 3, 1, 6),
+             (3, 3, 0, 7), (3, 3, 1, 6)]
+    qp = QParam(q)
+    for r, s, eps, cutoff in specs:
+        spec = RepSpec(r, s, eps, E(Fraction(r + s - 2, 2), 0, Fraction(3, 2)),
+                       qp, cutoff)
+        for rep in (build_degenerate(spec), build_degenerate_primed(spec)):
+            space = rep.space
+            for depth in (0, 1, 2, 3, 4, space.top_ring + 1):
+                report = check_relations(rep, depth=depth)
+                ncols = len(space.interior_indices(depth))
+                assert (report.columns, report.dim) == (ncols, rep.dim)
+                want = full_product_relations(rep.generators, qp.a, ncols,
+                                              space.pattern)
+                assert _rows(report) == want, (r, s, eps, cutoff, depth)
+                if ncols == 0:
+                    assert report.passed and report.max_residual == 0.0
+    for n, top in ((3, Fraction(5, 2)), (4, 3), (5, 2)):
+        gens = build_so3(top, qp) if n == 3 else build_class1(n, top, qp)
+        report = check_relations(gens, qp=qp)
+        assert report.columns == report.dim == gens[0].dim
+        assert _rows(report) == full_product_relations(gens, qp.a, None, int)
+
+
+def test_relation_report_counts_columns():
+    # depth 3 below the top ring 10 keeps the rings m+m' <= 6
+    spec = RepSpec(4, 4, 0, E(3, 0, 1), Q2, 10)
+    report = check_relations(build_degenerate(spec), depth=3).to_dict()
+    assert (report["columns"], report["dim"]) == (1386, 13013)
+    star = check_star(build_degenerate_primed(spec)).to_dict()
+    assert star["columns"] == star["dim"] == 13013
+
+
 def test_degenerate_relations_pass():
     spec = RepSpec(3, 3, 1, E(Fraction(7, 10)), Q2, 8)
     report = check_relations(build_degenerate(spec), depth=3, tol=1e-9)
@@ -41,7 +84,7 @@ def test_degenerate_relations_pass():
 def test_corrupted_entry_detected_and_localized():
     spec = RepSpec(3, 3, 0, E(Fraction(7, 10)), Q2, 8)
     rep = build_degenerate(spec)
-    interior = rep.interior_indices(3)
+    interior = rep.space.interior_indices(3)
     col = interior[len(interior) // 2]
     pat = rep.space.basis[col]
     A = rep.noncompact.mat.tolil()
