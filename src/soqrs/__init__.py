@@ -58,7 +58,6 @@ from .classify import (
     CrossCheck,
     Region,
     ScanResult,
-    UnclassifiedReducibleCase,
     classify_irreducible,
     classify_star,
     cross_check,
@@ -81,6 +80,6 @@ __all__ = [
     "conjugate_rep", "ResidualReport", "MetricSolution",
     "IntertwinerSolution", "FOUND", "NONE", "INDEFINITE",
     "Classification", "Constituent", "Region", "ScanResult", "CrossCheck",
-    "UnclassifiedReducibleCase", "classify_irreducible", "classify_star",
+    "classify_irreducible", "classify_star",
     "predict_constituents", "scan_lattice", "cross_check",
 ]

@@ -18,17 +18,22 @@ Two independent routes are provided and cross-checked:
   connected components (the constituent regions) and forward-closed sets
   (the invariant subspaces).
 
-Known gap, reported rather than guessed: for odd r and s, integer lambda
-of parity epsilon with lambda >= (r+s)/2 - 2 and 0 < lambda < r+s-2 is
-declared reducible by the closed-form criterion, but no decomposition
-case covers it and the scanner finds no severed edges; these inputs raise
-UnclassifiedReducibleCase.
-
 The supplementary-series parity for r == s (mod 2): the stated rule ties
 epsilon to the parity of (r+s)/2, but solving the positivity recurrences
 for the invariant metric gives epsilon == (s-r)/2 (mod 2).  The two agree
 for even r, s and differ for odd r, s; the computed rule is implemented
 (see the decisions ledger).
+
+The odd/odd irreducibility bound: the stated criterion calls integer
+lambda of parity epsilon irreducible only for 0 < lambda < (r+s)/2 - 2,
+which is not invariant under the mirror lambda -> r+s-2-lambda (for
+so'(3,5), epsilon = 1, it calls lambda = 1 irreducible and its mirror
+lambda = 5 reducible).  The whole open strip 0 < lambda < r+s-2 is taken
+as irreducible instead: the scanner finds a single strong component at
+every strip point, solve_metric finds a positive metric at the centre
+lambda = (r+s-2)/2 (the principal series), and solve_intertwiner links
+every strip point to its mirror.  Every reducible lambda then reduces to
+a canonical L <= (r+s-2)/2, which the decomposition tables cover.
 """
 
 from __future__ import annotations
@@ -59,17 +64,6 @@ NO_SERIES = "none"
 SUBSPACE = "subspace"
 QUOTIENT = "quotient"
 DIRECT_SUMMAND = "direct_summand"
-
-
-class UnclassifiedReducibleCase(Exception):
-    """Reducible by the closed form, but no stated decomposition applies."""
-
-    def __init__(self, r: int, s: int, epsilon: int, lam: SpectralParam):
-        self.r, self.s, self.epsilon, self.lam = r, s, epsilon, lam
-        super().__init__(
-            f"no decomposition case covers (r={r}, s={s}, epsilon={epsilon}, "
-            f"lambda={lam!r}); empirical scanner regions should be attached"
-        )
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,8 @@ def classify_irreducible(r: int, s: int, epsilon: int, lam: SpectralParam) -> bo
     Both ranks even: reducible exactly for integer lambda of parity
     epsilon.  Mixed parity: reducible exactly for integer lambda.  Both
     ranks odd: irreducible for non-integer lambda, and for integer lambda
-    of parity epsilon inside 0 < lambda < (r+s)/2 - 2.
+    of parity epsilon on the open strip 0 < lambda < r+s-2 (a departure
+    from the stated bound, recorded in the module docstring).
     """
     _validate(r, s, epsilon)
     lam.require_exact("irreducibility classification")
@@ -193,7 +188,7 @@ def classify_irreducible(r: int, s: int, epsilon: int, lam: SpectralParam) -> bo
     if r % 2 != s % 2:
         return False
     # both odd
-    return matches_eps and 0 < Fraction(L) < Fraction(r + s, 2) - 2
+    return matches_eps and 0 < L < r + s - 2
 
 
 def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
@@ -356,7 +351,7 @@ def _full_constituent(series: str) -> Constituent:
 
 
 def _even_even_cases(r, s, eps, L):
-    """Constituents for even r, even s, integer L == eps (mod 2)."""
+    """Constituents for even r, even s, integer L == eps (mod 2), L <= (r+s-2)/2."""
     half = (r + s) // 2
     star_l0 = (r + s - 4) // 2
     if L <= 0:
@@ -367,23 +362,25 @@ def _even_even_cases(r, s, eps, L):
             ("T^-", Region(d_min=-L + s), True, False),
             ("T^+", Region(d_max=L - r), True, False),
         ], None
-    if 0 < L <= half - 2:
+    if L <= half - 2:
         notes = "ladder" if L == half - 2 else None
         return [
             ("T^0", Region(d_min=L - r + 2, d_max=-L + s - 2), L == star_l0, False),
             ("T^-", Region(d_min=-L + s), True, False),
             ("T^+", Region(d_max=L - r), True, False),
         ], notes
-    if L == half - 1:
-        return [
-            ("T^-", Region(d_min=L - r + 2), True, False),
-            ("T^+", Region(d_max=-L + s - 2), True, False),
-        ], None
-    return None, None
+    # L == half - 1, the centre of the mirror
+    return [
+        ("T^-", Region(d_min=L - r + 2), True, False),
+        ("T^+", Region(d_max=-L + s - 2), True, False),
+    ], None
 
 
 def _even_odd_cases(r, s, eps, L):
-    """Constituents for even r, odd s; every integer lambda is reducible."""
+    """Constituents for even r, odd s, integer L <= (r+s-2)/2.
+
+    Every integer lambda is reducible.
+    """
     if (L - eps) % 2 == 0:
         if L <= 0:
             return [
@@ -395,37 +392,36 @@ def _even_odd_cases(r, s, eps, L):
             ("T^1", Region(d_min=L - r + 2), False, False),
             ("T^+", Region(d_max=L - r), True, False),
         ], None
-    if L < r + s - 2:
-        return [
-            ("T^2", Region(d_max=s - 2 - L), False, False),
-            ("T^-", Region(d_min=s - L), True, False),
-        ], None
-    return None, None
+    return [
+        ("T^2", Region(d_max=s - 2 - L), False, False),
+        ("T^-", Region(d_min=s - L), True, False),
+    ], None
 
 
 def _odd_odd_cases(r, s, eps, L):
-    """Constituents for odd r, odd s, integer L; raises on the gap."""
+    """Constituents for odd r, odd s, reducible integer L <= (r+s-2)/2.
+
+    L of parity epsilon is reducible only for L <= 0: the open strip
+    0 < L < r+s-2 is irreducible.
+    """
     half = (r + s) // 2
     star_l0 = (r + s - 4) // 2
     if (L - eps) % 2 == 0:
-        if L <= 0:
-            return [
-                ("T^F", Region(sigma_max=-L), False, True),
-                ("T^3", Region(sigma_min=-L + 2), False, False),
-            ], None
-        return None, None  # documented odd/odd gap
+        return [
+            ("T^F", Region(sigma_max=-L), False, True),
+            ("T^3", Region(sigma_min=-L + 2), False, False),
+        ], None
     if L <= half - 2:
         return [
             ("T^0", Region(d_min=L - r + 2, d_max=-L + s - 2), L == star_l0, False),
             ("T^-", Region(d_min=-L + s), True, False),
             ("T^+", Region(d_max=L - r), True, False),
         ], None
-    if L == half - 1:
-        return [
-            ("T^-", Region(d_min=L - r + 2), True, False),
-            ("T^+", Region(d_max=s - 2 - L), True, False),
-        ], None
-    return None, None
+    # L == half - 1, the centre of the mirror
+    return [
+        ("T^-", Region(d_min=L - r + 2), True, False),
+        ("T^+", Region(d_max=s - 2 - L), True, False),
+    ], None
 
 
 _SWAP_NAMES = {"T^+": "T^-", "T^-": "T^+", "T^1": "T^2", "T^2": "T^1"}
@@ -436,9 +432,9 @@ def predict_constituents(r: int, s: int, epsilon: int,
     """Full classification: verdict, *-series, constituents with predicates.
 
     Irreducible parameters yield the single full constituent.  Reducible
-    parameters are matched against the decomposition tables, using the
-    mirror equivalence lambda -> r+s-2-lambda where the tables do not
-    apply directly; constituent regions are mirror-invariant, while
+    parameters are matched against the decomposition tables from the
+    canonical side L <= (r+s-2)/2 of the mirror equivalence
+    lambda -> r+s-2-lambda; constituent regions are mirror-invariant, while
     subspace/quotient realization is recomputed from edge directions.
     """
     _validate(r, s, epsilon)
@@ -472,8 +468,6 @@ def predict_constituents(r: int, s: int, epsilon: int,
     if Lc != L:
         notes.append(f"mirrored: structure taken from lambda' = {Lc}")
     spec, extra = case_fn(rr, ss, epsilon, Lc)
-    if spec is None:
-        raise UnclassifiedReducibleCase(r, s, epsilon, nlam)
     if extra == "ladder":
         notes.append("ladder constituent: support on a single diagonal")
     if rr % 2 == 0 and ss % 2 == 1:
@@ -515,7 +509,6 @@ class CrossCheck:
     lam: SpectralParam
     irreducible_closed_form: bool
     n_regions: int
-    unclassified: bool
 
     @property
     def agree(self) -> bool:
@@ -527,7 +520,6 @@ class CrossCheck:
             "lambda": repr(self.lam),
             "irreducible_closed_form": self.irreducible_closed_form,
             "scanner_components": self.n_regions,
-            "unclassified": self.unclassified,
             "agree": self.agree,
         }
 
@@ -559,9 +551,4 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
     window = max(cutoff, _sufficient_cutoff(r, s, lam))
     spec = RepSpec(r, s, epsilon, lam, QParam(2.0), window)
     scan = scan_lattice(spec)
-    try:
-        predict_constituents(r, s, epsilon, lam)
-        unclassified = False
-    except UnclassifiedReducibleCase:
-        unclassified = True
-    return CrossCheck(r, s, epsilon, lam, irr, len(scan.components), unclassified)
+    return CrossCheck(r, s, epsilon, lam, irr, len(scan.components))

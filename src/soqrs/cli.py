@@ -15,12 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .compactrep import GeneratorMatrix, assemble, build_class1, build_so3
-from .classify import (
-    UnclassifiedReducibleCase,
-    cross_check,
-    predict_constituents,
-    scan_lattice,
-)
+from .classify import cross_check, predict_constituents
 from .degenrep import DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed
 from .gtbasis import TruncatedSpace, enumerate_chain
 from .qarith import InexactSpectralError, QParam, SpectralParam
@@ -57,13 +52,17 @@ def _add_lambda_args(p: argparse.ArgumentParser) -> None:
                         "denominator <= DENOM (opt-in)")
 
 
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="print the JSON report")
+    p.add_argument("--out", default=None, help="write the JSON report to a file")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=2.0, help="deformation q > 0")
     p.add_argument("--cutoff", type=int, default=8)
     p.add_argument("--depth", type=int, default=3, help="interior depth")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--json", action="store_true", help="print the JSON report")
-    p.add_argument("--out", default=None, help="write the JSON report to a file")
+    _add_output(p)
 
 
 def _resolve_lambda(args, exact_required: bool) -> SpectralParam:
@@ -93,7 +92,7 @@ class UsageError(Exception):
 def _config_dict(args, lam: SpectralParam | None = None) -> dict:
     cfg = {
         "command": args.command,
-        "q": args.q,
+        "q": getattr(args, "q", None),
         "cutoff": getattr(args, "cutoff", None),
         "depth": getattr(args, "depth", None),
         "tol": getattr(args, "tol", None),
@@ -264,37 +263,20 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     lam = _resolve_lambda(args, exact_required=True)
-    try:
-        cl = predict_constituents(args.r, args.s, args.epsilon, lam)
-        payload = {"config": _config_dict(args, lam), **cl.to_dict()}
-        lines = [
-            f"T_(eps={args.epsilon}, lambda={lam!r}) of so'_q({args.r},{args.s}):",
-            f"  irreducible: {cl.irreducible}",
-            f"  star series: {cl.star_series}",
-        ]
-        for c in cl.constituents:
-            star = " *" if c.star else ""
-            fin = " finite-dim" if c.finite_dim else ""
-            lines.append(f"  {c.name:4s} on {c.region.describe()} "
-                         f"[{c.realized_on}]{star}{fin}")
-        for note in cl.notes:
-            lines.append(f"  note: {note}")
-    except UnclassifiedReducibleCase:
-        spec = RepSpec(args.r, args.s, args.epsilon, lam, QParam(args.q),
-                       args.cutoff)
-        scan = scan_lattice(spec)
-        payload = {
-            "config": _config_dict(args, lam),
-            "irreducible": False,
-            "unclassified_reducible": True,
-            "scanner": scan.to_dict(),
-        }
-        lines = [
-            f"T_(eps={args.epsilon}, lambda={lam!r}) of so'_q({args.r},{args.s}):",
-            "  reducible by the closed-form criterion, but outside every",
-            "  stated decomposition case; empirical scanner regions attached.",
-            f"  scanner components: {len(scan.components)}",
-        ]
+    cl = predict_constituents(args.r, args.s, args.epsilon, lam)
+    payload = {"config": _config_dict(args, lam), **cl.to_dict()}
+    lines = [
+        f"T_(eps={args.epsilon}, lambda={lam!r}) of so'_q({args.r},{args.s}):",
+        f"  irreducible: {cl.irreducible}",
+        f"  star series: {cl.star_series}",
+    ]
+    for c in cl.constituents:
+        star = " *" if c.star else ""
+        fin = " finite-dim" if c.finite_dim else ""
+        lines.append(f"  {c.name:4s} on {c.region.describe()} "
+                     f"[{c.realized_on}]{star}{fin}")
+    for note in cl.notes:
+        lines.append(f"  note: {note}")
     _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -310,18 +292,17 @@ def cmd_scan(args) -> int:
     for lam in lams:
         cc = cross_check(args.r, args.s, args.epsilon, lam, cutoff=args.cutoff)
         rows.append(cc.to_dict())
-        if not cc.unclassified and not cc.agree:
+        if not cc.agree:
             disagreements += 1
     payload = {
         "config": _config_dict(args),
         "rows": rows,
         "disagreements": disagreements,
-        "unclassified": [r for r in rows if r["unclassified"]],
     }
     lines = [f"{'lambda':>10s} {'closed-form':>12s} {'regions':>8s} {'agree':>6s}"]
     for row in rows:
         verdict = "irreducible" if row["irreducible_closed_form"] else "reducible"
-        agree = "gap" if row["unclassified"] else ("yes" if row["agree"] else "NO")
+        agree = "yes" if row["agree"] else "NO"
         lines.append(f"{row['lambda'].replace('SpectralParam', ''):>10s} "
                      f"{verdict:>12s} {row['scanner_components']:>8d} {agree:>6s}")
     lines.append(f"disagreements: {disagreements}")
@@ -374,7 +355,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("--s", type=int, required=True)
     pc.add_argument("--epsilon", type=int, required=True, choices=(0, 1))
     _add_lambda_args(pc)
-    _add_common(pc)
+    _add_output(pc)
     pc.set_defaults(func=cmd_classify)
 
     ps = sub.add_parser("scan", help="cross-check a lambda grid")
@@ -384,8 +365,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("--lambda-int-min", type=int, default=-4)
     ps.add_argument("--lambda-int-max", type=int, default=8)
     ps.add_argument("--lambda-rationals", default="")
-    _add_lambda_args(ps)
-    _add_common(ps)
+    ps.add_argument("--cutoff", type=int, default=8)
+    _add_output(ps)
     ps.set_defaults(func=cmd_scan)
 
     return parser

@@ -16,13 +16,13 @@ from soqrs import (
     QParam,
     RepSpec,
     SpectralParam,
-    UnclassifiedReducibleCase,
     build_class1,
     build_degenerate,
     build_degenerate_primed,
     check_relations,
     check_star,
     classify_irreducible,
+    classify_star,
     cross_check,
     enumerate_chain,
     predict_constituents,
@@ -30,6 +30,7 @@ from soqrs import (
     solve_intertwiner,
     solve_metric,
 )
+from soqrs.classify import NO_SERIES
 from oracles import (
     brute_chain_count,
     class1_dim_formula,
@@ -96,14 +97,8 @@ def test_criterion_3_degenerate_relation_suite():
     assert elapsed < 120.0
 
 
-def _odd_odd_gap(r, s, eps, L):
-    return (r % 2 == 1 and s % 2 == 1 and (L - eps) % 2 == 0
-            and 0 < L < r + s - 2 and L >= Fraction(r + s, 2) - 2)
-
-
 def test_criterion_4_closed_form_scanner_consistency():
     disagreements = []
-    unclassified = []
     checked = 0
     for r, s in itertools.product((3, 4, 5), repeat=2):
         for eps in (0, 1):
@@ -112,17 +107,11 @@ def test_criterion_4_closed_form_scanner_consistency():
             for lam in lams:
                 cc = cross_check(r, s, eps, lam, cutoff=12)
                 checked += 1
-                if cc.unclassified:
-                    unclassified.append((r, s, eps, int(lam.re)))
-                    continue
                 if not cc.agree:
                     disagreements.append((r, s, eps, lam))
     assert not disagreements, disagreements
-    for r, s, eps, L in unclassified:
-        assert _odd_odd_gap(r, s, eps, L), (r, s, eps, L)
     print(f"[criterion 4] PASS closed-form/scanner consistency: {checked} "
-          f"parameters, 0 disagreements; {len(unclassified)} inputs in the "
-          f"documented odd/odd gap reported separately")
+          f"parameters, 0 disagreements")
 
 
 def test_criterion_5_decomposition_agreement():
@@ -134,10 +123,7 @@ def test_criterion_5_decomposition_agreement():
                 lam = E(L)
                 if classify_irreducible(r, s, eps, lam):
                     continue
-                try:
-                    cl = predict_constituents(r, s, eps, lam)
-                except UnclassifiedReducibleCase:
-                    continue
+                cl = predict_constituents(r, s, eps, lam)
                 scan = scan_lattice(RepSpec(r, s, eps, lam, QParam(2.0),
                                             cutoff))
                 predicted = sorted(
@@ -257,3 +243,36 @@ def test_criterion_9_classical_limit_regression():
     print(f"[criterion 9] PASS classical limit: q = 1+1e-8 matches the "
           f"classical oracle entrywise; compact worst {worst:.1e}, "
           f"degenerate worst {worst_d:.1e} (<1e-6)")
+
+
+def test_criterion_10_odd_odd_strip_metrics_and_mirrors():
+    """The upper half of the odd/odd strip, checked by the matrix solvers.
+
+    For odd r, s, integer lambda of parity epsilon with
+    (r+s)/2 - 2 <= lambda < r+s-2 lies on the irreducible strip, past the
+    paper's stated bound.  A positive metric exists exactly where
+    classify_star names a *-series (the principal centre), and every such
+    lambda has a diagonal intertwiner to its mirror.
+    """
+    q = QParam(2.0)
+    checked = 0
+    for r, s in itertools.product((3, 5, 7), repeat=2):
+        if r + s > 10:
+            continue
+        for eps in (0, 1):
+            for L in range((r + s) // 2 - 2, r + s - 2):
+                if (L - eps) % 2:
+                    continue
+                lam = E(L)
+                rep = build_degenerate(RepSpec(r, s, eps, lam, q, 6))
+                mirror = build_degenerate(RepSpec(r, s, eps, lam.mirrored(r + s),
+                                                  q, 6))
+                series = classify_star(r, s, eps, lam)
+                assert ((solve_metric(rep).status == FOUND)
+                        == (series != NO_SERIES)), (r, s, eps, L, series)
+                assert solve_intertwiner(rep, mirror) is not None, (r, s, eps, L)
+                checked += 1
+    assert checked == 26
+    print(f"[criterion 10] PASS odd/odd strip: {checked} parameters past the "
+          f"stated bound; metric exists exactly on the principal centre, "
+          f"mirror intertwiner found for each")

@@ -7,7 +7,6 @@ from soqrs import (
     QParam,
     RepSpec,
     SpectralParam,
-    UnclassifiedReducibleCase,
     classify_irreducible,
     classify_star,
     cross_check,
@@ -25,9 +24,11 @@ def test_irreducibility_examples():
     assert classify_irreducible(4, 5, 0, E(Fraction(7, 3)))
     assert classify_irreducible(4, 5, 1, E(Fraction(7, 3)))
     assert not classify_irreducible(3, 3, 0, E(-2))
-    # odd/odd window 0 < lambda < (r+s)/2 - 2
+    # odd/odd: integer lambda of parity epsilon on the open strip 0 < lambda < r+s-2
     assert classify_irreducible(5, 5, 1, E(1))
+    assert classify_irreducible(5, 5, 1, E(7))
     assert not classify_irreducible(5, 5, 1, E(-1))
+    assert not classify_irreducible(5, 5, 1, E(9))
     # complex parameters with a pi/h component are irreducible
     assert classify_irreducible(4, 4, 0, E(2, 1))
     # but a full even multiple reduces back to the real case
@@ -87,10 +88,12 @@ def test_predict_odd_odd_cases():
     assert {c.name for c in cl.constituents} == {"T^-", "T^+"}
     cl = predict_constituents(3, 3, 0, E(-2))
     assert [c.name for c in cl.constituents] == ["T^F", "T^3"]
-    with pytest.raises(UnclassifiedReducibleCase):
-        predict_constituents(3, 3, 1, E(1))
-    with pytest.raises(UnclassifiedReducibleCase):
-        predict_constituents(3, 3, 0, E(2))
+    # the open strip 0 < lambda < r+s-2 of parity epsilon is irreducible
+    cl = predict_constituents(3, 3, 1, E(1))
+    assert cl.irreducible and [c.name for c in cl.constituents] == ["full"]
+    cl = predict_constituents(3, 3, 0, E(2))
+    assert cl.irreducible and [c.name for c in cl.constituents] == ["full"]
+    assert cl.star_series == "principal"
 
 
 def test_predict_irreducible_full():
@@ -137,18 +140,24 @@ def test_predict_partitions_lattice():
 
 
 def test_mirror_property():
-    for r, s, eps, L in [(4, 4, 0, -2), (4, 3, 0, -1), (3, 3, 1, 0),
-                         (4, 4, 1, 1), (5, 3, 1, 2)]:
-        lam = E(L)
-        if classify_irreducible(r, s, eps, lam):
-            continue
-        a = predict_constituents(r, s, eps, lam)
-        b = predict_constituents(r, s, eps, lam.mirrored(r + s))
-        assert sorted(c.name for c in a.constituents) == sorted(
-            c.name for c in b.constituents)
-        ra = sorted(c.region.blocks(eps, 14) for c in a.constituents)
-        rb = sorted(c.region.blocks(eps, 14) for c in b.constituents)
-        assert ra == rb
+    """Verdicts and constituents are invariant under lambda -> r+s-2-lambda.
+
+    Integer and quarter lambda from 2 below the wall at 0 to 2 above the
+    wall at r+s-2, for r, s in 3..7 and both epsilon.
+    """
+    for r, s in itertools.product(range(3, 8), repeat=2):
+        for eps in (0, 1):
+            grid = [E(Fraction(k, 4)) for k in range(-8, 4 * (r + s) + 1)]
+            predicted = {}
+            for lam in grid:
+                cl = predict_constituents(r, s, eps, lam)
+                assert cl.irreducible == classify_irreducible(r, s, eps, lam)
+                predicted[lam] = [(c.name, c.region) for c in cl.constituents]
+            for lam in grid:
+                mirror = lam.mirrored(r + s)
+                assert (classify_irreducible(r, s, eps, lam)
+                        == classify_irreducible(r, s, eps, mirror)), (r, s, eps, lam)
+                assert predicted[lam] == predicted[mirror], (r, s, eps, lam)
 
 
 def test_scan_irreducible_single_region():
@@ -191,12 +200,7 @@ def test_cross_check_grid_small():
         for eps in (0, 1):
             for L in range(-4, r + s + 3):
                 cc = cross_check(r, s, eps, E(L), cutoff=12)
-                if cc.unclassified:
-                    assert r % 2 == 1 and s % 2 == 1
-                    assert (L - eps) % 2 == 0
-                    assert Fraction(r + s, 2) - 2 <= L < r + s - 2
-                else:
-                    assert cc.agree, (r, s, eps, L)
+                assert cc.agree, (r, s, eps, L)
 
 
 def test_scan_requires_exact():

@@ -70,13 +70,15 @@ def test_classify_reducible_with_ladder(capsys):
     assert any("ladder" in n for n in data["notes"])
 
 
-def test_classify_unclassified_attaches_scanner(capsys):
-    code, out, _ = run(capsys, "classify", "--r", "3", "--s", "3",
-                       "--epsilon", "1", "--lambda-re", "1", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["unclassified_reducible"] is True
-    assert "scanner" in data and data["scanner"]["n_components"] >= 1
+def test_classify_odd_odd_strip_is_irreducible(capsys):
+    for lam in ("1", "3"):  # a mirror pair of so'(3,3), epsilon 1
+        code, out, _ = run(capsys, "classify", "--r", "3", "--s", "3",
+                           "--epsilon", "1", "--lambda-re", lam, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["irreducible"] is True
+        assert data["star_series"] == "none"
+        assert [c["name"] for c in data["constituents"]] == ["full"]
 
 
 def test_classify_requires_exact_lambda(capsys):
@@ -111,6 +113,28 @@ def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "classify", "--r", "2", "--s", "4",
                      "--epsilon", "0", "--lambda-re", "1")
     assert code == 3
+
+
+def test_unread_options_are_usage_errors(capsys):
+    code, _, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "0",
+                       "--lambda-re", "5")
+    assert code == 3 and "--lambda-re" in err
+    code, _, err = run(capsys, "classify", "--r", "4", "--s", "4",
+                       "--epsilon", "0", "--lambda-re", "2", "--cutoff", "4")
+    assert code == 3 and "--cutoff" in err
+
+
+def test_config_nulls_options_a_command_lacks(capsys):
+    code, out, _ = run(capsys, "classify", "--r", "4", "--s", "4",
+                       "--epsilon", "0", "--lambda-re", "2", "--json")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert [cfg[k] for k in ("q", "cutoff", "depth", "tol")] == [None] * 4
+    code, out, _ = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "0",
+                       "--lambda-int-min", "0", "--lambda-int-max", "1", "--json")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert [cfg[k] for k in ("q", "cutoff", "depth", "tol")] == [None, 8, None, None]
 
 
 def test_verify_empty_tower_is_usage_error(capsys):
