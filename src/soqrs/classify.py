@@ -1,10 +1,12 @@
 """Exact classification: irreducibility, *-series, and constituent structure.
 
-Everything here is decided in rational arithmetic on an exact spectral
-parameter.  The four transition brackets of the noncompact generator
-vanish on at most one ring sigma = m+m' and one diagonal d = m-m' each;
-those cuts determine reducibility, the invariant subspaces, and the
-irreducible constituents.
+Everything here is decided exactly on an exact spectral parameter.  The
+four transition brackets of the noncompact generator vanish on at most one
+ring sigma = m+m' or one diagonal d = m-m' each; those cuts determine
+reducibility, the invariant subspaces, and the irreducible constituents.
+The walls are found once per lambda in rational arithmetic
+(qarith.vanishing_point), and every lattice edge is then decided by
+integer array tests against them.
 
 Two independent routes are provided and cross-checked:
 
@@ -46,13 +48,13 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .degenrep import RepSpec
-from .gtbasis import enumerate_blocks
+from .gtbasis import block_arrays, block_index
 from .qarith import (
     EQUIVALENT_FLIP,
     QParam,
     SpectralParam,
-    bracket_vanishes,
     normalize_spectral,
+    vanishing_point,
 )
 
 PRINCIPAL = "principal"
@@ -75,21 +77,22 @@ class Region:
     d_min: int | None = None
     d_max: int | None = None
 
-    def contains(self, m: int, mp: int) -> bool:
+    def contains(self, m, mp):
+        """Whether block (m, m') lies in the region, elementwise on int arrays."""
         sigma, d = m + mp, m - mp
-        if self.sigma_min is not None and sigma < self.sigma_min:
-            return False
-        if self.sigma_max is not None and sigma > self.sigma_max:
-            return False
-        if self.d_min is not None and d < self.d_min:
-            return False
-        if self.d_max is not None and d > self.d_max:
-            return False
-        return True
+        inside = np.ones(np.shape(sigma), dtype=bool)
+        for lo, hi, x in ((self.sigma_min, self.sigma_max, sigma),
+                          (self.d_min, self.d_max, d)):
+            if lo is not None:
+                inside &= x >= lo
+            if hi is not None:
+                inside &= x <= hi
+        return inside
 
     def blocks(self, epsilon: int, cutoff: int) -> frozenset:
-        return frozenset(b for b in enumerate_blocks(epsilon, cutoff)
-                         if self.contains(*b))
+        m, mp = block_arrays(epsilon, cutoff)
+        inside = self.contains(m, mp)
+        return frozenset(zip(m[inside].tolist(), mp[inside].tolist()))
 
     def swapped(self) -> "Region":
         """The same region with the roles of m and m' exchanged."""
@@ -157,6 +160,7 @@ class Classification:
             "star_series": self.star_series,
             "constituents": [c.to_dict() for c in self.constituents],
             "notes": list(self.notes),
+            "walls": _wall_dict(self.r, self.s, self.lam),
         }
 
 
@@ -228,21 +232,54 @@ def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
 # block-lattice scanner
 
 
-def _moves(r: int, s: int, lam: SpectralParam, m: int, mp: int):
-    """Targets of the four noncompact transitions with non-vanishing bracket.
+# The four noncompact transitions (m, m') -> (m + dm, m' + dmp).  Each one's
+# bracket vanishes on at most one wall: a ring sigma when dm == dmp, a
+# diagonal d otherwise.
+_FAMILIES = (
+    ("ring_up", 1, 1),
+    ("diag_m_up", 1, -1),
+    ("diag_mp_up", -1, 1),
+    ("ring_down", -1, -1),
+)
 
-    Quadrant walls (m or m' hitting 0) are geometric; the lambda-dependent
-    bracket of each family vanishes blockwise or not at all.
+
+def _walls(r: int, s: int, lam: SpectralParam) -> tuple:
+    """Wall of each family in _FAMILIES order, None where its bracket never vanishes.
+
+    With [lambda + c] = 0 iff c = -L for integer c (qarith.vanishing_point):
+    [lambda + sigma] cuts ring sigma = -L, [lambda + d - s + 2] diagonal
+    d = s-2-L, [lambda - d - r + 2] diagonal d = L-r+2, and
+    [lambda - sigma - r - s + 4] ring sigma = L-r-s+4.
+    """
+    L = vanishing_point(lam)
+    if L is None:
+        return (None,) * 4
+    return (-L, s - 2 - L, L - r + 2, L - r - s + 4)
+
+
+def _wall_dict(r: int, s: int, lam: SpectralParam) -> dict:
+    """The ring sigma or diagonal d each transition family is severed on, or None."""
+    return {name: wall for (name, _, _), wall in zip(_FAMILIES, _walls(r, s, lam))}
+
+
+def _transitions(r: int, s: int, lam: SpectralParam, m: np.ndarray, mp: np.ndarray):
+    """Per family: (edge mask, target m, target m') for the blocks (m, m').
+
+    An edge is cut by the quadrant walls (m or m' hitting 0) and by the
+    family's bracket wall, which is exact in lambda and blockwise.
     """
     sigma, d = m + mp, m - mp
-    if not bracket_vanishes(lam, sigma):
-        yield (m + 1, mp + 1)
-    if mp >= 1 and not bracket_vanishes(lam, d - s + 2):
-        yield (m + 1, mp - 1)
-    if m >= 1 and not bracket_vanishes(lam, -d - r + 2):
-        yield (m - 1, mp + 1)
-    if m >= 1 and mp >= 1 and not bracket_vanishes(lam, -sigma - r - s + 4):
-        yield (m - 1, mp - 1)
+    out = []
+    for (_, dm, dmp), wall in zip(_FAMILIES, _walls(r, s, lam)):
+        live = np.ones(m.shape, dtype=bool)
+        if dm < 0:
+            live &= m >= 1
+        if dmp < 0:
+            live &= mp >= 1
+        if wall is not None:
+            live &= (sigma if dm == dmp else d) != wall
+        out.append((live, m + dm, mp + dmp))
+    return out
 
 
 @dataclass
@@ -275,24 +312,22 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
     component whose closure is the whole lattice.
     """
     spec.lam.require_exact("lattice scan")
-    blocks = enumerate_blocks(spec.epsilon, spec.cutoff)
-    pos = {b: i for i, b in enumerate(blocks)}
+    eps, cutoff = spec.epsilon, spec.cutoff
+    m, mp = block_arrays(eps, cutoff)
+    blocks = list(zip(m.tolist(), mp.tolist()))
     n = len(blocks)
-    rows, cols = [], []
-    for b in blocks:
-        for tgt in _moves(spec.r, spec.s, spec.lam, *b):
-            j = pos.get(tgt)
-            if j is not None:
-                rows.append(pos[b])
-                cols.append(j)
-    adj = sparse.coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    live, tm, tmp = (np.stack(parts, axis=1) for parts in
+                     zip(*_transitions(spec.r, spec.s, spec.lam, m, mp)))
+    live &= tm + tmp <= cutoff
+    rows = np.nonzero(live)[0]
+    cols = block_index(eps, tm[live], tmp[live])
+    indptr = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
+    adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
     n_comp, labels = csgraph.connected_components(
         adj, directed=True, connection="strong"
     )
     comp_blocks: list[set] = [set() for _ in range(n_comp)]
-    for b, lbl in zip(blocks, labels):
+    for b, lbl in zip(blocks, labels.tolist()):
         comp_blocks[lbl].add(b)
     components = sorted(
         (frozenset(c) for c in comp_blocks), key=lambda c: sorted(c)[0]
@@ -300,9 +335,10 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
 
     # forward closure of each component through the condensation DAG
     comp_adj: dict[int, set[int]] = {i: set() for i in range(n_comp)}
-    for i, j in zip(rows, cols):
-        if labels[i] != labels[j]:
-            comp_adj[labels[i]].add(labels[j])
+    lrow, lcol = labels[rows], labels[cols]
+    cross = lrow != lcol
+    for i, j in set(zip(lrow[cross].tolist(), lcol[cross].tolist())):
+        comp_adj[i].add(j)
 
     def descendants(c0: int) -> frozenset:
         seen = {c0}
@@ -335,14 +371,11 @@ def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
     leave the window upward keep d and therefore cannot witness a leak of
     a sigma-unbounded region.
     """
-    for m, mp in enumerate_blocks(epsilon, window):
-        if not region.contains(m, mp):
-            continue
-        for tm, tmp in _moves(r, s, lam, m, mp):
-            if tm + tmp > window:
-                continue
-            if not region.contains(tm, tmp):
-                return False
+    m, mp = block_arrays(epsilon, window)
+    inside = region.contains(m, mp)
+    for live, tm, tmp in _transitions(r, s, lam, m, mp):
+        if (live & inside & (tm + tmp <= window) & ~region.contains(tm, tmp)).any():
+            return False
     return True
 
 
@@ -521,6 +554,7 @@ class CrossCheck:
             "irreducible_closed_form": self.irreducible_closed_form,
             "scanner_components": self.n_regions,
             "agree": self.agree,
+            "walls": _wall_dict(self.r, self.s, self.lam),
         }
 
 
@@ -531,12 +565,10 @@ def _sufficient_cutoff(r: int, s: int, lam: SpectralParam) -> int:
     blocks on both of its sides fit under the cutoff; beyond this bound
     the component count is truncation-independent.
     """
-    nlam, _ = normalize_spectral(lam)
-    if not nlam.is_integer:
+    up, d_up, d_down, down = _walls(r, s, lam)
+    if up is None:
         return 0
-    L = int(nlam.re)
-    walls = (abs(L), abs(L - r - s + 4), abs(s - 2 - L) + 2, abs(L - r + 2) + 2)
-    return max(walls) + 2
+    return max(abs(up), abs(down), abs(d_up) + 2, abs(d_down) + 2) + 2
 
 
 def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,

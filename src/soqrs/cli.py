@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,25 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
 
 
+# Options whose value may start with a minus sign: argparse takes "-5/2" or
+# "-0.7+1j" for an option string, since only -N and -N.M look like negative
+# numbers to it.
+_SIGNED_VALUE_OPTIONS = ("--lambda-re", "--lambda-im-t", "--lambda-im",
+                         "--lambda-float", "--lambda-rationals")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite `--lambda-re -5/2` as `--lambda-re=-5/2`, so both forms parse alike."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and _SIGNED_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _add_lambda_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-re", type=_fraction, default=None,
                    help="real part of lambda, exact rational p/q")
@@ -60,8 +80,6 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=2.0, help="deformation q > 0")
     p.add_argument("--cutoff", type=int, default=8)
-    p.add_argument("--depth", type=int, default=3, help="interior depth")
-    p.add_argument("--tol", type=float, default=1e-9)
     _add_output(p)
 
 
@@ -346,6 +364,8 @@ def _build_parser() -> _Parser:
     pv.add_argument("--r", type=int, default=None)
     pv.add_argument("--s", type=int, default=None)
     pv.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
+    pv.add_argument("--depth", type=int, default=3, help="interior depth")
+    pv.add_argument("--tol", type=float, default=1e-9)
     _add_lambda_args(pv)
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)
@@ -375,7 +395,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

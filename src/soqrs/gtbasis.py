@@ -148,6 +148,25 @@ def enumerate_blocks(epsilon: int, cutoff: int) -> list[tuple[int, int]]:
             for m in range(sigma + 1)]
 
 
+def block_arrays(epsilon: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of enumerate_blocks(epsilon, cutoff) as int64 arrays m, m'."""
+    rings = np.arange(epsilon, cutoff + 1, 2, dtype=np.int64)
+    sizes = rings + 1
+    sigma = np.repeat(rings, sizes)
+    m = np.arange(sigma.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return m, sigma - m
+
+
+def block_index(epsilon: int, m: np.ndarray, mp: np.ndarray) -> np.ndarray:
+    """Positions of blocks (m, m') in enumerate_blocks(epsilon, .) order.
+
+    Ring sigma = epsilon + 2k holds sigma + 1 blocks, so k(epsilon+1) + k(k-1)
+    blocks precede it, and block (m, m') is the m-th of its ring.
+    """
+    k = (m + mp - epsilon) // 2
+    return k * (epsilon + 1) + k * (k - 1) + m
+
+
 class TruncatedSpace:
     """Ordered double-pattern basis of the degenerate series, cut at m+m' <= cutoff.
 

@@ -198,6 +198,22 @@ def bracket_vanishes(lam: SpectralParam, c, sign: int = 1) -> bool:
     return t.denominator == 1 and t.numerator % 2 == 0
 
 
+def vanishing_point(lam: SpectralParam) -> int | None:
+    """The integer L at which the brackets of lambda with integer shifts vanish.
+
+    For integer c, [lambda + c] = 0 iff c == -L and [-lambda + c] = 0 iff
+    c == L.  None when no such bracket can vanish: im_y != 0, im_t not an
+    even integer, or re not an integer.
+    """
+    lam.require_exact("vanishing test")
+    t = lam.im_t
+    if lam.im_y != 0 or t.denominator != 1 or t.numerator % 2 != 0:
+        return None
+    if lam.re.denominator != 1:
+        return None
+    return lam.re.numerator
+
+
 def normalize_spectral(lam: SpectralParam):
     """Reduce im_t into [0, 2) using the period/sign-flip structure of [.].
 

@@ -10,7 +10,9 @@ passes the scalar functions in: the per-chain compact reference takes
 the bracket and d(m) as arguments, so that a byte-for-byte comparison
 checks the walk over the chains rather than the libm calls.  The
 relation reference forms the full products with scipy and cuts the
-columns afterwards.
+columns afterwards.  The lattice reference decides every transition block
+by block from the exact parameter and searches the block graph with plain
+sets.
 """
 
 import itertools
@@ -277,3 +279,83 @@ def q_degenerate_noncompact_entries(r, s, lam, q, patterns, top_ring) -> dict:
             if tgt in index:
                 out[index[tgt], col] = coeff
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-block lattice reference
+
+
+def bracket_is_zero(lam, c: int, sign: int = 1) -> bool:
+    """[sign*lambda + c] == 0 for an exact lambda = re + i(im_t pi/h + im_y).
+
+    [z] vanishes exactly when Re z = 0, the absolute imaginary part is 0
+    and the pi/h part is an even integer.
+    """
+    t = lam.im_t
+    return (sign * lam.re + c == 0 and lam.im_y == 0
+            and t.denominator == 1 and t.numerator % 2 == 0)
+
+
+def moves(r: int, s: int, lam, m: int, mp: int):
+    """Targets of the four noncompact transitions out of block (m, m'), per block.
+
+    A transition is kept when it stays in the quadrant and its bracket
+    (the factor of the noncompact generator that depends on lambda) is
+    nonzero.
+    """
+    sigma, d = m + mp, m - mp
+    if not bracket_is_zero(lam, sigma):
+        yield (m + 1, mp + 1)
+    if mp >= 1 and not bracket_is_zero(lam, d - s + 2):
+        yield (m + 1, mp - 1)
+    if m >= 1 and not bracket_is_zero(lam, -d - r + 2):
+        yield (m - 1, mp + 1)
+    if m >= 1 and mp >= 1 and not bracket_is_zero(lam, -sigma - r - s + 4):
+        yield (m - 1, mp - 1)
+
+
+def lattice_blocks(epsilon: int, cutoff: int) -> list:
+    return [(m, sg - m) for sg in range(epsilon, cutoff + 1, 2) for m in range(sg + 1)]
+
+
+def scan_reference(r: int, s: int, epsilon: int, lam, cutoff: int):
+    """Strong components and forward closures of the block graph, by search.
+
+    Returns (blocks, components, regions), ordered as scan_lattice orders
+    them: components by their least block, regions by (size, blocks).
+    """
+    blocks = lattice_blocks(epsilon, cutoff)
+    inside = set(blocks)
+    succ = {b: [t for t in moves(r, s, lam, *b) if t in inside] for b in blocks}
+    reach = {}
+    for b in blocks:
+        seen, stack = {b}, [b]
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        reach[b] = frozenset(seen)
+    components = {frozenset(c for c in reach[b] if b in reach[c]) for b in blocks}
+    components = sorted(components, key=lambda c: sorted(c)[0])
+    regions = sorted(set(reach.values()), key=lambda rg: (len(rg), sorted(rg)))
+    return blocks, components, regions
+
+
+def region_contains(region, m: int, mp: int) -> bool:
+    sigma, d = m + mp, m - mp
+    return ((region.sigma_min is None or sigma >= region.sigma_min)
+            and (region.sigma_max is None or sigma <= region.sigma_max)
+            and (region.d_min is None or d >= region.d_min)
+            and (region.d_max is None or d <= region.d_max))
+
+
+def region_is_closed(region, r: int, s: int, epsilon: int, lam, window: int) -> bool:
+    """No kept transition leads from the region out of it, within the window."""
+    for m, mp in lattice_blocks(epsilon, window):
+        if not region_contains(region, m, mp):
+            continue
+        for tm, tmp in moves(r, s, lam, m, mp):
+            if tm + tmp <= window and not region_contains(region, tm, tmp):
+                return False
+    return True

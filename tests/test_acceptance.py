@@ -100,10 +100,13 @@ def test_criterion_3_degenerate_relation_suite():
 def test_criterion_4_closed_form_scanner_consistency():
     disagreements = []
     checked = 0
-    for r, s in itertools.product((3, 4, 5), repeat=2):
+    for r, s in itertools.product(range(3, 8), repeat=2):
         for eps in (0, 1):
             lams = [E(L) for L in range(-6, r + s + 5)]
             lams += [E(x) for x in RATIONALS_20]
+            # period-shifted copies of walls, and im_y != 0 beside them
+            lams += [E(L, t) for L in (-2, 0, 1, r + s - 2, r + s) for t in (2, 4)]
+            lams += [E(L, 0, Fraction(1, 3)) for L in (-2, 0, r + s - 2)]
             for lam in lams:
                 cc = cross_check(r, s, eps, lam, cutoff=12)
                 checked += 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from soqrs import (
     QParam,
     RepSpec,
@@ -13,6 +14,7 @@ from soqrs import (
     predict_constituents,
     scan_lattice,
 )
+from soqrs.classify import Region, _region_is_closed, _sufficient_cutoff
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -209,3 +211,94 @@ def test_scan_requires_exact():
     spec = RepSpec(3, 3, 0, SpectralParam.inexact(0.5), Q2, 6)
     with pytest.raises(InexactSpectralError):
         scan_lattice(spec)
+
+
+def _lattice_params(r, s):
+    """Integer, quarter, period-shifted, strange and im_y != 0 parameters."""
+    lams = [E(L) for L in range(-4, r + s + 3)]
+    lams += [E(Fraction(k, 4)) for k in (-7, -2, 1, 6, 4 * (r + s) - 11)]
+    lams += [E(L, t) for L in (-2, 1, r + s - 2) for t in (2, 4, -2)]
+    lams += [E(L, 1) for L in (-2, 0, 2)] + [E(Fraction(1, 2), 1)]
+    lams += [E(L, 0, Fraction(1, 3)) for L in (-2, 0, 2)] + [E(0, 2, 1)]
+    return lams
+
+
+def test_scan_matches_per_block_reference():
+    for r, s in itertools.product((3, 4, 5), repeat=2):
+        for eps in (0, 1):
+            for lam in _lattice_params(r, s):
+                top = max(6, _sufficient_cutoff(r, s, lam) + 2)
+                for cutoff in range(eps, top + 1, 1 if lam.is_integer else 3):
+                    scan = scan_lattice(RepSpec(r, s, eps, lam, Q2, cutoff))
+                    blocks, components, regions = oracles.scan_reference(
+                        r, s, eps, lam, cutoff)
+                    what = (r, s, eps, lam, cutoff)
+                    assert scan.blocks == blocks, what
+                    assert scan.components == components, what
+                    assert scan.regions == regions, what
+
+
+def _all_regions(bounds):
+    opt = (None,) + bounds
+    return [Region(*b) for b in itertools.product(opt, repeat=4)]
+
+
+def test_region_is_closed_matches_per_block_reference():
+    # the constituent regions predict_constituents checks, on its own window
+    for r, s in ((3, 3), (4, 4), (3, 4), (5, 4)):
+        for eps in (0, 1):
+            for lam in _lattice_params(r, s):
+                cl = predict_constituents(r, s, eps, lam)
+                L = abs(int(cl.lam.re)) if cl.lam.re.denominator == 1 else 0
+                window = 2 * (L + r + s + 8)
+                for c in cl.constituents:
+                    assert (_region_is_closed(c.region, r, s, eps, cl.lam, window)
+                            == oracles.region_is_closed(c.region, r, s, eps, cl.lam,
+                                                        window)), (r, s, eps, lam, c)
+    # every region with bounds from {-2, 1, 4}, on a window the walls cross
+    regions = _all_regions((-2, 1, 4))
+    for r, s in ((3, 4), (4, 4)):
+        for eps in (0, 1):
+            for lam in [E(L) for L in (-2, 0, 1, 2, 3, 5, 7)] + [E(Fraction(1, 2)), E(2, 1)]:
+                for region in regions:
+                    assert (_region_is_closed(region, r, s, eps, lam, 9)
+                            == oracles.region_is_closed(region, r, s, eps, lam, 9)), \
+                        (r, s, eps, lam, region)
+
+
+def test_region_blocks_match_per_block_reference():
+    for region in _all_regions((-3, 0, 1, 4)):
+        for eps in (0, 1):
+            for cutoff in (eps, 5, 8):
+                expected = frozenset(
+                    b for b in oracles.lattice_blocks(eps, cutoff)
+                    if oracles.region_contains(region, *b))
+                assert region.blocks(eps, cutoff) == expected, (region, eps, cutoff)
+
+
+def test_walls_reported_in_reports():
+    walls = predict_constituents(4, 5, 0, E(2)).to_dict()["walls"]
+    assert walls == {"ring_up": -2, "diag_m_up": 1, "diag_mp_up": 0,
+                     "ring_down": -3}
+    # period-shifted by a full 2 pi i / h: the same walls
+    assert cross_check(4, 5, 0, E(2, 2)).to_dict()["walls"] == walls
+    for lam in (E(Fraction(1, 2)), E(2, 1), E(2, 0, 1)):
+        assert set(predict_constituents(4, 5, 0, lam).to_dict()["walls"].values()) \
+            == {None}
+        assert set(cross_check(4, 5, 0, lam).to_dict()["walls"].values()) == {None}
+
+
+def test_walls_are_the_severed_edges():
+    """Every kept edge crosses no reported wall; every cut one lies on it or a quadrant wall."""
+    for r, s, eps, L in ((4, 4, 0, -2), (4, 5, 1, 3), (3, 3, 0, 1), (5, 3, 1, 5)):
+        lam = E(L)
+        walls = cross_check(r, s, eps, lam).to_dict()["walls"]
+        steps = {"ring_up": (1, 1), "diag_m_up": (1, -1),
+                 "diag_mp_up": (-1, 1), "ring_down": (-1, -1)}
+        for m, mp in oracles.lattice_blocks(eps, 12):
+            kept = set(oracles.moves(r, s, lam, m, mp))
+            for name, (dm, dmp) in steps.items():
+                coord = m + mp if dm == dmp else m - mp
+                in_quadrant = m + dm >= 0 and mp + dmp >= 0
+                assert ((m + dm, mp + dmp) in kept) == (in_quadrant
+                                                        and coord != walls[name])

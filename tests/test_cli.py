@@ -154,3 +154,66 @@ def test_reports_embed_config(tmp_path, capsys):
     assert data["config"]["command"] == "verify"
     assert data["config"]["q"] == 2.0
     assert data["passed"] is True
+
+
+def test_negative_rationals_as_separate_tokens(capsys):
+    for argv in (["classify", "--r", "3", "--s", "3", "--epsilon", "0", "--json"],
+                 ["build", "--degenerate", "--r", "3", "--s", "3", "--epsilon", "1",
+                  "--cutoff", "3"]):
+        for re_, im_t, im in (("-5/2", "0", "0"), ("-3", "-1/2", "-2/3"),
+                              ("-.5", "-2", "-1e-1")):
+            joined = argv + [f"--lambda-re={re_}", f"--lambda-im-t={im_t}",
+                             f"--lambda-im={im}"]
+            split = argv + ["--lambda-re", re_, "--lambda-im-t", im_t,
+                            "--lambda-im", im]
+            code_joined, out_joined, _ = run(capsys, *joined)
+            code_split, out_split, err = run(capsys, *split)
+            assert code_joined == 0 and code_split == 0, err
+            assert out_split == out_joined
+    code, out, _ = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "0",
+                       "--lambda-int-min", "0", "--lambda-int-max", "0",
+                       "--lambda-rationals", "-1/2,-7/3", "--json")
+    assert code == 0
+    assert [row["lambda"] for row in json.loads(out)["rows"]] == [
+        "SpectralParam(0)", "SpectralParam(-1/2)", "SpectralParam(-7/3)"]
+
+
+def test_build_refuses_options_it_does_not_read(capsys):
+    for extra in (["--depth", "99"], ["--tol", "5"]):
+        code, _, err = run(capsys, "build", "--so3", "--l", "1", *extra)
+        assert code == 3 and extra[0] in err
+    code, out, _ = run(capsys, "build", "--so3", "--l", "1")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert cfg["depth"] is None and cfg["tol"] is None
+
+
+def test_verify_reads_old_and_new_dumps(tmp_path, capsys):
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--degenerate", "--r", "3", "--s", "4", "--epsilon", "1",
+                 "--lambda-re", "1/3", "--cutoff", "5", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    data = json.loads(dump.read_text())
+    assert data["config"]["depth"] is None and data["config"]["tol"] is None
+    old = tmp_path / "old.json"
+    data["config"].update(depth=3, tol=1e-9)  # what dumps recorded before
+    old.write_text(json.dumps(data))
+    for path in (dump, old):
+        code, out, _ = run(capsys, "verify", "--dump", str(path), "--json")
+        assert code == 0 and json.loads(out)["passed"] is True
+
+
+def test_reports_name_the_walls(capsys):
+    code, out, _ = run(capsys, "classify", "--r", "4", "--s", "4", "--epsilon", "0",
+                       "--lambda-re", "-2", "--json")
+    assert code == 0
+    assert json.loads(out)["walls"] == {"ring_up": 2, "diag_m_up": 4,
+                                        "diag_mp_up": -4, "ring_down": -6}
+    code, out, _ = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "0",
+                       "--lambda-int-min", "1", "--lambda-int-max", "1",
+                       "--lambda-rationals", "1/2", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows[0]["walls"] == {"ring_up": -1, "diag_m_up": 1,
+                                "diag_mp_up": 0, "ring_down": -2}
+    assert set(rows[1]["walls"].values()) == {None}

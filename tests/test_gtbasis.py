@@ -10,7 +10,7 @@ from soqrs import (
     class1_dim,
     enumerate_chain,
 )
-from soqrs.gtbasis import chain_labels
+from soqrs.gtbasis import block_arrays, block_index, chain_labels, enumerate_blocks
 from oracles import brute_chain_count, brute_chains, brute_space_dim, class1_dim_formula
 
 
@@ -98,6 +98,16 @@ def test_block_completeness():
         assert sl.stop - sl.start == expected
         for pat in sp.basis[sl]:
             assert pat.block == (m, mp)
+
+
+def test_block_arrays_and_index_follow_enumerate_blocks():
+    for eps in (0, 1):
+        for cutoff in range(eps, 13):
+            blocks = enumerate_blocks(eps, cutoff)
+            m, mp = block_arrays(eps, cutoff)
+            assert m.dtype == mp.dtype == np.int64
+            assert list(zip(m.tolist(), mp.tolist())) == blocks
+            assert block_index(eps, m, mp).tolist() == list(range(len(blocks)))
 
 
 def test_ordering_and_index_roundtrip():

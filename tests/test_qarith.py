@@ -12,6 +12,7 @@ from soqrs import (
     bracket_vanishes,
     normalize_spectral,
 )
+from soqrs.qarith import vanishing_point
 
 E = SpectralParam.exact
 
@@ -89,9 +90,28 @@ def test_vanishing_with_absolute_imag():
     assert bracket_vanishes(E(-3, 0, 0), 3)
 
 
+def test_vanishing_point_matches_bracket_vanishes():
+    """For integer c: [lambda + c] = 0 iff c == -L, [-lambda + c] = 0 iff c == L."""
+    parts = [(re, t, y)
+             for re in [Fraction(k, 4) for k in range(-12, 13)]
+             for t in (0, 1, 2, 3, 4, -2, Fraction(1, 2), 6)
+             for y in (0, Fraction(1, 3))]
+    for re, t, y in parts:
+        lam = E(re, t, y)
+        L = vanishing_point(lam)
+        assert (L is not None) == (re.denominator == 1 and y == 0
+                                   and t in (0, 2, 4, -2, 6))
+        for c in range(-16, 17):
+            for sign in (1, -1):
+                expected = L is not None and c == -sign * L
+                assert bracket_vanishes(lam, c, sign) == expected, (re, t, y, c, sign)
+
+
 def test_vanishing_rejects_inexact():
     with pytest.raises(InexactSpectralError):
         bracket_vanishes(SpectralParam.inexact(0.5 + 1j), 3)
+    with pytest.raises(InexactSpectralError):
+        vanishing_point(SpectralParam.inexact(0.5 + 1j))
 
 
 def test_normalize_spectral():
