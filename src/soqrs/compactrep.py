@@ -60,12 +60,21 @@ def d_coeff(m, p: QParam) -> float:
     d(m) = ([m][m+1] / [2m][2m+2])^{1/2} reduces, via [2x] = [x] (q^{x/2}+q^{-x/2}),
     to 1 / ((q^{m/2}+q^{-m/2})(q^{(m+1)/2}+q^{-(m+1)/2}))^{1/2}, which is
     finite everywhere, resolves the 0/0 at m = 0 and m = -1, and satisfies
-    d(m) = d(-m-1).
+    d(m) = d(-m-1).  A product beyond the float range raises ValueError.
     """
     mf = float(m)
-    f1 = 2.0 * math.cosh(0.5 * p.h * mf)
-    f2 = 2.0 * math.cosh(0.5 * p.h * (mf + 1.0))
+    try:
+        f1 = 2.0 * math.cosh(0.5 * p.h * mf)
+        f2 = 2.0 * math.cosh(0.5 * p.h * (mf + 1.0))
+    except OverflowError:
+        f1 = f2 = math.inf
+    if math.isinf(f1 * f2):
+        raise _range_error(f"d({m})", p)
     return 1.0 / math.sqrt(f1 * f2)
+
+
+def _range_error(what: str, p: QParam) -> ValueError:
+    return ValueError(f"{what} is out of floating-point range at q={p.q}")
 
 
 def _bracket_product(args, p: QParam) -> float:
@@ -83,7 +92,9 @@ def _ratio_sqrt(num_args, den_args, p: QParam) -> float:
 
     Vanishing numerator brackets return 0 before the denominator is
     evaluated, which is what keeps the chain walls exact (the denominator
-    may itself vanish there).
+    may itself vanish there).  A nonzero numerator whose ratio under- or
+    overflows (a zero or non-finite radicand) raises the range ValueError
+    of QParam.qnum; a negative radicand is an ArithmeticError.
     """
     num = _bracket_product(num_args, p)
     if num == 0.0:
@@ -92,7 +103,9 @@ def _ratio_sqrt(num_args, den_args, p: QParam) -> float:
     for a in den_args:
         den *= p.qnum(a)
     radicand = num / den
-    if radicand <= 0.0:
+    if radicand == 0.0 or not math.isfinite(radicand):
+        raise _range_error(f"bracket ratio {num_args}/{den_args}", p)
+    if radicand < 0.0:
         raise ArithmeticError(
             f"negative radicand {radicand} for bracket ratio "
             f"{num_args}/{den_args}; inadmissible pattern slipped through"
@@ -166,6 +179,8 @@ def class1_arrays(labels: np.ndarray, p: QParam, half: int = 0) -> list:
     def ladder(c, outer, factor):
         """E - E^T, E raising label c by outer^{1/2} factor; zeros not stored."""
         vals = np.sqrt(outer) * factor
+        if not np.isfinite(vals).all():
+            raise _range_error(f"generator {n - c + 1} of so'_q({n}) on {len(labels)} chains", p)
         src = np.flatnonzero(vals)
         dst = np.searchsorted(keys, keys[src] + place[c])
         vals = vals[src]
@@ -174,14 +189,19 @@ def class1_arrays(labels: np.ndarray, p: QParam, half: int = 0) -> list:
 
     diag = qm(m2)
     nonzero = np.flatnonzero(diag)
-    gens = [(nonzero, nonzero, 1j * diag[nonzero]),
-            ladder(width - 1, q(m3 - m2) * q(m3 + m2 + 1 + half), d(m2))]
-    for k in range(4, n + 1):
-        c = n - k + 1  # column of m_{k-1}
-        mk, mk1, mk2 = labels[:, c - 1], labels[:, c], labels[:, c + 1]
-        R = np.sqrt((q(mk1 + mk2 + k - 3) * q(mk1 - mk2 + 1))
-                    / (q(2 * mk1 + k - 3) * q(2 * mk1 + k - 1)))
-        gens.append(ladder(c, q(mk + mk1 + k - 2) * q(mk - mk1), R))
+    # bracket products may leave the float range: ladder and the R
+    # radicand check refuse them instead of storing inf, nan or 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        gens = [(nonzero, nonzero, 1j * diag[nonzero]),
+                ladder(width - 1, q(m3 - m2) * q(m3 + m2 + 1 + half), d(m2))]
+        for k in range(4, n + 1):
+            c = n - k + 1  # column of m_{k-1}
+            mk, mk1, mk2 = labels[:, c - 1], labels[:, c], labels[:, c + 1]
+            num = q(mk1 + mk2 + k - 3) * q(mk1 - mk2 + 1)
+            radicand = num / (q(2 * mk1 + k - 3) * q(2 * mk1 + k - 1))
+            if np.any((radicand == 0) & (num != 0)):
+                raise _range_error(f"R of so'_q({k}) on {len(labels)} chains", p)
+            gens.append(ladder(c, q(mk + mk1 + k - 2) * q(mk - mk1), np.sqrt(radicand)))
     return gens
 
 

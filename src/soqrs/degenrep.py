@@ -24,6 +24,20 @@ no clipping happens at m = 0 or m' = 0.  Transitions that would leave the
 cutoff are dropped; the interior mask of the space marks the columns that
 are unaffected by this.
 
+Only the edge scalar depends on lambda.  Everything else is a Frame of
+(r, s, eps, cutoff, q): the space, the compact generators, and the
+noncompact sparsity pattern in CSC order with the K L product and the
+edge of every entry, plus the family, sigma = m+m' and d = m-m' of every
+edge.  Both Kronecker forms are assembled once per frame, for all blocks
+at once.  A build then evaluates one sign and one bracket (or square-root
+pair) per edge, drops the edges whose scalar is exactly 0, and forms the
+noncompact data as (kl * sign) * scalar.  The most recent frame is cached
+(`frame`, one entry, keyed on (r, s, eps, cutoff, q)), so the primed
+build of a spec, its mirror and every further lambda on the same tower
+reuse it; the cache keeps that one frame alive after its representations
+are dropped.  The compact matrices are shared by every representation of
+a frame, so all returned matrices are read-only.
+
 A rescaled ("primed") basis makes the noncompact generator Hermitian on
 the principal line Re lambda = (r+s-2)/2.  It shares the block edges and
 the K, L tables and replaces each bracket by a square-root pair; the
@@ -35,13 +49,14 @@ differ by a sign on the lowering terms).
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, class1_arrays
-from .gtbasis import TruncatedSpace, enumerate_blocks
+from .gtbasis import TruncatedSpace, block_index, enumerate_blocks
 from .qarith import QParam, SpectralParam, bracket_vanishes
 
 
@@ -99,7 +114,12 @@ class RepSpec:
 
 @dataclass
 class DegenerateRep:
-    """Generator matrices of T_{eps,lambda} on a TruncatedSpace basis."""
+    """Generator matrices of T_{eps,lambda} on a TruncatedSpace basis.
+
+    A rep from build_degenerate or build_degenerate_primed shares its
+    space and compact generators with every rep of the same Frame, and
+    all its matrix arrays are read-only.
+    """
 
     spec: RepSpec
     space: TruncatedSpace
@@ -132,144 +152,208 @@ def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
     return _ratio_sqrt((m - k + 1, m + k + r - 2), (2 * m + r, 2 * m + r - 2), p)
 
 
-def _assemble_parts(dim: int, parts: list) -> sparse.csc_matrix:
-    """One csc matrix from a list of (rows, cols, vals) array triples."""
-    if not parts:
-        return assemble(dim, (), (), ())
-    return assemble(dim, *(np.concatenate(x) for x in zip(*parts)))
+FAMILIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+"""The steps (dm, dm') of the four noncompact families; an edge's family indexes this."""
 
 
-def _kron_index(rows_a, cols_a, rows_b, cols_b, nrows_b: int, ncols_b: int):
-    """Row and column indices of kron(A, B) from the COO indices of A and B."""
-    return ((rows_a[:, None] * nrows_b + rows_b).ravel(),
-            (cols_a[:, None] * ncols_b + cols_b).ravel())
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The lambda-independent part of T_{eps,lambda} at one (r, s, eps, cutoff, q).
 
-
-def _compact_generator(space: TruncatedSpace, i: int, class1) -> sparse.csc_matrix:
-    """Compact generator i as kron(G_i(m), I) or kron(I, G_{r+s+2-i}(m')) per block.
-
-    class1[n][top] holds the COO arrays of class1_arrays for so'_q(n) in
-    the space's chain order.  Both towers peel coordinates away from the
-    boundary the noncompact generator sits on, so the neighbour
-    I_{r+2,r+1} moves the second right label (the one entering L_{m'})
-    and the far end I_{r+s,r+s-1} is the diagonal.
+    `compact` holds the compact generators in index order.  The noncompact
+    pattern lists every entry of every block edge in canonical CSC order
+    (`indices`, `indptr`), with its K_m L_m' product `kl` and the id of
+    its edge; per edge it keeps the `family` (an index into FAMILIES) and
+    sigma = m+m', d = m-m' of the source block.  Every array is read-only.
     """
-    r, s = space.r, space.s
-    parts = []
-    for (m, mp), o in zip(space.blocks, space.offsets):
-        nl, nr = len(space.chains[0][m]), len(space.chains[1][mp])
-        if i <= r:
-            a, c, g = class1[r][m][i - 2]
-            eye = np.arange(nr)
-            rows, cols = _kron_index(a, c, eye, eye, nr, nr)
-            vals = np.repeat(g, nr)
-        else:
-            a, c, g = class1[s][mp][r + s - i]
-            eye = np.arange(nl)
-            rows, cols = _kron_index(eye, eye, a, c, nr, nr)
-            vals = np.tile(g, nl)
-        parts.append((o + rows, o + cols, vals))
-    return _assemble_parts(space.dim, parts)
+
+    space: TruncatedSpace
+    compact: tuple[GeneratorMatrix, ...]
+    indices: np.ndarray
+    indptr: np.ndarray
+    kl: np.ndarray
+    edge: np.ndarray
+    family: np.ndarray
+    sigma: np.ndarray
+    d: np.ndarray
 
 
-def _class1_blocks(space: TruncatedSpace, p: QParam) -> dict:
-    """COO arrays of every class-1 generator, per rank and top label.
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _frozen(mat: sparse.csc_matrix) -> sparse.csc_matrix:
+    _read_only(mat.data, mat.indices, mat.indptr)
+    return mat
+
+
+class _Pool:
+    """COO factors concatenated: factor f holds entries start[f]:start[f+1]."""
+
+    def __init__(self, parts: list):
+        rows, cols, vals = zip(*parts)
+        self.start = np.concatenate(([0], np.cumsum([len(x) for x in rows])))
+        self.rows = np.concatenate(rows).astype(np.int64)
+        self.cols = np.concatenate(cols).astype(np.int64)
+        self.vals = np.concatenate(vals)
+
+
+def _kron_blocks(a: _Pool, fa, b: _Pool, fb, b_rows, b_cols, row_off, col_off):
+    """COO of the sum over terms t of kron(A_t, B_t) placed at (row_off, col_off).
+
+    A_t is factor fa[t] of pool a, B_t factor fb[t] of pool b with shape
+    (b_rows[t], b_cols[t]).  Returns, per entry, its term, row and column
+    and the pool positions ia, ib of its two factor entries.
+    """
+    na = a.start[fa + 1] - a.start[fa]
+    nb = b.start[fb + 1] - b.start[fb]
+    # first per entry of an A factor, then repeated over the entries of B
+    term = np.repeat(np.arange(len(fa)), na)
+    ia = np.arange(term.size) + np.repeat(a.start[fa] - (np.cumsum(na) - na), na)
+    reps = nb[term]
+    ib = np.arange(reps.sum()) + np.repeat(b.start[fb][term] - (np.cumsum(reps) - reps), reps)
+    rows = np.repeat(row_off[term] + a.rows[ia] * b_rows[term], reps) + b.rows[ib]
+    cols = np.repeat(col_off[term] + a.cols[ia] * b_cols[term], reps) + b.cols[ib]
+    term, ia = np.repeat(term, reps), np.repeat(ia, reps)
+    return term, rows, cols, ia, ib
+
+
+def _class1_pools(space: TruncatedSpace, p: QParam) -> dict:
+    """Per rank, one pool per class-1 generator, with one factor per top label.
 
     class1_arrays orders chains ascending; the space orders them
     descending, so positions are flipped.  Equal ranks share one tower.
     """
     out = {}
     for n, side in {space.r: 0, space.s: 1}.items():
-        per_top = out[n] = {}
-        for top, labels in enumerate(space.labels[side]):
+        per_top = []
+        for labels in space.labels[side]:
             last = len(labels) - 1
-            per_top[top] = [(last - rows, last - cols, vals)
-                            for rows, cols, vals in class1_arrays(labels, p)]
+            per_top.append([(last - rows, last - cols, vals)
+                            for rows, cols, vals in class1_arrays(labels, p)])
+        out[n] = [_Pool(parts) for parts in zip(*per_top)]
     return out
 
 
-def _embeddings(space: TruncatedSpace, p: QParam) -> dict:
-    """E diag K for every (rank, top, step): chains of top `top` into top+step.
+def _embedding_pool(labels: list, n: int, p: QParam) -> _Pool:
+    """E diag K of one tower: factor 2*top + (step == -1) maps top into top+step.
 
-    Each entry is (src, dst, values): positions in the two descending chain
-    lists of the chains whose K factor is nonzero, and that factor.  Inner
-    labels are kept, so only the top label changes.  Equal ranks share
-    one table.
+    Rows are positions among the target chains, columns among the source
+    chains, both in descending order, and only chains whose K factor is
+    nonzero appear.  Inner labels are kept, so a chain is found among the
+    target chains by a mixed-radix key of its inner labels; the chains of
+    the highest top label span every inner label of the tower.
     """
-    tables = {}
-    for n, side in {space.r: 0, space.s: 1}.items():
-        positions = space.positions[side]
-        for top, chains in space.chains[side].items():
-            for step in (1, -1):
-                if top + step > space.top_ring:
-                    continue
-                m = top if step == 1 else top - 1
-                factor = {k: K_coeff(m, k, n, p) for k in {c.entries[1] for c in chains}}
-                src = [i for i, c in enumerate(chains) if factor[c.entries[1]]]
-                tables[n, top, step] = (
-                    np.array(src, dtype=np.int64),
-                    np.array([positions[(top + step,) + chains[i].entries[1:]]
-                              for i in src], dtype=np.int64),
-                    np.array([factor[chains[i].entries[1]] for i in src]),
-                )
-    return tables
-
-
-def _noncompact_generator(space: TruncatedSpace, p: QParam,
-                          families: dict) -> sparse.csc_matrix:
-    """Noncompact generator from the block edges and the per-family factors.
-
-    families maps the step (dm, dm') to (sign, factor), where factor(sigma, d)
-    gives the scalar of the edge leaving block (m, m') with sigma = m+m',
-    d = m-m'.  Edges whose factor vanishes or whose target block lies
-    beyond the cutoff carry no entries.
-    """
-    tables = _embeddings(space, p)
-    right = space.chains[1]
+    inner = [a[:, 1:] for a in labels]
+    lo = inner[-1].min(axis=0)
+    radix = inner[-1].max(axis=0) - lo + 1
+    place = np.concatenate((np.cumprod(radix[::-1])[::-1][1:], [1]))
+    keys = [(x - lo) @ place for x in inner]
     parts = []
-    for (m, mp), o in zip(space.blocks, space.offsets):
-        for (dm, dmp), (sign, factor) in families.items():
-            target = space.block_slices.get((m + dm, mp + dmp))
-            if target is None:
+    for top, chains in enumerate(labels):
+        last = len(chains) - 1
+        for step in (1, -1):
+            target = top + step
+            if not 0 <= target < len(labels):
+                parts.append(((), (), ()))
                 continue
-            value = factor(m + mp, m - mp)
-            if value == 0:
-                continue
-            src_l, dst_l, k = tables[space.r, m, dm]
-            src_r, dst_r, l = tables[space.s, mp, dmp]
-            rows, cols = _kron_index(dst_l, src_l, dst_r, src_r,
-                                     len(right[mp + dmp]), len(right[mp]))
-            vals = ((sign * k)[:, None] * l).ravel() * value
-            parts.append((target.start + rows, o + cols, vals))
-    return _assemble_parts(space.dim, parts)
+            m = top if step == 1 else top - 1
+            ks, k_of = np.unique(chains[:, 1], return_inverse=True)
+            factor = np.array([K_coeff(m, int(k), n, p) for k in ks])[k_of]
+            src = np.flatnonzero(factor)
+            dst = np.searchsorted(keys[target], keys[top][src])
+            parts.append((len(keys[target]) - 1 - dst, last - src, factor[src]))
+    return _Pool(parts)
 
 
-def _build(spec: RepSpec, families: dict, basis_kind: str) -> DegenerateRep:
-    space = TruncatedSpace(spec.r, spec.s, spec.epsilon, spec.cutoff)
-    class1 = _class1_blocks(space, spec.qp)
-    gens = []
-    for i in range(2, spec.r + spec.s + 1):
-        if i == spec.r + 1:
-            mat = _noncompact_generator(space, spec.qp, families)
-        else:
-            mat = _compact_generator(space, i, class1)
-        gens.append(GeneratorMatrix(i, mat))
-    return DegenerateRep(spec, space, gens, basis_kind)
+@functools.lru_cache(maxsize=1)
+def frame(r: int, s: int, epsilon: int, cutoff: int, qp: QParam) -> Frame:
+    """The Frame of (r, s, epsilon, cutoff, q), kept for the next call with the same key.
+
+    One frame is cached: it stays alive, with its space and compact
+    matrices, after every representation built from it is dropped, until
+    a call with another key replaces it.  A call that raises caches
+    nothing.
+    """
+    space = TruncatedSpace(r, s, epsilon, cutoff)
+    dim = space.dim
+    m, mp = (np.array(x, dtype=np.int64) for x in zip(*space.blocks))
+    offsets = space.offsets[:-1]
+    nl = np.array([len(a) for a in space.labels[0]])
+    nr = np.array([len(a) for a in space.labels[1]])
+    eye = [_Pool([(np.arange(k), np.arange(k), np.ones(k)) for k in sizes])
+           for sizes in (nl, nr)]
+
+    class1 = _class1_pools(space, qp)
+    compact = []
+    for i in [*range(2, r + 1), *range(r + 2, r + s + 1)]:
+        if i <= r:  # kron(G_i(m), I)
+            pool = class1[r][i - 2]
+            _, rows, cols, ia, _ = _kron_blocks(pool, m, eye[1], mp, nr[mp], nr[mp],
+                                                offsets, offsets)
+            vals = pool.vals[ia]
+        else:  # kron(I, G_{r+s+2-i}(m'))
+            pool = class1[s][r + s - i]
+            _, rows, cols, _, ib = _kron_blocks(eye[0], m, pool, mp, nr[mp], nr[mp],
+                                                offsets, offsets)
+            vals = pool.vals[ib]
+        compact.append(GeneratorMatrix(i, _frozen(assemble(dim, rows, cols, vals))))
+
+    # block edges in (source block, family) order; a target beyond the
+    # cutoff or outside the quadrant has no edge
+    steps = np.array(FAMILIES)
+    tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
+    src, family = np.nonzero((tm >= 0) & (tmp >= 0) & (tm + tmp <= space.top_ring))
+    tm, tmp = tm[src, family], tmp[src, family]
+    left = _embedding_pool(space.labels[0], r, qp)
+    right = _embedding_pool(space.labels[1], s, qp)
+    edge, rows, cols, ia, ib = _kron_blocks(
+        left, 2 * m[src] + (steps[family, 0] < 0),
+        right, 2 * mp[src] + (steps[family, 1] < 0),
+        nr[tmp], nr[mp[src]], offsets[block_index(epsilon, tm, tmp)], offsets[src])
+    kl = left.vals[ia] * right.vals[ib]
+    # entry numbers as data: scipy's COO -> CSC sort then yields the order
+    pattern = sparse.csc_matrix((np.arange(rows.size), (rows, cols)), shape=(dim, dim))
+    order = pattern.data
+    kl, edge = kl[order], edge[order].astype(np.min_scalar_type(max(len(src) - 1, 0)))
+    sigma, d = m[src] + mp[src], m[src] - mp[src]
+    _read_only(pattern.indices, pattern.indptr, kl, edge, family, sigma, d)
+    return Frame(space, tuple(compact), pattern.indices, pattern.indptr, kl,
+                 edge, family, sigma, d)
+
+
+def _build(spec: RepSpec, fr: Frame, signs, values: list, basis_kind: str) -> DegenerateRep:
+    """Noncompact generator (kl * sign) * value on the frame; zero edges dropped.
+
+    signs holds one sign per family and values one scalar per edge.
+    """
+    value = np.array(values, dtype=np.complex128)
+    kl, edge, indices, indptr = fr.kl, fr.edge, fr.indices, fr.indptr
+    live = value != 0
+    if not live.all():
+        keep = live[edge]
+        kl, edge, indices = kl[keep], edge[keep], indices[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indices.dtype)
+    sign = np.array(signs, dtype=np.float64)[fr.family]
+    dim = fr.space.dim
+    # the sign goes on the real kl first: folded into the complex value it
+    # would flip signed zeros of the product
+    mat = sparse.csc_matrix(((kl * sign[edge]) * value[edge], indices, indptr),
+                            shape=(dim, dim))
+    gens = list(fr.compact)
+    gens.insert(spec.r - 1, GeneratorMatrix(spec.r + 1, _frozen(mat)))
+    return DegenerateRep(spec, fr.space, gens, basis_kind)
 
 
 def build_degenerate(spec: RepSpec) -> DegenerateRep:
     """T_{eps,lambda} in the standard (orthonormal product) basis."""
     lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
-
-    def w(t: int) -> complex:
-        return p.qnum(lam + t)
-
-    return _build(spec, {
-        (1, 1): (1, lambda sigma, d: w(sigma)),
-        (1, -1): (-1, lambda sigma, d: w(d - s + 2)),
-        (-1, 1): (1, lambda sigma, d: w(-d - r + 2)),
-        (-1, -1): (-1, lambda sigma, d: w(-sigma - r - s + 4)),
-    }, "standard")
+    fr = frame(r, s, spec.epsilon, spec.cutoff, p)
+    sigma, d = fr.sigma, fr.d
+    t = np.choose(fr.family, (sigma, d - s + 2, -d - r + 2, -sigma - r - s + 4))
+    return _build(spec, fr, (1, -1, 1, -1), [p.qnum(lam + x) for x in t.tolist()],
+                  "standard")
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +449,10 @@ def build_degenerate_primed(spec: RepSpec) -> DegenerateRep:
     bracket products by a sign.
     """
     lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
-
-    def w2(t_plus: int, t_minus: int) -> complex:
-        return cmath.sqrt(p.qnum(lam + t_plus)) * cmath.sqrt(p.qnum(-lam + t_minus))
-
-    return _build(spec, {
-        (1, 1): (1, lambda sigma, d: w2(sigma, sigma + r + s - 2)),
-        (1, -1): (-1, lambda sigma, d: w2(d - s + 2, d + r)),
-        (-1, 1): (-1, lambda sigma, d: w2(d - s, d + r - 2)),
-        (-1, -1): (1, lambda sigma, d: w2(sigma - 2, sigma + r + s - 4)),
-    }, "primed")
+    fr = frame(r, s, spec.epsilon, spec.cutoff, p)
+    sigma, d = fr.sigma, fr.d
+    t_plus = np.choose(fr.family, (sigma, d - s + 2, d - s, sigma - 2))
+    t_minus = np.choose(fr.family, (sigma + r + s - 2, d + r, d + r - 2, sigma + r + s - 4))
+    return _build(spec, fr, (1, -1, -1, 1),
+                  [cmath.sqrt(p.qnum(lam + a)) * cmath.sqrt(p.qnum(-lam + b))
+                   for a, b in zip(t_plus.tolist(), t_minus.tolist())], "primed")

@@ -178,8 +178,9 @@ class TruncatedSpace:
     (left chain a, right chain b) is offset + a * len(right chains) + b.
 
     The space stores only the blocks, their offsets and, per top label and
-    side, the ascending chain_labels array and the descending chain list;
-    `basis` lists every pattern and is built on first use.
+    side, the ascending chain_labels array.  The descending ChainPattern
+    lists (`chains`), their positions and `basis` (every pattern) are
+    built on first use.
     """
 
     def __init__(self, r: int, s: int, epsilon: int, cutoff: int):
@@ -198,19 +199,10 @@ class TruncatedSpace:
 
         self.blocks = enumerate_blocks(self.epsilon, self.cutoff)
         # labels[0][m]: ascending label array of the so'_q(r) chains with
-        # top m, labels[1][m']: so'_q(s); chains[side][m] lists them descending
+        # top m, labels[1][m']: so'_q(s); a block lists them descending
         towers = {n: chain_labels(n, self.top_ring) for n in {self.r, self.s}}
         self.labels = (towers[self.r], towers[self.s])
-        self.chains = tuple(
-            {t: [ChainPattern(n, tuple(e)) for e in a[::-1].tolist()]
-             for t, a in enumerate(self.labels[side])}
-            for side, n in enumerate((self.r, self.s))
-        )
-        self.positions = tuple(
-            {c.entries: i for chains in side.values() for i, c in enumerate(chains)}
-            for side in self.chains
-        )
-        sizes = [len(self.chains[0][m]) * len(self.chains[1][mp])
+        sizes = [len(self.labels[0][m]) * len(self.labels[1][mp])
                  for m, mp in self.blocks]
         self.offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         self.block_slices: dict[tuple[int, int], slice] = {
@@ -230,6 +222,23 @@ class TruncatedSpace:
         return self.cutoff - 1
 
     @functools.cached_property
+    def chains(self) -> tuple[dict, dict]:
+        """chains[side][top]: the ChainPatterns of one top label, descending."""
+        return tuple(
+            {t: [ChainPattern(n, tuple(e)) for e in a[::-1].tolist()]
+             for t, a in enumerate(self.labels[side])}
+            for side, n in enumerate((self.r, self.s))
+        )
+
+    @functools.cached_property
+    def positions(self) -> tuple[dict, dict]:
+        """positions[side][entries]: index of a chain in its descending list."""
+        return tuple(
+            {c.entries: i for chains in side.values() for i, c in enumerate(chains)}
+            for side in self.chains
+        )
+
+    @functools.cached_property
     def basis(self) -> list[DoublePattern]:
         return [DoublePattern(lc, rc) for m, mp in self.blocks
                 for lc in self.chains[0][m] for rc in self.chains[1][mp]]
@@ -238,7 +247,7 @@ class TruncatedSpace:
         """The pattern at column i, without building the basis."""
         j = int(np.searchsorted(self.offsets, i, side="right")) - 1
         m, mp = self.blocks[j]
-        a, b = divmod(i - int(self.offsets[j]), len(self.chains[1][mp]))
+        a, b = divmod(i - int(self.offsets[j]), len(self.labels[1][mp]))
         return DoublePattern(self.chains[0][m][a], self.chains[1][mp][b])
 
     def index_of(self, p: DoublePattern) -> int:
@@ -247,7 +256,7 @@ class TruncatedSpace:
         b = self.positions[1].get(p.right.entries)
         if sl is None or a is None or b is None:
             raise KeyError(f"pattern {p} is not in the truncated space")
-        return sl.start + a * len(self.chains[1][p.mp]) + b
+        return sl.start + a * len(self.labels[1][p.mp]) + b
 
     def interior_indices(self, depth: int) -> range:
         """Columns whose m+m' is at least `depth` below the top ring.

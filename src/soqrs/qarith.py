@@ -58,15 +58,26 @@ class QParam:
         return self.q == 1.0
 
     def qnum(self, z):
-        """Evaluate [z].  Real input gives a float, complex input a complex."""
+        """Evaluate [z].  Real input gives a float, complex input a complex.
+
+        A value beyond the floating-point range raises ValueError naming
+        z and q.
+        """
         if isinstance(z, complex):
             if self.is_classical:
                 return z
-            return cmath.sinh(0.5 * self.h * z) / math.sinh(0.5 * self.h)
-        zf = float(z)
-        if self.is_classical:
-            return zf
-        return math.sinh(0.5 * self.h * zf) / math.sinh(0.5 * self.h)
+            sinh = cmath.sinh
+        else:
+            z = float(z)
+            if self.is_classical:
+                return z
+            sinh = math.sinh
+        try:
+            return sinh(0.5 * self.h * z) / math.sinh(0.5 * self.h)
+        except OverflowError:
+            raise ValueError(
+                f"q-number [{z}] is out of floating-point range at q={self.q}"
+            ) from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QParam) and other.q == self.q

@@ -12,7 +12,10 @@ checks the walk over the chains rather than the libm calls.  The
 relation reference forms the full products with scipy and cuts the
 columns afterwards.  The lattice reference decides every transition block
 by block from the exact parameter and searches the block graph with plain
-sets.
+sets.  The assembly reference for T_{eps,lambda} is the one exception to
+the no-import rule: it takes its scalars from the package and rebuilds
+every generator block by block on each call, with no frame shared
+between calls.
 """
 
 import itertools
@@ -359,3 +362,123 @@ def region_is_closed(region, r: int, s: int, epsilon: int, lam, window: int) -> 
             if tm + tmp <= window and not region_contains(region, tm, tmp):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# per-call Kronecker assembly of T_{eps,lambda}, block by block
+
+
+def kron_assembly(spec, primed: bool = False) -> list:
+    """csc matrices of generators 2..r+s of T_{eps,lambda}, assembled per call.
+
+    The assembly walks the blocks in Python: kron(G, I) / kron(I, G) of the
+    class-1 COO arrays per block and compact generator, and
+    kron(E_L diag K, E_R diag L) times (sign * bracket factor) per block
+    edge, each family's factor evaluated through a closure.  The scalars
+    come from the package (class1_arrays, K_coeff, QParam.qnum), so a
+    byte comparison checks how the package splits and reassembles the
+    work, not libm.
+    """
+    import cmath
+
+    import numpy as np
+
+    from soqrs.compactrep import assemble, class1_arrays
+    from soqrs.degenrep import K_coeff
+    from soqrs.gtbasis import TruncatedSpace
+
+    lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
+    if primed:
+        def w2(t_plus, t_minus):
+            return cmath.sqrt(p.qnum(lam + t_plus)) * cmath.sqrt(p.qnum(-lam + t_minus))
+
+        families = {
+            (1, 1): (1, lambda sigma, d: w2(sigma, sigma + r + s - 2)),
+            (1, -1): (-1, lambda sigma, d: w2(d - s + 2, d + r)),
+            (-1, 1): (-1, lambda sigma, d: w2(d - s, d + r - 2)),
+            (-1, -1): (1, lambda sigma, d: w2(sigma - 2, sigma + r + s - 4)),
+        }
+    else:
+        def w(t):
+            return p.qnum(lam + t)
+
+        families = {
+            (1, 1): (1, lambda sigma, d: w(sigma)),
+            (1, -1): (-1, lambda sigma, d: w(d - s + 2)),
+            (-1, 1): (1, lambda sigma, d: w(-d - r + 2)),
+            (-1, -1): (-1, lambda sigma, d: w(-sigma - r - s + 4)),
+        }
+
+    space = TruncatedSpace(r, s, spec.epsilon, spec.cutoff)
+
+    def assemble_parts(parts):
+        if not parts:
+            return assemble(space.dim, (), (), ())
+        return assemble(space.dim, *(np.concatenate(x) for x in zip(*parts)))
+
+    def kron_index(rows_a, cols_a, rows_b, cols_b, nrows_b, ncols_b):
+        return ((rows_a[:, None] * nrows_b + rows_b).ravel(),
+                (cols_a[:, None] * ncols_b + cols_b).ravel())
+
+    class1 = {}
+    for n, side in {r: 0, s: 1}.items():
+        per_top = class1[n] = {}
+        for top, labels in enumerate(space.labels[side]):
+            last = len(labels) - 1
+            per_top[top] = [(last - rows, last - cols, vals)
+                            for rows, cols, vals in class1_arrays(labels, p)]
+
+    def compact(i):
+        parts = []
+        for (m, mp), o in zip(space.blocks, space.offsets):
+            nl, nr = len(space.chains[0][m]), len(space.chains[1][mp])
+            if i <= r:
+                a, c, g = class1[r][m][i - 2]
+                eye = np.arange(nr)
+                rows, cols = kron_index(a, c, eye, eye, nr, nr)
+                vals = np.repeat(g, nr)
+            else:
+                a, c, g = class1[s][mp][r + s - i]
+                eye = np.arange(nl)
+                rows, cols = kron_index(eye, eye, a, c, nr, nr)
+                vals = np.tile(g, nl)
+            parts.append((o + rows, o + cols, vals))
+        return assemble_parts(parts)
+
+    tables = {}
+    for n, side in {r: 0, s: 1}.items():
+        positions = space.positions[side]
+        for top, chains in space.chains[side].items():
+            for step in (1, -1):
+                if top + step > space.top_ring:
+                    continue
+                m = top if step == 1 else top - 1
+                factor = {k: K_coeff(m, k, n, p) for k in {c.entries[1] for c in chains}}
+                src = [i for i, c in enumerate(chains) if factor[c.entries[1]]]
+                tables[n, top, step] = (
+                    np.array(src, dtype=np.int64),
+                    np.array([positions[(top + step,) + chains[i].entries[1:]]
+                              for i in src], dtype=np.int64),
+                    np.array([factor[chains[i].entries[1]] for i in src]),
+                )
+
+    def noncompact():
+        right = space.chains[1]
+        parts = []
+        for (m, mp), o in zip(space.blocks, space.offsets):
+            for (dm, dmp), (sign, factor) in families.items():
+                target = space.block_slices.get((m + dm, mp + dmp))
+                if target is None:
+                    continue
+                value = factor(m + mp, m - mp)
+                if value == 0:
+                    continue
+                src_l, dst_l, k = tables[r, m, dm]
+                src_r, dst_r, l = tables[s, mp, dmp]
+                rows, cols = kron_index(dst_l, src_l, dst_r, src_r,
+                                        len(right[mp + dmp]), len(right[mp]))
+                vals = ((sign * k)[:, None] * l).ravel() * value
+                parts.append((target.start + rows, o + cols, vals))
+        return assemble_parts(parts)
+
+    return [noncompact() if i == r + 1 else compact(i) for i in range(2, r + s + 1)]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from soqrs.cli import main
 
 
@@ -39,6 +41,16 @@ def test_verify_degenerate_passes(capsys):
                        "--epsilon", "1", "--lambda-re", "7/10", "--cutoff", "6")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("q,cutoff", [("50", "200"), ("1e6", "40")])
+def test_verify_out_of_range_q_is_parameter_error(capsys, q, cutoff):
+    code, _, err = run(capsys, "verify", "--degenerate", "--r", "3", "--s", "3",
+                       "--epsilon", "0", "--lambda-re", "37/100", "--q", q,
+                       "--cutoff", cutoff)
+    assert code == 3
+    assert "parameter error" in err and "out of floating-point range" in err
+    assert "Traceback" not in err and "radicand" not in err
 
 
 def test_verify_compact_suite(capsys):

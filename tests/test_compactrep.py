@@ -19,6 +19,25 @@ from soqrs import (
 from oracles import cl_compact_matrices, cl_R, q_compact_coo
 
 
+def test_out_of_range_q_is_refused():
+    from soqrs.compactrep import _ratio_sqrt
+
+    with pytest.raises(ValueError, match="out of floating-point range at q=50"):
+        build_class1(3, 200, QParam(50.0))
+    with pytest.raises(ValueError, match="out of floating-point range at q=50"):
+        d_coeff(400, QParam(50.0))
+    with pytest.raises(ValueError, match="out of floating-point range at q=1000000"):
+        build_class1(5, 35, QParam(1e6))  # R's denominator overflows first
+    # the denominator overflows, so the ratio underflows to 0
+    with pytest.raises(ValueError, match=r"\(27, 27\)/\(55, 53\).*range at q=1000000"):
+        _ratio_sqrt((27, 27), (55, 53), QParam(1e6))
+    # a truly negative radicand still is an inadmissible pattern
+    with pytest.raises(ArithmeticError, match="negative radicand"):
+        _ratio_sqrt((1, 1), (-1, 2), QParam(2.0))
+    # so'_q(3) at top 25 stays in range at q = 1e6 and still builds
+    assert all(np.isfinite(g.mat.data).all() for g in build_class1(3, 25, QParam(1e6)))
+
+
 def test_d_coeff_at_singular_points():
     # limit oracle: the raw quotient form evaluated just off the 0/0 point
     m = 1e-8

@@ -33,6 +33,11 @@ def test_K_coeff_values():
     assert K_coeff(0, 0, 4, Q2) == pytest.approx(expected, abs=1e-14)
 
 
+def test_K_coeff_out_of_range_q_is_a_value_error():
+    with pytest.raises(ValueError, match="out of floating-point range at q=50"):
+        K_coeff(200, 0, 3, QParam(50.0))
+
+
 def test_K_coeff_even_in_k():
     for m in range(0, 4):
         for k in range(-m, m + 1):

@@ -63,6 +63,14 @@ def test_qparam_validation():
         QParam(-2.0)
 
 
+def test_qnum_out_of_range_is_a_value_error():
+    # sinh(h z / 2) overflows a float for z = 400 at q = 50
+    for z in (400, -400, 400 + 1j):
+        with pytest.raises(ValueError, match=r"\[.*400.*\].*q=50"):
+            QParam(50.0).qnum(z)
+    assert math.isfinite(QParam(50.0).qnum(300))
+
+
 def test_vanishing_examples():
     assert bracket_vanishes(E(-3), 3)
     assert not bracket_vanishes(E(-3, 1), 3)  # Im lambda = pi/h
