@@ -45,7 +45,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .degenrep import RepSpec
 from .gtbasis import block_arrays, block_index
@@ -311,6 +310,10 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
     candidate invariant subspaces).  Irreducible parameters give a single
     component whose closure is the whole lattice.
     """
+    # imported here: csgraph loads scipy.sparse.linalg and scipy.linalg,
+    # which nothing else in the package needs
+    from scipy.sparse import csgraph
+
     spec.lam.require_exact("lattice scan")
     eps, cutoff = spec.epsilon, spec.cutoff
     m, mp = block_arrays(eps, cutoff)

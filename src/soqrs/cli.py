@@ -3,6 +3,11 @@
 All reports are JSON with the full run configuration embedded; text output
 is derived from the same data.  Exit codes: 0 success, 2 check failure,
 3 usage or parameter error.
+
+A `build` dump is the bytes of json.dumps(report, indent=2): a header, the
+basis rows and, per generator, its (row, col, re, im) entries in (col, row)
+order.  The basis and entry tables are written from arrays, one C-encoder
+call per column.  Only `scan` loads scipy's graph routines, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .compactrep import GeneratorMatrix, assemble, build_class1, build_so3
 from .classify import cross_check, predict_constituents
 from .degenrep import DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed
-from .gtbasis import TruncatedSpace, enumerate_chain
+from .gtbasis import TruncatedSpace, chain_labels, enumerate_chain
 from .qarith import InexactSpectralError, QParam, SpectralParam
 from .verify import check_relations, check_star, solve_metric
 
@@ -129,53 +134,101 @@ def _config_dict(args, lam: SpectralParam | None = None) -> dict:
     return cfg
 
 
+class _Table:
+    """A JSON list of rows, held as equal-length 1-d arrays, one per column."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+
+def _table_json(columns, indent: str) -> str:
+    """json.dumps(list of rows, indent=2) for rows zip(*columns), nested at `indent`.
+
+    Each column is converted and encoded once by the C encoder (json.dumps
+    without indent), which formats numbers with the same repr as the
+    pure-Python encoder that indent=2 selects; the tokens are then
+    interleaved with the fixed separators of the row and item levels.
+    """
+    n, k = len(columns[0]), len(columns)
+    if n == 0:
+        return "[]"
+    row, item = indent + "  ", indent + "    "
+    flat = [",\n" + item] * (2 * n * k)
+    for j, col in enumerate(columns):
+        # JSON text escapes NUL, so a raw "\0" separates tokens unambiguously
+        flat[2 * j::2 * k] = json.dumps(col.tolist(), separators=("\0", ":"))[1:-1].split("\0")
+    flat[2 * k - 1::2 * k] = [f"\n{row}],\n{row}[\n{item}"] * n
+    flat[-1] = f"\n{row}]\n{indent}]"
+    return f"[\n{row}[\n{item}" + "".join(flat)
+
+
+def _json_chunks(payload: dict) -> list[str]:
+    """json.dumps(payload, indent=2) + "\\n" in pieces; each _Table is written by _table_json."""
+    tables = []
+
+    def hold(obj):
+        if not isinstance(obj, _Table):
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return "\0"
+
+    pieces = json.dumps(payload, indent=2, default=hold).split(json.dumps("\0"))
+    chunks = [pieces[0]]
+    for table, piece in zip(tables, pieces[1:]):
+        line = chunks[-1][chunks[-1].rfind("\n") + 1:]
+        chunks += [_table_json(table.columns, line[:len(line) - len(line.lstrip(" "))]),
+                   piece]
+    chunks.append("\n")
+    return chunks
+
+
 def _emit(args, payload: dict, text: str | None = None) -> None:
-    blob = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    chunks = _json_chunks(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+            fh.writelines(chunks)
     if args.json or (text is None and not args.out):
-        sys.stdout.write(blob)
+        sys.stdout.writelines(chunks)
     elif text is not None:
         sys.stdout.write(text)
 
 
-def _basis_entry(value) -> object:
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else str(f)
+def _chain_table(n: int, top: Fraction) -> _Table:
+    """The basis enumerate_chain(n, top); half-integer labels as strings."""
+    if top.denominator == 2:
+        return _Table(*np.array([[str(e) for e in c.entries]
+                                 for c in enumerate_chain(n, top)]).T)
+    return _Table(*chain_labels(n, int(top))[-1].T)
 
 
-def _dump_generators(gens: list[GeneratorMatrix]) -> list[dict]:
-    out = []
-    for g in gens:
-        trips = g.to_triplets()
-        out.append({"i": g.i, "nnz": len(trips),
-                    "entries": [[r, c, re, im] for r, c, re, im in trips]})
-    return out
+def _entry_table(mat) -> _Table:
+    """(row, col, re, im) of every stored entry, explicit zeros included.
+
+    The matrices are canonical CSC, whose storage order is the (col, row)
+    order of the dump.
+    """
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    return _Table(mat.indices, cols, mat.data.real, mat.data.imag)
 
 
 def cmd_build(args) -> int:
     qp = QParam(args.q)
     if args.so3:
-        gens = build_so3(Fraction(args.l), qp)
         lf = Fraction(args.l)
-        basis = enumerate_chain(3, lf if lf.denominator == 2 else int(lf))
+        gens = build_so3(lf, qp)
         payload = {
             "kind": "so3",
-            "config": {**_config_dict(args), "l": str(Fraction(args.l))},
+            "config": {**_config_dict(args), "l": str(lf)},
             "dim": gens[0].dim,
-            "basis": [[_basis_entry(e) for e in c.entries] for c in basis],
-            "generators": _dump_generators(gens),
+            "basis": _chain_table(3, lf),
         }
     elif args.class1:
         gens = build_class1(args.n, args.m, qp)
-        basis = enumerate_chain(args.n, args.m)
         payload = {
             "kind": "class1",
             "config": {**_config_dict(args), "n": args.n, "m": args.m},
             "dim": gens[0].dim,
-            "basis": [[_basis_entry(e) for e in c.entries] for c in basis],
-            "generators": _dump_generators(gens),
+            "basis": _chain_table(args.n, Fraction(args.m)),
         }
     elif args.degenerate:
         if args.r is None or args.s is None:
@@ -183,15 +236,17 @@ def cmd_build(args) -> int:
         lam = _resolve_lambda(args, exact_required=False)
         spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
         rep = build_degenerate_primed(spec) if args.primed else build_degenerate(spec)
+        gens = rep.generators
         payload = {
             "kind": "degenerate",
             "config": {**_config_dict(args, lam), "basis_kind": rep.basis_kind},
             "dim": rep.dim,
-            "basis": rep.space.dump_basis(),
-            "generators": _dump_generators(rep.generators),
+            "basis": _Table(*rep.space.basis_array().T),
         }
     else:
         raise UsageError("pick one of --so3, --class1, --degenerate")
+    payload["generators"] = [{"i": g.i, "nnz": g.mat.nnz, "entries": _entry_table(g.mat)}
+                             for g in gens]
     _emit(args, payload)
     return EXIT_OK
 

@@ -38,12 +38,6 @@ class GeneratorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def to_triplets(self) -> list[tuple[int, int, float, float]]:
-        """Deterministic (row, col, re, im) list, sorted by (col, row)."""
-        coo = self.mat.tocoo()
-        items = sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
-        return [(r, c, v.real, v.imag) for c, r, v in items]
-
 
 def assemble(dim: int, rows, cols, vals) -> sparse.csc_matrix:
     """COO arrays (rows, cols, vals) -> csc matrix of fixed shape."""

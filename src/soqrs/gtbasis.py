@@ -274,8 +274,18 @@ class TruncatedSpace:
         return np.repeat(np.array([values[b] for b in self.blocks]),
                          np.diff(self.offsets))
 
-    def dump_basis(self) -> list[list[int]]:
-        return [p.as_list() for p in self.basis]
+    def basis_array(self) -> np.ndarray:
+        """Every basis vector as a row (left entries, right entries), in column order.
+
+        Row i equals basis[i].as_list(); built per block from the label
+        arrays, without patterns.
+        """
+        rows = []
+        for m, mp in self.blocks:
+            left, right = self.labels[0][m][::-1], self.labels[1][mp][::-1]
+            rows.append(np.hstack((np.repeat(left, len(right), axis=0),
+                                   np.tile(right, (len(left), 1)))))
+        return np.concatenate(rows)
 
     def __repr__(self) -> str:
         return (

@@ -27,8 +27,8 @@ import numpy as np
 from scipy import sparse
 
 from .compactrep import GeneratorMatrix
-from .degenrep import DegenerateRep
-from .gtbasis import ChainPattern, DoublePattern
+from .degenrep import FAMILIES, DegenerateRep
+from .gtbasis import block_arrays, block_index
 from .qarith import QParam
 
 FOUND = "found"
@@ -213,36 +213,40 @@ class IntertwinerSolution:
     residual: float
 
 
-def _zero_chain_index(space, m: int, mp: int) -> int:
-    """Index of the pattern of block (m, m') with all inner labels zero."""
-    left = ChainPattern(space.r, (m,) + (0,) * (space.r - 2))
-    right = ChainPattern(space.s, (mp,) + (0,) * (space.s - 2))
-    return space.index_of(DoublePattern(left, right))
+def _block_edges(space):
+    """Every block transition once, with the columns of its two zero patterns.
 
-
-def _block_edges(rep: DegenerateRep):
-    """Representative matrix entries for every block transition.
-
-    Yields (src_block, dst_block, a_fwd, a_back): the noncompact entries
-    between the all-zero inner patterns of the two blocks, in both
-    directions.
+    Returns (src, dst, i_src, i_dst): the source and target blocks as
+    (m, m') tuples and, per edge, the columns of the patterns of the two
+    blocks whose inner labels are all zero.  An edge is listed from the
+    block that comes first in block order; edges are ordered by that
+    block, then by family (degenrep.FAMILIES).
     """
-    A = rep.noncompact.mat
-    space = rep.space
-    blocks = set(space.blocks)
-    seen = set()
-    for (m, mp) in space.blocks:
-        for dm, dmp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            dst = (m + dm, mp + dmp)
-            if dst not in blocks:
-                continue
-            key = ((m, mp), dst)
-            if key in seen or (dst, (m, mp)) in seen:
-                continue
-            seen.add(key)
-            i_src = _zero_chain_index(space, m, mp)
-            i_dst = _zero_chain_index(space, *dst)
-            yield (m, mp), dst, complex(A[i_dst, i_src]), complex(A[i_src, i_dst])
+    m, mp = block_arrays(space.epsilon, space.cutoff)
+    steps = np.array(FAMILIES)
+    tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
+    inside = (tm >= 0) & (tmp >= 0) & (tm + tmp <= space.top_ring)
+    target = np.where(inside, block_index(space.epsilon, tm, tmp), -1)
+    src, family = np.nonzero(target > np.arange(m.size)[:, None])
+    dst = target[src, family]
+    # descending position of the chain (t, 0, ..., 0) among the chains of top t
+    zero = [np.array([len(a) - 1 - np.flatnonzero(~a[:, 1:].any(axis=1))[0] for a in side])
+            for side in space.labels]
+    width = np.array([len(a) for a in space.labels[1]])
+    column = space.offsets[:-1] + zero[0][m] * width[mp] + zero[1][mp]
+    blocks = space.blocks
+    return ([blocks[k] for k in src.tolist()], [blocks[k] for k in dst.tolist()],
+            column[src], column[dst])
+
+
+def _entries(mat, rows, cols) -> list:
+    """mat[rows[k], cols[k]] for every k, as Python complex numbers, in one gather.
+
+    Adding 0 reads a -0.0 part as 0.0, as a scalar lookup mat[i, j] does.
+    """
+    if len(rows) == 0:
+        return []
+    return (np.asarray(mat[rows, cols], dtype=complex).ravel() + 0.0).tolist()
 
 
 def _bfs_block_solution(space, edge_ratio, start_value=1.0):
@@ -288,7 +292,9 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     needs sign changes, `none` when the recurrences are inconsistent or
     inherently non-real.
     """
-    edges = list(_block_edges(rep))
+    src, dst, i_src, i_dst = _block_edges(rep.space)
+    A = rep.noncompact.mat
+    edges = list(zip(src, dst, _entries(A, i_dst, i_src), _entries(A, i_src, i_dst)))
     scale = max((max(abs(f), abs(b)) for _, _, f, b in edges), default=1.0)
     ztol = 1e-13 * max(scale, 1.0)
 
@@ -316,7 +322,6 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     weights = {b: float(v.real) for b, v in values.items()}
     diag = rep.space.block_diagonal(weights)
 
-    A = rep.noncompact.mat
     C = sparse.diags(diag).tocsc()
     res_mat = (A.conjugate().transpose() @ C - C @ A).tocoo()
     residual = float(np.max(np.abs(res_mat.data))) if res_mat.nnz else 0.0
@@ -341,11 +346,8 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     A, B = repA.noncompact.mat, repB.noncompact.mat
     space = repA.space
 
-    edges = []
-    for src, dst, a_fwd, _ in _block_edges(repA):
-        i_src = _zero_chain_index(space, *src)
-        i_dst = _zero_chain_index(space, *dst)
-        edges.append((src, dst, a_fwd, complex(B[i_dst, i_src])))
+    src, dst, i_src, i_dst = _block_edges(space)
+    edges = list(zip(src, dst, _entries(A, i_dst, i_src), _entries(B, i_dst, i_src)))
     scale = max(
         (max(abs(f), abs(b)) for _, _, f, b in edges), default=1.0
     )

@@ -15,11 +15,15 @@ by block from the exact parameter and searches the block graph with plain
 sets.  The assembly reference for T_{eps,lambda} is the one exception to
 the no-import rule: it takes its scalars from the package and rebuilds
 every generator block by block on each call, with no frame shared
-between calls.
+between calls.  The dump reference writes `soqrs build` JSON the way it
+was first written: sorted (row, col, re, im) triplets and basis rows
+built per pattern, through the stdlib's indent=2 encoder.
 """
 
 import itertools
+import json
 import math
+from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +369,34 @@ def region_is_closed(region, r: int, s: int, epsilon: int, lam, window: int) -> 
 
 
 # ---------------------------------------------------------------------------
+# block edges of the metric and intertwiner solvers, one pattern lookup each
+
+
+def block_edges(space, A) -> list:
+    """(src, dst, A[dst, src], A[src, dst]) per block edge, by scalar lookups.
+
+    Each edge is listed once, from the endpoint that comes first in block
+    order, moving by (+1,+1), (+1,-1), (-1,+1), (-1,-1); the entries are
+    read between the two patterns whose inner labels are all zero.
+    """
+    def column(m, mp):
+        a = space.positions[0][(m,) + (0,) * (space.r - 2)]
+        b = space.positions[1][(mp,) + (0,) * (space.s - 2)]
+        return space.block_slices[m, mp].start + a * len(space.chains[1][mp]) + b
+
+    blocks, seen, out = set(space.blocks), set(), []
+    for m, mp in space.blocks:
+        for dm, dmp in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            dst = (m + dm, mp + dmp)
+            if dst not in blocks or (dst, (m, mp)) in seen:
+                continue
+            seen.add(((m, mp), dst))
+            i, j = column(m, mp), column(*dst)
+            out.append(((m, mp), dst, complex(A[j, i]), complex(A[i, j])))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # per-call Kronecker assembly of T_{eps,lambda}, block by block
 
 
@@ -482,3 +514,38 @@ def kron_assembly(spec, primed: bool = False) -> list:
         return assemble_parts(parts)
 
     return [noncompact() if i == r + 1 else compact(i) for i in range(2, r + s + 1)]
+
+
+# ---------------------------------------------------------------------------
+# `soqrs build` JSON: sorted triplets, per-pattern basis, indent=2 encoder
+
+
+def to_triplets(mat) -> list:
+    """Deterministic (row, col, re, im) list of a sparse matrix, sorted by (col, row)."""
+    coo = mat.tocoo()
+    items = sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
+    return [(r, c, v.real, v.imag) for c, r, v in items]
+
+
+def dump_generators(gens) -> list:
+    out = []
+    for g in gens:
+        trips = to_triplets(g.mat)
+        out.append({"i": g.i, "nnz": len(trips),
+                    "entries": [[r, c, re, im] for r, c, re, im in trips]})
+    return out
+
+
+def chain_basis(chains) -> list:
+    """Basis rows of ChainPatterns; half-integer labels as strings."""
+    def entry(value):
+        f = Fraction(value)
+        return int(f) if f.denominator == 1 else str(f)
+    return [[entry(e) for e in c.entries] for c in chains]
+
+
+def dump_text(kind: str, config: dict, dim: int, basis: list, gens) -> str:
+    """The `soqrs build` JSON of one representation, trailing newline included."""
+    payload = {"kind": kind, "config": config, "dim": dim, "basis": basis,
+               "generators": dump_generators(gens)}
+    return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -1,7 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
+import oracles
+from soqrs import (
+    GeneratorMatrix,
+    QParam,
+    RepSpec,
+    SpectralParam,
+    build_class1,
+    build_degenerate,
+    build_degenerate_primed,
+    build_so3,
+    enumerate_chain,
+)
+from soqrs import cli
 from soqrs.cli import main
 
 
@@ -229,3 +249,83 @@ def test_reports_name_the_walls(capsys):
     assert rows[0]["walls"] == {"ring_up": -1, "diag_m_up": 1,
                                 "diag_mp_up": 0, "ring_down": -2}
     assert set(rows[1]["walls"].values()) == {None}
+
+
+def _reference_dump(data: dict) -> str:
+    """The dump of the representation `data` describes, through the reference encoder."""
+    cfg, q = data["config"], QParam(data["config"]["q"])
+    if data["kind"] == "so3":
+        gens = build_so3(Fraction(cfg["l"]), q)
+        basis = oracles.chain_basis(enumerate_chain(3, Fraction(cfg["l"])))
+    elif data["kind"] == "class1":
+        gens = build_class1(cfg["n"], cfg["m"], q)
+        basis = oracles.chain_basis(enumerate_chain(cfg["n"], cfg["m"]))
+    else:
+        lam = (SpectralParam.exact(Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
+                                   Fraction(cfg["lambda_im"]))
+               if "lambda_re" in cfg else SpectralParam.inexact(complex(*cfg["lambda_float"])))
+        spec = RepSpec(cfg["r"], cfg["s"], cfg["epsilon"], lam, q, cfg["cutoff"])
+        primed = cfg["basis_kind"] == "primed"
+        rep = build_degenerate_primed(spec) if primed else build_degenerate(spec)
+        gens, basis = rep.generators, [p.as_list() for p in rep.space.basis]
+    return oracles.dump_text(data["kind"], cfg, data["dim"], basis, gens)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--so3", "--l", "0"],  # dim 1, every generator empty
+    ["--so3", "--l", "3/2", "--q", "1e-3"],  # half-integer labels as strings
+    ["--so3", "--l", "2", "--q", "1"],
+    ["--class1", "--n", "4", "--m", "2", "--q", "1"],
+    ["--class1", "--n", "5", "--m", "1", "--q", "1e-3"],
+    ["--degenerate", "--r", "3", "--s", "3", "--epsilon", "0", "--lambda-re", "1",
+     "--cutoff", "0"],  # dim 1, every generator empty
+    ["--degenerate", "--r", "3", "--s", "4", "--epsilon", "1", "--cutoff", "5",
+     "--lambda-float", "0.7+1.3j", "--q", "1e-3"],  # exponent floats, -0.0
+    ["--degenerate", "--r", "4", "--s", "4", "--epsilon", "0", "--cutoff", "6",
+     "--lambda-re", "3", "--lambda-im", "1", "--primed"],
+    ["--degenerate", "--r", "5", "--s", "3", "--epsilon", "0", "--cutoff", "4",
+     "--lambda-re", "-5/2", "--lambda-im-t", "1", "--q", "0.5"],
+])
+def test_build_dump_is_byte_identical_to_reference(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, "build", *argv, "--json")
+    assert code == 0
+    expected = _reference_dump(json.loads(out))
+    assert out == expected
+    dump = tmp_path / "rep.json"
+    code, out, _ = run(capsys, "build", *argv, "--out", str(dump))
+    assert code == 0 and out == ""
+    assert dump.read_bytes() == expected.encode()
+
+
+def test_dump_tables_keep_explicit_and_negative_zeros():
+    data = np.array([0j, complex(-0.0, 1.0), complex(2.5e-300, -0.0), complex(-0.0, -0.0)])
+    mat = sparse.csc_matrix((data, np.array([0, 2, 1, 2]), np.array([0, 2, 2, 4])),
+                            shape=(3, 3))
+    gens = [GeneratorMatrix(2, mat), GeneratorMatrix(3, sparse.csc_matrix((3, 3),
+                                                                          dtype=complex))]
+    basis = [[1, -1], [1, 0], [1, 1]]
+    payload = {"kind": "so3", "config": {"q": 1.0}, "dim": 3,
+               "basis": cli._Table(*np.array(basis).T),
+               "generators": [{"i": g.i, "nnz": g.mat.nnz, "entries": cli._entry_table(g.mat)}
+                              for g in gens]}
+    text = "".join(cli._json_chunks(payload))
+    assert text == oracles.dump_text("so3", {"q": 1.0}, 3, basis, gens)
+    assert json.loads(text)["generators"][0]["nnz"] == 4
+
+
+def test_cli_import_leaves_csgraph_and_linalg_unloaded():
+    probe = (
+        "import sys\n"
+        "import soqrs.cli\n"
+        "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')\n"
+        "assert not [m for m in heavy if m in sys.modules], sorted(sys.modules)\n"
+        "from soqrs import SpectralParam, cross_check\n"
+        "assert cross_check(4, 4, 0, SpectralParam.exact(2)).agree\n"
+        "assert 'scipy.sparse.csgraph' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

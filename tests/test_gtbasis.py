@@ -144,9 +144,9 @@ def test_interior_indices_and_top_ring():
     assert max(sp1.basis[i].m + sp1.basis[i].mp for i in sp1.interior_indices(3)) <= 4
 
 
-def test_dump_basis_is_integer_lists():
-    sp = TruncatedSpace(3, 4, 1, 3)
-    dump = sp.dump_basis()
-    assert len(dump) == sp.dim
-    assert all(isinstance(x, int) for row in dump for x in row)
-    assert all(len(row) == (3 - 1) + (4 - 1) for row in dump)
+def test_basis_array_matches_patterns():
+    for r, s, eps, cutoff in ((3, 4, 1, 3), (3, 3, 0, 0), (5, 3, 0, 5), (4, 6, 1, 4)):
+        sp = TruncatedSpace(r, s, eps, cutoff)
+        rows = sp.basis_array()
+        assert rows.dtype == np.int64 and rows.shape == (sp.dim, (r - 1) + (s - 1))
+        assert rows.tolist() == [p.as_list() for p in sp.basis]

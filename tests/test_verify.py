@@ -22,7 +22,7 @@ from soqrs import (
     solve_intertwiner,
     solve_metric,
 )
-from oracles import full_product_relations
+from oracles import block_edges, full_product_relations
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -227,3 +227,32 @@ def test_intertwiner_none_for_inequivalent():
     specA = RepSpec(3, 3, 0, E(Fraction(3, 10)), Q2, 8)
     specB = RepSpec(3, 3, 0, E(Fraction(9, 10)), Q2, 8)
     assert solve_intertwiner(build_degenerate(specA), build_degenerate(specB)) is None
+
+
+def test_solvers_build_no_patterns():
+    from soqrs.degenrep import frame
+
+    frame.cache_clear()
+    lam = E(Fraction(5, 2), 0, Fraction(1, 3))
+    rep = build_degenerate(RepSpec(3, 4, 1, lam, QParam(1.5), 5))
+    mirror = build_degenerate(RepSpec(3, 4, 1, lam.mirrored(7), QParam(1.5), 5))
+    assert solve_metric(rep).status == FOUND
+    assert solve_intertwiner(rep, mirror) is not None
+    assert not {"chains", "positions"} & set(rep.space.__dict__)
+
+
+@pytest.mark.parametrize("r,s,eps,cutoff,lam,q", [
+    (3, 3, 0, 2, E(Fraction(1, 3)), 0.5),  # an entry with a -0.0 imaginary part
+    (3, 4, 1, 5, E(Fraction(5, 2), 0, Fraction(1, 3)), 2.0),
+    (5, 3, 0, 4, E(1), 1.0),  # severed edges
+    (4, 4, 0, 0, E(1), 2.0),  # a single block
+])
+def test_solver_edges_match_pattern_lookups(r, s, eps, cutoff, lam, q):
+    from soqrs.verify import _block_edges, _entries
+
+    for rep in (build_degenerate(RepSpec(r, s, eps, lam, QParam(q), cutoff)),
+                build_degenerate_primed(RepSpec(r, s, eps, lam, QParam(q), cutoff))):
+        A = rep.noncompact.mat
+        src, dst, i_src, i_dst = _block_edges(rep.space)
+        got = list(zip(src, dst, _entries(A, i_dst, i_src), _entries(A, i_src, i_dst)))
+        assert repr(got) == repr(block_edges(rep.space, A))
