@@ -48,7 +48,6 @@ from .verify import (
     ResidualReport,
     check_relations,
     check_star,
-    conjugate_rep,
     solve_intertwiner,
     solve_metric,
 )
@@ -77,7 +76,7 @@ __all__ = [
     "build_degenerate_primed", "primed_transform", "PrimedTransform",
     "PrimedBasisUndefined",
     "check_relations", "check_star", "solve_metric", "solve_intertwiner",
-    "conjugate_rep", "ResidualReport", "MetricSolution",
+    "ResidualReport", "MetricSolution",
     "IntertwinerSolution", "FOUND", "NONE", "INDEFINITE",
     "Classification", "Constituent", "Region", "ScanResult", "CrossCheck",
     "classify_irreducible", "classify_star",

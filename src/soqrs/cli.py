@@ -323,7 +323,8 @@ def cmd_verify(args) -> int:
         if args.metric:
             ms = solve_metric(rep)
             checks.append({"name": "metric", **ms.to_dict()})
-            texts.append(f"== metric\nstatus={ms.status}\n")
+            reason = "" if ms.reason is None else f"reason: {ms.reason}\n"
+            texts.append(f"== metric\nstatus={ms.status}\n{reason}")
     else:
         raise UsageError("pick a target: --so3/--class1/--degenerate/"
                          "--compact-suite/--dump FILE")

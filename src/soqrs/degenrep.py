@@ -56,7 +56,7 @@ import numpy as np
 from scipy import sparse
 
 from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, class1_arrays
-from .gtbasis import TruncatedSpace, block_index, enumerate_blocks
+from .gtbasis import FAMILIES, TruncatedSpace, enumerate_blocks
 from .qarith import QParam, SpectralParam, bracket_vanishes
 
 
@@ -150,10 +150,6 @@ def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
     denominator (which may itself vanish there) is ever evaluated.
     """
     return _ratio_sqrt((m - k + 1, m + k + r - 2), (2 * m + r, 2 * m + r - 2), p)
-
-
-FAMILIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-"""The steps (dm, dm') of the four noncompact families; an edge's family indexes this."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,18 +296,15 @@ def frame(r: int, s: int, epsilon: int, cutoff: int, qp: QParam) -> Frame:
             vals = pool.vals[ib]
         compact.append(GeneratorMatrix(i, _frozen(assemble(dim, rows, cols, vals))))
 
-    # block edges in (source block, family) order; a target beyond the
-    # cutoff or outside the quadrant has no edge
+    # one edge per directed block step, in (source block, family) order
+    src, family, dst = space.block_steps
     steps = np.array(FAMILIES)
-    tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
-    src, family = np.nonzero((tm >= 0) & (tmp >= 0) & (tm + tmp <= space.top_ring))
-    tm, tmp = tm[src, family], tmp[src, family]
     left = _embedding_pool(space.labels[0], r, qp)
     right = _embedding_pool(space.labels[1], s, qp)
     edge, rows, cols, ia, ib = _kron_blocks(
         left, 2 * m[src] + (steps[family, 0] < 0),
         right, 2 * mp[src] + (steps[family, 1] < 0),
-        nr[tmp], nr[mp[src]], offsets[block_index(epsilon, tm, tmp)], offsets[src])
+        nr[mp[dst]], nr[mp[src]], offsets[dst], offsets[src])
     kl = left.vals[ia] * right.vals[ib]
     # entry numbers as data: scipy's COO -> CSC sort then yields the order
     pattern = sparse.csc_matrix((np.arange(rows.size), (rows, cols)), shape=(dim, dim))

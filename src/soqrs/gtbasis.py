@@ -157,6 +157,13 @@ def block_arrays(epsilon: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return m, sigma - m
 
 
+FAMILIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+"""The steps (dm, dm') between neighbouring blocks, one per noncompact family.
+
+An edge's family indexes this.
+"""
+
+
 def block_index(epsilon: int, m: np.ndarray, mp: np.ndarray) -> np.ndarray:
     """Positions of blocks (m, m') in enumerate_blocks(epsilon, .) order.
 
@@ -165,6 +172,27 @@ def block_index(epsilon: int, m: np.ndarray, mp: np.ndarray) -> np.ndarray:
     """
     k = (m + mp - epsilon) // 2
     return k * (epsilon + 1) + k * (k - 1) + m
+
+
+@dataclass(frozen=True, eq=False)
+class BlockEdges:
+    """Every edge of the block lattice once, with the columns it links.
+
+    Edge k joins block src[k] to block dst[k] > src[k] (ids in block
+    order) by a FAMILIES step; edges are ordered by src, then by step.
+    col_src[k] and col_dst[k] are the columns of the patterns of the two
+    blocks whose inner labels are all zero, so the noncompact generator
+    links the blocks by its entries (col_dst, col_src) and (col_src,
+    col_dst).  adjacency[b] lists (edge, other block, backwards) for every
+    edge of block b in edge order, backwards when b is the edge's dst.
+    The arrays are read-only.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    col_src: np.ndarray
+    col_dst: np.ndarray
+    adjacency: tuple
 
 
 class TruncatedSpace:
@@ -180,7 +208,8 @@ class TruncatedSpace:
     The space stores only the blocks, their offsets and, per top label and
     side, the ascending chain_labels array.  The descending ChainPattern
     lists (`chains`), their positions and `basis` (every pattern) are
-    built on first use.
+    built on first use, and so is `block_edges`, the table the metric and
+    intertwiner solvers walk.
     """
 
     def __init__(self, r: int, s: int, epsilon: int, cutoff: int):
@@ -268,6 +297,44 @@ class TruncatedSpace:
         limit = self.top_ring - depth
         inner = sum(1 for m, mp in self.blocks if m + mp <= limit)
         return range(int(self.offsets[inner]))
+
+    @functools.cached_property
+    def block_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source block, family, target block) of every FAMILIES step in the space.
+
+        One entry per directed step, in (source block, family) order; a
+        step that leaves the quadrant or passes the top ring has none.
+        The arrays are read-only.
+        """
+        m, mp = block_arrays(self.epsilon, self.cutoff)
+        steps = np.array(FAMILIES)
+        tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
+        src, family = np.nonzero((tm >= 0) & (tmp >= 0) & (tm + tmp <= self.top_ring))
+        dst = block_index(self.epsilon, tm[src, family], tmp[src, family])
+        for arr in (src, family, dst):
+            arr.flags.writeable = False
+        return src, family, dst
+
+    @functools.cached_property
+    def block_edges(self) -> BlockEdges:
+        """The block-edge table: the block_steps that ascend, with their columns."""
+        m, mp = block_arrays(self.epsilon, self.cutoff)
+        src, _, dst = self.block_steps
+        up = dst > src
+        src, dst = src[up], dst[up]
+        # descending position of the chain (t, 0, ..., 0) among the chains of top t
+        zero = [np.array([len(a) - 1 - np.flatnonzero(~a[:, 1:].any(axis=1))[0] for a in side])
+                for side in self.labels]
+        width = np.array([len(a) for a in self.labels[1]])
+        column = self.offsets[:-1] + zero[0][m] * width[mp] + zero[1][mp]
+        adjacency = [[] for _ in self.blocks]
+        for k, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+            adjacency[a].append((k, b, False))
+            adjacency[b].append((k, a, True))
+        table = BlockEdges(src, dst, column[src], column[dst], tuple(map(tuple, adjacency)))
+        for arr in (table.src, table.dst, table.col_src, table.col_dst):
+            arr.flags.writeable = False
+        return table
 
     def block_diagonal(self, values: dict) -> np.ndarray:
         """Diagonal of the block-scalar operator equal to values[b] on block b."""

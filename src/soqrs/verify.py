@@ -17,6 +17,17 @@ fail in the standard basis, a positive block-scalar metric may restore
 them; multiplicity one of the compact decomposition makes a block-scalar
 ansatz exhaustive.  Intertwiners between equivalent parameters are
 likewise block-scalar diagonal.
+
+Every reported number is read from the CSC arrays: the largest residual
+entry by an argmax over the stored data, whose column comes from the
+column pointers.  The metric and intertwiner solvers walk the space's
+block-edge table (gtbasis.BlockEdges) breadth-first over int block ids,
+read the edge amplitudes of a rep from its CSC arrays, and form their
+residuals A^H C - C A and S T_A - T_B S by scaling stored entries, with
+one sparse subtraction per residual for the union of the two patterns.  The
+entrywise complex products are written in real arithmetic, as scipy's
+sparse kernels form them, so every reported residual equals the one of
+the sparse products bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ import numpy as np
 from scipy import sparse
 
 from .compactrep import GeneratorMatrix
-from .degenrep import FAMILIES, DegenerateRep
-from .gtbasis import block_arrays, block_index
+from .degenrep import DegenerateRep
+from .gtbasis import BlockEdges
 from .qarith import QParam
 
 FOUND = "found"
@@ -92,18 +103,21 @@ def _coerce(rep, qp: QParam | None, need_qp: bool = True):
     return gens, qp, None, None
 
 
-def _column_max(mat: sparse.spmatrix, space):
-    """Largest |entry| of mat and the pattern of its column.
+def _column_max(mat: sparse.csc_matrix, space):
+    """Largest |entry| of a CSC mat and the pattern of its column.
 
-    Without a space the column index itself stands in for the pattern.
+    The first largest entry in storage order, which is the order tocoo
+    lists them in; its column comes from the column pointers.  The value
+    is the scalar abs of that entry, which may differ in the last bit from
+    the array abs the argmax compares.  Without a space the column index
+    itself stands in for the pattern.
     """
-    coo = mat.tocoo()
-    if coo.nnz == 0:
+    if mat.nnz == 0:
         return 0.0, None
-    k = int(np.argmax(np.abs(coo.data)))
-    col = int(coo.col[k])
+    k = int(np.argmax(np.abs(mat.data)))
+    col = int(np.searchsorted(mat.indptr, k, side="right")) - 1
     worst = space.pattern(col) if space is not None else col
-    return float(abs(coo.data[k])), worst
+    return float(abs(mat.data[k])), worst
 
 
 def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
@@ -190,14 +204,18 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
 
 @dataclass
 class MetricSolution:
+    """Outcome of solve_metric; `reason` says why the status is not `found`."""
+
     status: str
     weights: dict | None = None
     residual: float | None = None
     connected: bool = True
+    reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
             "status": self.status,
+            "reason": self.reason,
             "residual": self.residual,
             "connected": self.connected,
             "weights": None if self.weights is None else {
@@ -213,123 +231,160 @@ class IntertwinerSolution:
     residual: float
 
 
-def _block_edges(space):
-    """Every block transition once, with the columns of its two zero patterns.
+def _entries(mat: sparse.csc_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """mat[rows[k], cols[k]] for every k, read from the CSC arrays.
 
-    Returns (src, dst, i_src, i_dst): the source and target blocks as
-    (m, m') tuples and, per edge, the columns of the patterns of the two
-    blocks whose inner labels are all zero.  An edge is listed from the
-    block that comes first in block order; edges are ordered by that
-    block, then by family (degenrep.FAMILIES).
+    Each column is scanned for its row over its stored entries, at most
+    one per family in a noncompact generator, and the hits are read with
+    one gather of the data.  An absent entry reads 0.0,
+    and adding 0.0 reads a -0.0 part as 0.0, as a scalar lookup does.
     """
-    m, mp = block_arrays(space.epsilon, space.cutoff)
-    steps = np.array(FAMILIES)
-    tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
-    inside = (tm >= 0) & (tmp >= 0) & (tm + tmp <= space.top_ring)
-    target = np.where(inside, block_index(space.epsilon, tm, tmp), -1)
-    src, family = np.nonzero(target > np.arange(m.size)[:, None])
-    dst = target[src, family]
-    # descending position of the chain (t, 0, ..., 0) among the chains of top t
-    zero = [np.array([len(a) - 1 - np.flatnonzero(~a[:, 1:].any(axis=1))[0] for a in side])
-            for side in space.labels]
-    width = np.array([len(a) for a in space.labels[1]])
-    column = space.offsets[:-1] + zero[0][m] * width[mp] + zero[1][mp]
-    blocks = space.blocks
-    return ([blocks[k] for k in src.tolist()], [blocks[k] for k in dst.tolist()],
-            column[src], column[dst])
+    if mat.nnz == 0:
+        return np.zeros(len(rows), dtype=np.complex128)
+    start, end = mat.indptr[cols], mat.indptr[cols + 1]
+    slot = start[:, None] + np.arange(max((end - start).max(initial=0), 1))
+    hit = (slot < end[:, None]) & (mat.indices[np.minimum(slot, mat.nnz - 1)] == rows[:, None])
+    pos = slot[np.arange(len(rows)), hit.argmax(axis=1)]
+    return np.where(hit.any(axis=1), mat.data[np.minimum(pos, mat.nnz - 1)], 0) + 0.0
 
 
-def _entries(mat, rows, cols) -> list:
-    """mat[rows[k], cols[k]] for every k, as Python complex numbers, in one gather.
+def _moduli(fwd: np.ndarray, other: np.ndarray):
+    """(|fwd|, |other|, scale, ztol) of the edge amplitudes.
 
-    Adding 0 reads a -0.0 part as 0.0, as a scalar lookup mat[i, j] does.
+    The moduli are those of Python's complex abs; scale is the largest of
+    them (1.0 without edges) and ztol = 1e-13 max(scale, 1) the modulus
+    at or below which an amplitude counts as zero.
     """
-    if len(rows) == 0:
-        return []
-    return (np.asarray(mat[rows, cols], dtype=complex).ravel() + 0.0).tolist()
+    abs_f, abs_o = np.hypot(fwd.real, fwd.imag), np.hypot(other.real, other.imag)
+    scale = float(np.maximum(abs_f, abs_o).max()) if fwd.size else 1.0
+    return abs_f, abs_o, scale, 1e-13 * max(scale, 1.0)
 
 
-def _bfs_block_solution(space, edge_ratio, start_value=1.0):
-    """Propagate block values from the base block along usable edges.
+def _propagate(edges: BlockEdges, forward: list, backward: list, tol: float):
+    """Block values from the base block along the usable edges, breadth first.
 
-    edge_ratio(src, dst) returns the multiplicative step or None when the
-    edge carries no constraint.  Returns (values, max relative mismatch on
-    revisited edges, connected flag).
+    forward[k] is the step value(dst) / value(src) along edge k and
+    backward[k] the step back; None marks an edge with no constraint.
+    Returns (value per block id, None where unreached; ids in discovery
+    order; the first broken edge or None).  An edge breaks when it
+    proposes the value 0 for a block, or, walked again, a value off by a
+    relative mismatch over tol; it is reported as (edge, block, mismatch),
+    with mismatch 1.0 for a proposed 0.
     """
-    base = space.blocks[0]
-    values = {base: complex(start_value)}
-    queue = [base]
-    mismatch = 0.0
-    adjacency = {}
-    for src, dst, a_fwd, a_back in edge_ratio["edges"]:
-        adjacency.setdefault(src, []).append((dst, a_fwd, a_back, False))
-        adjacency.setdefault(dst, []).append((src, a_fwd, a_back, True))
-    ratio_fn = edge_ratio["ratio"]
-    while queue:
-        cur = queue.pop(0)
-        for other, a_fwd, a_back, reversed_ in adjacency.get(cur, ()):
-            r = ratio_fn(a_fwd, a_back, reversed_)
+    values = [None] * len(edges.adjacency)
+    values[0] = complex(1.0)
+    order = [0]
+    broken = None
+    for cur in order:
+        for k, other, backwards in edges.adjacency[cur]:
+            r = backward[k] if backwards else forward[k]
             if r is None:
                 continue
             proposed = values[cur] * r
-            if other in values:
-                scale = max(abs(values[other]), abs(proposed), 1e-300)
-                mismatch = max(mismatch, abs(values[other] - proposed) / scale)
-            else:
+            if values[other] is None:
                 values[other] = proposed
-                queue.append(other)
-    connected = len(values) == len(space.blocks)
-    return values, mismatch, connected
+                order.append(other)
+                if proposed == 0.0 and broken is None:
+                    broken = (k, other, 1.0)
+            else:
+                scale = max(abs(values[other]), abs(proposed), 1e-300)
+                mismatch = abs(values[other] - proposed) / scale
+                if mismatch > tol and broken is None:
+                    broken = (k, other, mismatch)
+    return values, order, broken
+
+
+def _times(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s * g entrywise, as (s.re g.re - s.im g.im) + i (s.re g.im + s.im g.re)."""
+    out = np.empty(g.shape, dtype=np.complex128)
+    out.real = s.real * g.real - s.imag * g.imag
+    out.imag = s.real * g.imag + s.imag * g.real
+    return out
+
+
+def _max_abs(data: np.ndarray) -> float:
+    return float(np.max(np.abs(data))) if data.size else 0.0
+
+
+def _columns(mat: sparse.csc_matrix) -> np.ndarray:
+    """The column of every stored entry."""
+    return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
 
 
 def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     """Positive block weights c making the noncompact generator Hermitian.
 
     Solves c_dst * A[dst,src] = c_src * conj(A[src,dst]) across block
-    transitions, normalized to 1 on the base block, then verifies the full
+    edges, normalized to 1 on the base block, then verifies the full
     weighted adjoint residual.  Status is `found` for a consistent
     all-positive solution, `indefinite` when a consistent real solution
     needs sign changes, `none` when the recurrences are inconsistent or
-    inherently non-real.
+    inherently non-real; `reason` names the edge, block or residual
+    behind any status but `found`.
     """
-    src, dst, i_src, i_dst = _block_edges(rep.space)
+    space = rep.space
+    edges = space.block_edges
     A = rep.noncompact.mat
-    edges = list(zip(src, dst, _entries(A, i_dst, i_src), _entries(A, i_src, i_dst)))
-    scale = max((max(abs(f), abs(b)) for _, _, f, b in edges), default=1.0)
-    ztol = 1e-13 * max(scale, 1.0)
+    n = edges.src.size
+    amp = _entries(A, np.concatenate((edges.col_dst, edges.col_src)),
+                   np.concatenate((edges.col_src, edges.col_dst)))
+    fwd, back = amp[:n], amp[n:]
+    abs_f, abs_b, scale, ztol = _moduli(fwd, back)
+    # c_dst / c_src = conj(back) / fwd; an edge with one side zero admits
+    # no invertible solution and steps to 0
+    zero_f, zero_b = abs_f <= ztol, abs_b <= ztol
+    one_sided, solved = zero_f ^ zero_b, ~(zero_f | zero_b)
+    forward, backward = [None] * n, [None] * n
+    for k in np.flatnonzero(one_sided).tolist():
+        forward[k] = backward[k] = 0.0
+    ratio = np.conj(back[solved]) / fwd[solved]
+    for k, r, inv in zip(np.flatnonzero(solved).tolist(), ratio, 1.0 / ratio):
+        forward[k], backward[k] = r, inv
+    values, order, broken = _propagate(edges, forward, backward, tol)
+    blocks = space.blocks
+    connected = len(order) == len(blocks)
 
-    def ratio(a_fwd, a_back, reversed_):
-        # c_dst / c_src = conj(a_back) / a_fwd  (or its inverse when walking
-        # the edge backwards)
-        if abs(a_fwd) <= ztol and abs(a_back) <= ztol:
-            return None
-        if abs(a_fwd) <= ztol or abs(a_back) <= ztol:
-            return 0.0  # one-sided edge: no invertible positive solution
-        r = np.conj(a_back) / a_fwd
-        return 1.0 / r if reversed_ else r
+    def block_pair(k):
+        return f"{blocks[edges.src[k]]}-{blocks[edges.dst[k]]}"
 
-    values, mismatch, connected = _bfs_block_solution(
-        rep.space, {"edges": edges, "ratio": ratio}
-    )
-    if any(v == 0.0 for v in values.values()) or mismatch > tol:
-        return MetricSolution(NONE, None, None, connected)
-    vals = np.array([values[b] for b in rep.space.blocks if b in values])
-    if np.max(np.abs(vals.imag)) > tol * np.max(np.abs(vals)):
-        return MetricSolution(NONE, None, None, connected)
-
+    if broken is not None:
+        k, other, mismatch = broken
+        # a one-sided edge may close a cycle, so check the edge, not the walk
+        if one_sided[k]:
+            reason = (f"one-sided edge {block_pair(k)} forces weight 0 on block "
+                      f"{blocks[other]}: |A[dst,src]| = {abs_f[k]:.3e}, "
+                      f"|A[src,dst]| = {abs_b[k]:.3e}, zero below {ztol:.3e}")
+        else:
+            reason = (f"inconsistent edge {block_pair(k)}: relative mismatch "
+                      f"{mismatch:.3e} > {tol:g}")
+        return MetricSolution(NONE, None, None, connected, reason)
+    vals = np.array([v for v in values if v is not None])
+    imag, size = np.max(np.abs(vals.imag)), np.max(np.abs(vals))
+    if imag > tol * size:
+        return MetricSolution(NONE, None, None, connected,
+                              f"weights are not real: max |Im c| = {imag:.3e} "
+                              f"against max |c| = {size:.3e}")
     if not connected:
-        return MetricSolution(NONE, None, None, False)
-    weights = {b: float(v.real) for b, v in values.items()}
-    diag = rep.space.block_diagonal(weights)
-
-    C = sparse.diags(diag).tocsc()
-    res_mat = (A.conjugate().transpose() @ C - C @ A).tocoo()
-    residual = float(np.max(np.abs(res_mat.data))) if res_mat.nnz else 0.0
-    rel = residual / max(scale * max(abs(w) for w in weights.values()), 1e-300)
+        return MetricSolution(NONE, None, None, False,
+                              f"disconnected: {len(order)} of {len(blocks)} blocks "
+                              f"reached from {blocks[0]}")
+    weights = {blocks[b]: float(values[b].real) for b in order}
+    diag = space.block_diagonal(weights)
+    # A^H C - C A entrywise: C scales A^H by columns and A by rows, and the
+    # row of an entry of A is the column of its entry of A^H
+    w = diag[A.indices]
+    adjoint_c = sparse.csr_matrix((np.conj(A.data) * w, A.indices, A.indptr), shape=A.shape)
+    c_a = sparse.csc_matrix((w * A.data, A.indices, A.indptr), shape=A.shape)
+    residual = _max_abs((adjoint_c - c_a).data)
+    rel = residual / max(scale * max(abs(v) for v in weights.values()), 1e-300)
     if rel > tol:
-        return MetricSolution(NONE, weights, residual, connected)
+        return MetricSolution(NONE, weights, residual, connected,
+                              f"weighted adjoint residual {residual:.3e} is "
+                              f"{rel:.3e} relative, over {tol:g}")
     if min(weights.values()) <= 0.0:
-        return MetricSolution(INDEFINITE, weights, residual, connected)
+        b = next(b for b in blocks if weights[b] <= 0.0)
+        return MetricSolution(INDEFINITE, weights, residual, connected,
+                              f"first nonpositive weight: block {b}, c = {weights[b]:.6g}")
     return MetricSolution(FOUND, weights, residual, connected)
 
 
@@ -343,48 +398,38 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     sa, sb = repA.spec, repB.spec
     if (sa.r, sa.s, sa.epsilon, sa.cutoff, sa.qp) != (sb.r, sb.s, sb.epsilon, sb.cutoff, sb.qp):
         raise ValueError("intertwiner requires matching (r, s, epsilon, q, cutoff)")
-    A, B = repA.noncompact.mat, repB.noncompact.mat
     space = repA.space
-
-    src, dst, i_src, i_dst = _block_edges(space)
-    edges = list(zip(src, dst, _entries(A, i_dst, i_src), _entries(B, i_dst, i_src)))
-    scale = max(
-        (max(abs(f), abs(b)) for _, _, f, b in edges), default=1.0
-    )
-    ztol = 1e-13 * max(scale, 1.0)
-
-    def ratio(a_fwd, b_fwd, reversed_):
-        # s_dst / s_src = b_fwd / a_fwd on the forward direction
-        if abs(a_fwd) <= ztol and abs(b_fwd) <= ztol:
-            return None
-        if abs(a_fwd) <= ztol or abs(b_fwd) <= ztol:
-            return 0.0
-        r = b_fwd / a_fwd
-        return 1.0 / r if reversed_ else r
-
-    values, mismatch, connected = _bfs_block_solution(
-        space, {"edges": edges, "ratio": ratio}
-    )
-    if any(v == 0.0 for v in values.values()) or mismatch > tol or not connected:
+    edges = space.block_edges
+    a_fwd = _entries(repA.noncompact.mat, edges.col_dst, edges.col_src)
+    b_fwd = _entries(repB.noncompact.mat, edges.col_dst, edges.col_src)
+    abs_a, abs_b, scale, ztol = _moduli(a_fwd, b_fwd)
+    # s_dst / s_src = b_fwd / a_fwd, divided as Python complex numbers
+    zero_a, zero_b = abs_a <= ztol, abs_b <= ztol
+    forward, backward = [], []
+    for a, b, za, zb in zip(a_fwd.tolist(), b_fwd.tolist(), zero_a.tolist(), zero_b.tolist()):
+        if za and zb:
+            r = inv = None
+        elif za or zb:
+            r = inv = 0.0
+        else:
+            r = b / a
+            inv = 1.0 / r
+        forward.append(r)
+        backward.append(inv)
+    values, order, broken = _propagate(edges, forward, backward, tol)
+    if broken is not None or len(order) < len(space.blocks):
         return None
-
-    diag = space.block_diagonal(values)
-    S = sparse.diags(diag).tocsc()
+    block_values = {space.blocks[b]: values[b] for b in order}
+    diag = space.block_diagonal(block_values)
     residual = 0.0
     for ga, gb in zip(repA.generators, repB.generators):
-        res_mat = (S @ ga.mat - gb.mat @ S).tocoo()
-        if res_mat.nnz:
-            residual = max(residual, float(np.max(np.abs(res_mat.data))))
-    rel_scale = scale * max(abs(v) for v in values.values())
+        A, B = ga.mat, gb.mat
+        s_a = _times(diag[A.indices], A.data)  # S T_A
+        b_s = _times(diag[_columns(B)], B.data)  # T_B S
+        res = (sparse.csc_matrix((s_a, A.indices, A.indptr), shape=A.shape)
+               - sparse.csc_matrix((b_s, B.indices, B.indptr), shape=B.shape))
+        residual = max(residual, _max_abs(res.data))
+    rel_scale = scale * max(abs(v) for v in block_values.values())
     if residual > tol * max(rel_scale, 1.0):
         return None
-    return IntertwinerSolution(dict(values), diag, residual)
-
-
-def conjugate_rep(rep: DegenerateRep, block_values: dict) -> DegenerateRep:
-    """Conjugate every generator by the block-scalar diagonal D: A -> D A D^-1."""
-    diag = rep.space.block_diagonal(block_values)
-    D = sparse.diags(diag).tocsc()
-    Dinv = sparse.diags(1.0 / diag).tocsc()
-    gens = [GeneratorMatrix(g.i, (D @ g.mat @ Dinv).tocsc()) for g in rep.generators]
-    return DegenerateRep(rep.spec, rep.space, gens, rep.basis_kind + "+conjugated")
+    return IntertwinerSolution(block_values, diag, residual)

@@ -17,7 +17,11 @@ the no-import rule: it takes its scalars from the package and rebuilds
 every generator block by block on each call, with no frame shared
 between calls.  The dump reference writes `soqrs build` JSON the way it
 was first written: sorted (row, col, re, im) triplets and basis rows
-built per pattern, through the stdlib's indent=2 encoder.
+built per pattern, through the stdlib's indent=2 encoder.  The metric
+and intertwiner references are the solvers as first written, through
+sparse products and scalar lookups, returning the package's solution
+types; they recompute every block edge per call and walk a dict of
+tuple-keyed blocks.
 """
 
 import itertools
@@ -549,3 +553,179 @@ def dump_text(kind: str, config: dict, dim: int, basis: list, gens) -> str:
     payload = {"kind": kind, "config": config, "dim": dim, "basis": basis,
                "generators": dump_generators(gens)}
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# metric and intertwiner solvers through sparse products
+
+
+def column_max_coo(mat, space):
+    """Largest |entry| of mat and the pattern of its column, through tocoo."""
+    import numpy as np
+
+    coo = mat.tocoo()
+    if coo.nnz == 0:
+        return 0.0, None
+    k = int(np.argmax(np.abs(coo.data)))
+    col = int(coo.col[k])
+    worst = space.pattern(col) if space is not None else col
+    return float(abs(coo.data[k])), worst
+
+
+def reference_block_edges(space):
+    """(src, dst, i_src, i_dst) of every block edge, recomputed per call.
+
+    The blocks are (m, m') tuples; i_src, i_dst are the columns of the
+    patterns of the two blocks whose inner labels are all zero.  An edge is
+    listed from the block that comes first in block order; edges are
+    ordered by that block, then by step (+1,+1), (+1,-1), (-1,+1), (-1,-1).
+    """
+    import numpy as np
+    from soqrs.gtbasis import block_arrays, block_index
+
+    m, mp = block_arrays(space.epsilon, space.cutoff)
+    steps = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
+    inside = (tm >= 0) & (tmp >= 0) & (tm + tmp <= space.top_ring)
+    target = np.where(inside, block_index(space.epsilon, tm, tmp), -1)
+    src, family = np.nonzero(target > np.arange(m.size)[:, None])
+    dst = target[src, family]
+    zero = [np.array([len(a) - 1 - np.flatnonzero(~a[:, 1:].any(axis=1))[0] for a in side])
+            for side in space.labels]
+    width = np.array([len(a) for a in space.labels[1]])
+    column = space.offsets[:-1] + zero[0][m] * width[mp] + zero[1][mp]
+    blocks = space.blocks
+    return ([blocks[k] for k in src.tolist()], [blocks[k] for k in dst.tolist()],
+            column[src], column[dst])
+
+
+def reference_entries(mat, rows, cols) -> list:
+    """mat[rows[k], cols[k]] as Python complex numbers, -0.0 parts read as 0.0."""
+    import numpy as np
+
+    if len(rows) == 0:
+        return []
+    return (np.asarray(mat[rows, cols], dtype=complex).ravel() + 0.0).tolist()
+
+
+def _bfs_block_solution(space, edges, ratio_fn, start_value=1.0):
+    """(values, max relative mismatch on revisited edges, connected), by dict BFS."""
+    base = space.blocks[0]
+    values = {base: complex(start_value)}
+    queue = [base]
+    mismatch = 0.0
+    adjacency = {}
+    for src, dst, a_fwd, a_back in edges:
+        adjacency.setdefault(src, []).append((dst, a_fwd, a_back, False))
+        adjacency.setdefault(dst, []).append((src, a_fwd, a_back, True))
+    while queue:
+        cur = queue.pop(0)
+        for other, a_fwd, a_back, reversed_ in adjacency.get(cur, ()):
+            r = ratio_fn(a_fwd, a_back, reversed_)
+            if r is None:
+                continue
+            proposed = values[cur] * r
+            if other in values:
+                scale = max(abs(values[other]), abs(proposed), 1e-300)
+                mismatch = max(mismatch, abs(values[other] - proposed) / scale)
+            else:
+                values[other] = proposed
+                queue.append(other)
+    return values, mismatch, len(values) == len(space.blocks)
+
+
+def solve_metric_reference(rep, tol: float = 1e-8):
+    """solve_metric through A^H C - C A with C = diags(c), as first written.
+
+    Returns a MetricSolution with no reason.
+    """
+    import numpy as np
+    from scipy import sparse
+    from soqrs.verify import FOUND, INDEFINITE, NONE, MetricSolution
+
+    src, dst, i_src, i_dst = reference_block_edges(rep.space)
+    A = rep.noncompact.mat
+    edges = list(zip(src, dst, reference_entries(A, i_dst, i_src),
+                     reference_entries(A, i_src, i_dst)))
+    scale = max((max(abs(f), abs(b)) for _, _, f, b in edges), default=1.0)
+    ztol = 1e-13 * max(scale, 1.0)
+
+    def ratio(a_fwd, a_back, reversed_):
+        if abs(a_fwd) <= ztol and abs(a_back) <= ztol:
+            return None
+        if abs(a_fwd) <= ztol or abs(a_back) <= ztol:
+            return 0.0
+        r = np.conj(a_back) / a_fwd
+        return 1.0 / r if reversed_ else r
+
+    values, mismatch, connected = _bfs_block_solution(rep.space, edges, ratio)
+    if any(v == 0.0 for v in values.values()) or mismatch > tol:
+        return MetricSolution(NONE, None, None, connected)
+    vals = np.array([values[b] for b in rep.space.blocks if b in values])
+    if np.max(np.abs(vals.imag)) > tol * np.max(np.abs(vals)):
+        return MetricSolution(NONE, None, None, connected)
+    if not connected:
+        return MetricSolution(NONE, None, None, False)
+    weights = {b: float(v.real) for b, v in values.items()}
+    C = sparse.diags(rep.space.block_diagonal(weights)).tocsc()
+    res_mat = (A.conjugate().transpose() @ C - C @ A).tocoo()
+    residual = float(np.max(np.abs(res_mat.data))) if res_mat.nnz else 0.0
+    rel = residual / max(scale * max(abs(w) for w in weights.values()), 1e-300)
+    if rel > tol:
+        return MetricSolution(NONE, weights, residual, connected)
+    if min(weights.values()) <= 0.0:
+        return MetricSolution(INDEFINITE, weights, residual, connected)
+    return MetricSolution(FOUND, weights, residual, connected)
+
+
+def solve_intertwiner_reference(repA, repB, tol: float = 1e-8):
+    """solve_intertwiner through S T_A - T_B S with S = diags(s), as first written."""
+    import numpy as np
+    from scipy import sparse
+    from soqrs.verify import IntertwinerSolution
+
+    sa, sb = repA.spec, repB.spec
+    if (sa.r, sa.s, sa.epsilon, sa.cutoff, sa.qp) != (sb.r, sb.s, sb.epsilon, sb.cutoff, sb.qp):
+        raise ValueError("intertwiner requires matching (r, s, epsilon, q, cutoff)")
+    A, B = repA.noncompact.mat, repB.noncompact.mat
+    space = repA.space
+    src, dst, i_src, i_dst = reference_block_edges(space)
+    edges = list(zip(src, dst, reference_entries(A, i_dst, i_src),
+                     reference_entries(B, i_dst, i_src)))
+    scale = max((max(abs(f), abs(b)) for _, _, f, b in edges), default=1.0)
+    ztol = 1e-13 * max(scale, 1.0)
+
+    def ratio(a_fwd, b_fwd, reversed_):
+        if abs(a_fwd) <= ztol and abs(b_fwd) <= ztol:
+            return None
+        if abs(a_fwd) <= ztol or abs(b_fwd) <= ztol:
+            return 0.0
+        r = b_fwd / a_fwd
+        return 1.0 / r if reversed_ else r
+
+    values, mismatch, connected = _bfs_block_solution(space, edges, ratio)
+    if any(v == 0.0 for v in values.values()) or mismatch > tol or not connected:
+        return None
+    diag = space.block_diagonal(values)
+    S = sparse.diags(diag).tocsc()
+    residual = 0.0
+    for ga, gb in zip(repA.generators, repB.generators):
+        res_mat = (S @ ga.mat - gb.mat @ S).tocoo()
+        if res_mat.nnz:
+            residual = max(residual, float(np.max(np.abs(res_mat.data))))
+    rel_scale = scale * max(abs(v) for v in values.values())
+    if residual > tol * max(rel_scale, 1.0):
+        return None
+    return IntertwinerSolution(dict(values), diag, residual)
+
+
+def conjugate_rep(rep, block_values: dict):
+    """Every generator conjugated by the block-scalar diagonal D: A -> D A D^-1."""
+    from scipy import sparse
+    from soqrs import DegenerateRep, GeneratorMatrix
+
+    diag = rep.space.block_diagonal(block_values)
+    D = sparse.diags(diag).tocsc()
+    Dinv = sparse.diags(1.0 / diag).tocsc()
+    gens = [GeneratorMatrix(g.i, (D @ g.mat @ Dinv).tocsc()) for g in rep.generators]
+    return DegenerateRep(rep.spec, rep.space, gens, rep.basis_kind + "+conjugated")

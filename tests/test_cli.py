@@ -63,6 +63,20 @@ def test_verify_degenerate_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_metric_reports_its_reason(capsys):
+    args = ["verify", "--degenerate", "--r", "4", "--s", "4", "--epsilon", "0",
+            "--cutoff", "8", "--metric"]
+    code, out, _ = run(capsys, *args, "--lambda-re", "7/10", "--json")
+    metric = json.loads(out)["checks"][-1]
+    assert code == 2 and metric["status"] == "indefinite"
+    assert metric["reason"].startswith("first nonpositive weight: block (0, 2)")
+    code, out, _ = run(capsys, *args, "--lambda-re", "7/10")
+    assert code == 2 and f"status=indefinite\nreason: {metric['reason']}\n" in out
+    code, out, _ = run(capsys, *args, "--lambda-re", "3", "--lambda-im", "1", "--json")
+    metric = json.loads(out)["checks"][-1]
+    assert code == 0 and metric["status"] == "found" and metric["reason"] is None
+
+
 @pytest.mark.parametrize("q,cutoff", [("50", "200"), ("1e6", "40")])
 def test_verify_out_of_range_q_is_parameter_error(capsys, q, cutoff):
     code, _, err = run(capsys, "verify", "--degenerate", "--r", "3", "--s", "3",

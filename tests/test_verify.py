@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from soqrs import (
+    DegenerateRep,
     FOUND,
     INDEFINITE,
     NONE,
@@ -17,12 +18,11 @@ from soqrs import (
     build_so3,
     check_relations,
     check_star,
-    conjugate_rep,
     primed_transform,
     solve_intertwiner,
     solve_metric,
 )
-from oracles import block_edges, full_product_relations
+from oracles import block_edges, conjugate_rep, full_product_relations
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -246,13 +246,110 @@ def test_solvers_build_no_patterns():
     (3, 4, 1, 5, E(Fraction(5, 2), 0, Fraction(1, 3)), 2.0),
     (5, 3, 0, 4, E(1), 1.0),  # severed edges
     (4, 4, 0, 0, E(1), 2.0),  # a single block
+    (3, 3, 1, 1, E(-3), 0.5),  # one edge, one entry per column, a -0.0 imaginary part
 ])
 def test_solver_edges_match_pattern_lookups(r, s, eps, cutoff, lam, q):
-    from soqrs.verify import _block_edges, _entries
+    # the space's block-edge table read through the CSC arrays equals the
+    # per-edge scalar lookups between the zero patterns
+    from soqrs.verify import _entries
 
     for rep in (build_degenerate(RepSpec(r, s, eps, lam, QParam(q), cutoff)),
                 build_degenerate_primed(RepSpec(r, s, eps, lam, QParam(q), cutoff))):
-        A = rep.noncompact.mat
-        src, dst, i_src, i_dst = _block_edges(rep.space)
-        got = list(zip(src, dst, _entries(A, i_dst, i_src), _entries(A, i_src, i_dst)))
+        A, edges, blocks = rep.noncompact.mat, rep.space.block_edges, rep.space.blocks
+        got = list(zip([blocks[k] for k in edges.src.tolist()],
+                       [blocks[k] for k in edges.dst.tolist()],
+                       _entries(A, edges.col_dst, edges.col_src).tolist(),
+                       _entries(A, edges.col_src, edges.col_dst).tolist()))
         assert repr(got) == repr(block_edges(rep.space, A))
+
+
+# ---------------------------------------------------------------------------
+# MetricSolution.reason: why a status is not `found`
+
+
+def _with_entry_scaled(rep, row, col, factor):
+    """rep with the noncompact entry (row, col) multiplied by factor."""
+    A = rep.noncompact.mat.tolil()
+    A[row, col] = A[row, col] * factor
+    gens = [type(g)(g.i, A.tocsc()) if g.i == rep.spec.r + 1 else g
+            for g in rep.generators]
+    return DegenerateRep(rep.spec, rep.space, gens, rep.basis_kind)
+
+
+def _found_rep():
+    rep = build_degenerate(RepSpec(4, 4, 0, E(3, 0, 2), Q2, 6))
+    ms = solve_metric(rep)
+    assert ms.status == FOUND and ms.reason is None and ms.to_dict()["reason"] is None
+    return rep
+
+
+def test_metric_reason_inconsistent_edge():
+    rep = _found_rep()
+    edges, blocks = rep.space.block_edges, rep.space.blocks
+    k = len(edges.src) // 2
+    bad = _with_entry_scaled(rep, edges.col_dst[k], edges.col_src[k], 1.5)
+    ms = solve_metric(bad)
+    assert ms.status == NONE and ms.weights is None
+    assert ms.reason.startswith("inconsistent edge ("), ms.reason
+    assert "relative mismatch" in ms.reason and ms.to_dict()["reason"] == ms.reason
+    assert str(blocks[edges.src[k]]) in ms.reason or str(blocks[edges.dst[k]]) in ms.reason
+
+
+def test_metric_reason_zero_weight_on_a_one_sided_edge():
+    # [lambda + m + m'] vanishes on ring 2: (1,1) -> (2,2) is cut one way only
+    ms = solve_metric(build_degenerate(RepSpec(3, 3, 0, E(-2), QParam(0.5), 6)))
+    assert ms.status == NONE
+    assert ms.reason.startswith(
+        "one-sided edge (1, 1)-(2, 2) forces weight 0 on block (2, 2): |A[dst,src]| = 0.000e+00"
+    ), ms.reason
+
+
+def test_metric_reason_one_sided_edge_closing_a_cycle():
+    # more edges than a spanning tree has, so some one-sided edge is first
+    # walked to a block that already has a weight
+    rep = _found_rep()
+    edges, blocks = rep.space.block_edges, rep.space.blocks
+    assert len(edges.src) > len(blocks) - 1
+    for k in range(len(edges.src)):
+        src, dst = edges.col_src[k], edges.col_dst[k]
+        row, col = (dst, src) if k % 2 else (src, dst)
+        ms = solve_metric(_with_entry_scaled(rep, row, col, 0.0))
+        assert ms.status == NONE
+        pair = f"{blocks[edges.src[k]]}-{blocks[edges.dst[k]]}"
+        assert ms.reason.startswith(f"one-sided edge {pair} forces weight 0 on block "), ms.reason
+
+
+def test_metric_reason_imaginary_weights():
+    ms = solve_metric(build_degenerate(
+        RepSpec(3, 3, 0, E(Fraction(5, 2), 0, Fraction(1, 3)), QParam(0.5), 6)))
+    assert ms.status == NONE and ms.connected
+    assert ms.reason.startswith("weights are not real: max |Im c| = "), ms.reason
+
+
+def test_metric_reason_disconnected():
+    # both directions of every edge between the diagonals m-m' = -1 and 1 vanish
+    ms = solve_metric(build_degenerate(RepSpec(3, 3, 1, E(2), QParam(0.5), 6)))
+    assert ms.status == NONE and not ms.connected
+    assert ms.reason == "disconnected: 6 of 12 blocks reached from (0, 1)"
+
+
+def test_metric_reason_residual_over_tolerance():
+    # an entry off the zero patterns: the edge recurrences still agree,
+    # the weighted adjoint residual does not
+    rep = _found_rep()
+    edges, A = rep.space.block_edges, rep.noncompact.mat
+    linked = set(edges.col_src.tolist()) | set(edges.col_dst.tolist())
+    col = max(set(range(rep.dim)) - linked, key=lambda c: A.indptr[c + 1] - A.indptr[c])
+    bad = _with_entry_scaled(rep, A.indices[A.indptr[col]], col, 1.5)
+    ms = solve_metric(bad)
+    assert ms.status == NONE and ms.weights is not None
+    assert ms.reason.startswith("weighted adjoint residual "), ms.reason
+
+
+def test_metric_reason_first_nonpositive_weight():
+    rep = build_degenerate(RepSpec(4, 4, 0, E(Fraction(7, 10)), Q2, 8))
+    ms = solve_metric(rep)
+    assert ms.status == INDEFINITE
+    first = next(b for b in rep.space.blocks if ms.weights[b] <= 0)
+    assert first == (0, 2)
+    assert ms.reason == f"first nonpositive weight: block (0, 2), c = {ms.weights[first]:.6g}"
