@@ -4,9 +4,12 @@ Everything here is decided exactly on an exact spectral parameter.  The
 four transition brackets of the noncompact generator vanish on at most one
 ring sigma = m+m' or one diagonal d = m-m' each; those cuts determine
 reducibility, the invariant subspaces, and the irreducible constituents.
-The walls are found once per lambda in rational arithmetic
-(qarith.vanishing_point), and every lattice edge is then decided by
-integer array tests against them.
+The builder's two decisions are read here, not restated: the steps
+between blocks are gtbasis.lattice_steps, and the bracket of each step is
+[lambda + c] with c from degenrep.bracket_shifts.  A step is cut exactly
+where c == -L, with L = qarith.vanishing_point(lambda) found once per
+lambda in rational arithmetic, so every lattice edge is an integer array
+test.
 
 Two independent routes are provided and cross-checked:
 
@@ -46,8 +49,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 
-from .degenrep import RepSpec
-from .gtbasis import block_arrays, block_index
+from .degenrep import RepSpec, bracket_shifts
+from .gtbasis import block_arrays, lattice_steps
 from .qarith import (
     EQUIVALENT_FLIP,
     QParam,
@@ -231,24 +234,17 @@ def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
 # block-lattice scanner
 
 
-# The four noncompact transitions (m, m') -> (m + dm, m' + dmp).  Each one's
-# bracket vanishes on at most one wall: a ring sigma when dm == dmp, a
-# diagonal d otherwise.
-_FAMILIES = (
-    ("ring_up", 1, 1),
-    ("diag_m_up", 1, -1),
-    ("diag_mp_up", -1, 1),
-    ("ring_down", -1, -1),
-)
+# Report names of the gtbasis.FAMILIES steps, in that order.
+_FAMILY_NAMES = ("ring_up", "diag_m_up", "diag_mp_up", "ring_down")
 
 
 def _walls(r: int, s: int, lam: SpectralParam) -> tuple:
-    """Wall of each family in _FAMILIES order, None where its bracket never vanishes.
+    """Wall of each family in FAMILIES order, None where its bracket never vanishes.
 
-    With [lambda + c] = 0 iff c = -L for integer c (qarith.vanishing_point):
-    [lambda + sigma] cuts ring sigma = -L, [lambda + d - s + 2] diagonal
-    d = s-2-L, [lambda - d - r + 2] diagonal d = L-r+2, and
-    [lambda - sigma - r - s + 4] ring sigma = L-r-s+4.
+    The wall is the one ring sigma = m+m' (ring_up, ring_down) or diagonal
+    d = m-m' (the diag families) on which the family's
+    degenrep.bracket_shifts entry equals -L, for the L of
+    qarith.vanishing_point.
     """
     L = vanishing_point(lam)
     if L is None:
@@ -258,27 +254,43 @@ def _walls(r: int, s: int, lam: SpectralParam) -> tuple:
 
 def _wall_dict(r: int, s: int, lam: SpectralParam) -> dict:
     """The ring sigma or diagonal d each transition family is severed on, or None."""
-    return {name: wall for (name, _, _), wall in zip(_FAMILIES, _walls(r, s, lam))}
+    return dict(zip(_FAMILY_NAMES, _walls(r, s, lam)))
 
 
-def _transitions(r: int, s: int, lam: SpectralParam, m: np.ndarray, mp: np.ndarray):
-    """Per family: (edge mask, target m, target m') for the blocks (m, m').
+def _live_steps(r: int, s: int, epsilon: int, lam: SpectralParam, cutoff: int):
+    """(m, m', source, target): the blocks below the cutoff and the steps lambda keeps.
 
-    An edge is cut by the quadrant walls (m or m' hitting 0) and by the
-    family's bracket wall, which is exact in lambda and blockwise.
+    The steps are those of gtbasis.lattice_steps; one is cut exactly where
+    its degenrep.bracket_shifts entry equals -L for the L of
+    qarith.vanishing_point.
     """
-    sigma, d = m + mp, m - mp
-    out = []
-    for (_, dm, dmp), wall in zip(_FAMILIES, _walls(r, s, lam)):
-        live = np.ones(m.shape, dtype=bool)
-        if dm < 0:
-            live &= m >= 1
-        if dmp < 0:
-            live &= mp >= 1
-        if wall is not None:
-            live &= (sigma if dm == dmp else d) != wall
-        out.append((live, m + dm, mp + dmp))
-    return out
+    m, mp = block_arrays(epsilon, cutoff)
+    src, family, dst = lattice_steps(epsilon, cutoff)
+    L = vanishing_point(lam)
+    if L is not None:
+        live = np.stack(bracket_shifts(r, s, m + mp, m - mp))[family, src] != -L
+        src, dst = src[live], dst[live]
+    return m, mp, src, dst
+
+
+def _strong_components(spec: RepSpec):
+    """(m, m', source, target, count, labels) of the scan of spec's window.
+
+    The blocks and live steps of _live_steps, the number of strongly
+    connected components of the graph they form, and each block's
+    component label.
+    """
+    # imported here: csgraph loads scipy.sparse.linalg and scipy.linalg,
+    # which nothing else in the package needs
+    from scipy.sparse import csgraph
+
+    m, mp, src, dst = _live_steps(spec.r, spec.s, spec.epsilon, spec.lam, spec.cutoff)
+    # steps come in source order, so each block's row is one run of src
+    indptr = np.searchsorted(src, np.arange(m.size + 1))
+    graph = sparse.csr_matrix((np.ones(src.size), dst, indptr), shape=(m.size, m.size))
+    n_comp, labels = csgraph.connected_components(graph, directed=True,
+                                                  connection="strong")
+    return m, mp, src, dst, n_comp, labels
 
 
 @dataclass
@@ -288,17 +300,6 @@ class ScanResult:
     blocks: list[tuple[int, int]]
     components: list[frozenset]
     regions: list[frozenset]
-
-    @property
-    def single_region(self) -> bool:
-        return len(self.components) <= 1
-
-    def to_dict(self) -> dict:
-        return {
-            "n_components": len(self.components),
-            "components": [sorted(c) for c in self.components],
-            "invariant_regions": [sorted(rg) for rg in self.regions],
-        }
 
 
 def scan_lattice(spec: RepSpec) -> ScanResult:
@@ -310,25 +311,9 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
     candidate invariant subspaces).  Irreducible parameters give a single
     component whose closure is the whole lattice.
     """
-    # imported here: csgraph loads scipy.sparse.linalg and scipy.linalg,
-    # which nothing else in the package needs
-    from scipy.sparse import csgraph
-
     spec.lam.require_exact("lattice scan")
-    eps, cutoff = spec.epsilon, spec.cutoff
-    m, mp = block_arrays(eps, cutoff)
+    m, mp, src, dst, n_comp, labels = _strong_components(spec)
     blocks = list(zip(m.tolist(), mp.tolist()))
-    n = len(blocks)
-    live, tm, tmp = (np.stack(parts, axis=1) for parts in
-                     zip(*_transitions(spec.r, spec.s, spec.lam, m, mp)))
-    live &= tm + tmp <= cutoff
-    rows = np.nonzero(live)[0]
-    cols = block_index(eps, tm[live], tmp[live])
-    indptr = np.concatenate(([0], np.cumsum(live.sum(axis=1))))
-    adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
-    n_comp, labels = csgraph.connected_components(
-        adj, directed=True, connection="strong"
-    )
     comp_blocks: list[set] = [set() for _ in range(n_comp)]
     for b, lbl in zip(blocks, labels.tolist()):
         comp_blocks[lbl].add(b)
@@ -338,9 +323,9 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
 
     # forward closure of each component through the condensation DAG
     comp_adj: dict[int, set[int]] = {i: set() for i in range(n_comp)}
-    lrow, lcol = labels[rows], labels[cols]
-    cross = lrow != lcol
-    for i, j in set(zip(lrow[cross].tolist(), lcol[cross].tolist())):
+    lsrc, ldst = labels[src], labels[dst]
+    cross = lsrc != ldst
+    for i, j in set(zip(lsrc[cross].tolist(), ldst[cross].tolist())):
         comp_adj[i].add(j)
 
     def descendants(c0: int) -> frozenset:
@@ -366,20 +351,17 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
 # constituent prediction
 
 
-def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
-                      lam: SpectralParam, window: int) -> bool:
-    """Whether no non-vanishing transition leaves the region.
+def _region_is_closed(region: Region, m: np.ndarray, mp: np.ndarray,
+                      src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether no live step leaves the region.
 
-    Checked on a window comfortably beyond every wall; transitions that
-    leave the window upward keep d and therefore cannot witness a leak of
-    a sigma-unbounded region.
+    m, m', src, dst are the blocks and live steps of _live_steps on a
+    window comfortably beyond every wall; steps that leave the window
+    upward keep d and therefore cannot witness a leak of a sigma-unbounded
+    region.
     """
-    m, mp = block_arrays(epsilon, window)
     inside = region.contains(m, mp)
-    for live, tm, tmp in _transitions(r, s, lam, m, mp):
-        if (live & inside & (tm + tmp <= window) & ~region.contains(tm, tmp)).any():
-            return False
-    return True
+    return not (inside[src] & ~inside[dst]).any()
 
 
 def _full_constituent(series: str) -> Constituent:
@@ -518,10 +500,8 @@ def predict_constituents(r: int, s: int, epsilon: int,
             region = region.swapped()
         constituents.append(Constituent(name, region, QUOTIENT, star, finite))
 
-    closed_flags = [
-        _region_is_closed(c.region, r, s, epsilon, nlam, window)
-        for c in constituents
-    ]
+    steps = _live_steps(r, s, epsilon, nlam, window)
+    closed_flags = [_region_is_closed(c.region, *steps) for c in constituents]
     if len(constituents) == 2 and all(closed_flags):
         for c in constituents:
             c.realized_on = DIRECT_SUMMAND
@@ -584,6 +564,6 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
     """
     irr = classify_irreducible(r, s, epsilon, lam)
     window = max(cutoff, _sufficient_cutoff(r, s, lam))
-    spec = RepSpec(r, s, epsilon, lam, QParam(2.0), window)
-    scan = scan_lattice(spec)
-    return CrossCheck(r, s, epsilon, lam, irr, len(scan.components))
+    *_, n_regions, _ = _strong_components(
+        RepSpec(r, s, epsilon, lam, QParam(2.0), window))
+    return CrossCheck(r, s, epsilon, lam, irr, n_regions)

@@ -339,12 +339,21 @@ def _build(spec: RepSpec, fr: Frame, signs, values: list, basis_kind: str) -> De
     return DegenerateRep(spec, fr.space, gens, basis_kind)
 
 
+def bracket_shifts(r: int, s: int, sigma, d) -> tuple:
+    """Per FAMILIES step, the c of its standard-basis bracket [lambda + c].
+
+    sigma = m+m' and d = m-m' are those of the step's source block
+    (ints or int arrays).  The step's amplitude vanishes exactly where
+    c == -L for the L of qarith.vanishing_point.
+    """
+    return (sigma, d - s + 2, -d - r + 2, -sigma - r - s + 4)
+
+
 def build_degenerate(spec: RepSpec) -> DegenerateRep:
     """T_{eps,lambda} in the standard (orthonormal product) basis."""
     lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
     fr = frame(r, s, spec.epsilon, spec.cutoff, p)
-    sigma, d = fr.sigma, fr.d
-    t = np.choose(fr.family, (sigma, d - s + 2, -d - r + 2, -sigma - r - s + 4))
+    t = np.choose(fr.family, bracket_shifts(r, s, fr.sigma, fr.d))
     return _build(spec, fr, (1, -1, 1, -1), [p.qnum(lam + x) for x in t.tolist()],
                   "standard")
 

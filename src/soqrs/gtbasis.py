@@ -164,6 +164,21 @@ An edge's family indexes this.
 """
 
 
+def lattice_steps(epsilon: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source block, family, target block) of every FAMILIES step below the cutoff.
+
+    Blocks are positions in enumerate_blocks(epsilon, cutoff) order and a
+    family indexes FAMILIES.  One entry per directed step, in (source
+    block, family) order; a step that leaves the quadrant or passes the
+    cutoff has none.
+    """
+    m, mp = block_arrays(epsilon, cutoff)
+    steps = np.array(FAMILIES)
+    tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
+    src, family = np.nonzero((tm >= 0) & (tmp >= 0) & (tm + tmp <= cutoff))
+    return src, family, block_index(epsilon, tm[src, family], tmp[src, family])
+
+
 def block_index(epsilon: int, m: np.ndarray, mp: np.ndarray) -> np.ndarray:
     """Positions of blocks (m, m') in enumerate_blocks(epsilon, .) order.
 
@@ -300,20 +315,14 @@ class TruncatedSpace:
 
     @functools.cached_property
     def block_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(source block, family, target block) of every FAMILIES step in the space.
+        """lattice_steps of the space: every FAMILIES step between its blocks.
 
-        One entry per directed step, in (source block, family) order; a
-        step that leaves the quadrant or passes the top ring has none.
         The arrays are read-only.
         """
-        m, mp = block_arrays(self.epsilon, self.cutoff)
-        steps = np.array(FAMILIES)
-        tm, tmp = m[:, None] + steps[:, 0], mp[:, None] + steps[:, 1]
-        src, family = np.nonzero((tm >= 0) & (tmp >= 0) & (tm + tmp <= self.top_ring))
-        dst = block_index(self.epsilon, tm[src, family], tmp[src, family])
-        for arr in (src, family, dst):
+        steps = lattice_steps(self.epsilon, self.cutoff)
+        for arr in steps:
             arr.flags.writeable = False
-        return src, family, dst
+        return steps
 
     @functools.cached_property
     def block_edges(self) -> BlockEdges:

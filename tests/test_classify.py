@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -14,7 +15,15 @@ from soqrs import (
     predict_constituents,
     scan_lattice,
 )
-from soqrs.classify import Region, _region_is_closed, _sufficient_cutoff
+from soqrs.classify import (
+    Region,
+    _live_steps,
+    _region_is_closed,
+    _sufficient_cutoff,
+    _walls,
+)
+from soqrs.degenrep import bracket_shifts
+from soqrs.gtbasis import FAMILIES, block_arrays
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -164,7 +173,7 @@ def test_mirror_property():
 
 def test_scan_irreducible_single_region():
     scan = scan_lattice(RepSpec(4, 4, 0, E(Fraction(1, 2)), Q2, 10))
-    assert scan.single_region
+    assert len(scan.components) == 1
     assert len(scan.regions) == 1
     assert scan.regions[0] == frozenset(scan.blocks)
 
@@ -238,6 +247,16 @@ def test_scan_matches_per_block_reference():
                     assert scan.regions == regions, what
 
 
+def test_cross_check_counts_the_scanned_components():
+    for r, s in itertools.product((3, 4, 5), repeat=2):
+        for eps in (0, 1):
+            for lam in _lattice_params(r, s):
+                window = max(12, _sufficient_cutoff(r, s, lam))
+                scan = scan_lattice(RepSpec(r, s, eps, lam, Q2, window))
+                assert (cross_check(r, s, eps, lam, cutoff=12).n_regions
+                        == len(scan.components)), (r, s, eps, lam)
+
+
 def _all_regions(bounds):
     opt = (None,) + bounds
     return [Region(*b) for b in itertools.product(opt, repeat=4)]
@@ -252,7 +271,8 @@ def test_region_is_closed_matches_per_block_reference():
                 L = abs(int(cl.lam.re)) if cl.lam.re.denominator == 1 else 0
                 window = 2 * (L + r + s + 8)
                 for c in cl.constituents:
-                    assert (_region_is_closed(c.region, r, s, eps, cl.lam, window)
+                    steps = _live_steps(r, s, eps, cl.lam, window)
+                    assert (_region_is_closed(c.region, *steps)
                             == oracles.region_is_closed(c.region, r, s, eps, cl.lam,
                                                         window)), (r, s, eps, lam, c)
     # every region with bounds from {-2, 1, 4}, on a window the walls cross
@@ -260,8 +280,9 @@ def test_region_is_closed_matches_per_block_reference():
     for r, s in ((3, 4), (4, 4)):
         for eps in (0, 1):
             for lam in [E(L) for L in (-2, 0, 1, 2, 3, 5, 7)] + [E(Fraction(1, 2)), E(2, 1)]:
+                steps = _live_steps(r, s, eps, lam, 9)
                 for region in regions:
-                    assert (_region_is_closed(region, r, s, eps, lam, 9)
+                    assert (_region_is_closed(region, *steps)
                             == oracles.region_is_closed(region, r, s, eps, lam, 9)), \
                         (r, s, eps, lam, region)
 
@@ -302,3 +323,21 @@ def test_walls_are_the_severed_edges():
                 in_quadrant = m + dm >= 0 and mp + dmp >= 0
                 assert ((m + dm, mp + dmp) in kept) == (in_quadrant
                                                         and coord != walls[name])
+
+
+def test_walls_are_where_the_bracket_shifts_vanish():
+    """Each family's shift is -L on its reported wall and nowhere else in the window."""
+    hit = set()
+    for r, s in itertools.product(range(3, 8), repeat=2):
+        for L in range(-8, r + s + 7):
+            walls = _walls(r, s, E(L))
+            for eps in (0, 1):
+                m, mp = block_arrays(eps, 2 * (abs(L) + r + s + 8))
+                sigma, d = m + mp, m - mp
+                shifts = bracket_shifts(r, s, sigma, d)
+                for f, ((dm, dmp), shift, wall) in enumerate(zip(FAMILIES, shifts, walls)):
+                    on_wall = (sigma if dm == dmp else d) == wall
+                    assert np.array_equal(shift == -L, on_wall), (r, s, L, eps, f)
+                    if on_wall.any():
+                        hit.add(f)
+    assert hit == {0, 1, 2, 3}

@@ -10,7 +10,14 @@ from soqrs import (
     class1_dim,
     enumerate_chain,
 )
-from soqrs.gtbasis import block_arrays, block_index, chain_labels, enumerate_blocks
+from soqrs.gtbasis import (
+    FAMILIES,
+    block_arrays,
+    block_index,
+    chain_labels,
+    enumerate_blocks,
+    lattice_steps,
+)
 from oracles import brute_chain_count, brute_chains, brute_space_dim, class1_dim_formula
 
 
@@ -108,6 +115,23 @@ def test_block_arrays_and_index_follow_enumerate_blocks():
             assert m.dtype == mp.dtype == np.int64
             assert list(zip(m.tolist(), mp.tolist())) == blocks
             assert block_index(eps, m, mp).tolist() == list(range(len(blocks)))
+
+
+def test_lattice_steps_are_the_space_block_steps():
+    for eps in (0, 1):
+        # odd cutoff - eps: the top ring lies below the cutoff
+        for cutoff in range(eps, 10):
+            steps = lattice_steps(eps, cutoff)
+            space = TruncatedSpace(3, 4, eps, cutoff)
+            assert space.top_ring <= cutoff
+            for a, b in zip(steps, space.block_steps):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (eps, cutoff)
+            blocks = enumerate_blocks(eps, cutoff)
+            expected = [(i, f, blocks.index((m + dm, mp + dmp)))
+                        for i, (m, mp) in enumerate(blocks)
+                        for f, (dm, dmp) in enumerate(FAMILIES)
+                        if (m + dm, mp + dmp) in blocks]
+            assert list(zip(*(a.tolist() for a in steps))) == expected, (eps, cutoff)
 
 
 def test_ordering_and_index_roundtrip():
