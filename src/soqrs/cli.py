@@ -22,7 +22,8 @@ import numpy as np
 
 from .compactrep import GeneratorMatrix, assemble, build_class1, build_so3
 from .classify import cross_check, predict_constituents
-from .degenrep import DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed
+from .degenrep import (DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed,
+                       primed_transform)
 from .gtbasis import TruncatedSpace, chain_labels, enumerate_chain
 from .qarith import InexactSpectralError, QParam, SpectralParam
 from .verify import check_relations, check_star, solve_metric
@@ -211,6 +212,19 @@ def _entry_table(mat) -> _Table:
     return _Table(mat.indices, cols, mat.data.real, mat.data.imag)
 
 
+def _build_rep(spec: RepSpec, primed: bool) -> DegenerateRep:
+    """The rep in the standard or the primed basis.
+
+    A primed basis is built only where it exists: primed_transform raises
+    PrimedBasisUndefined, a parameter error, naming the vanishing factor
+    and its block.
+    """
+    if not primed:
+        return build_degenerate(spec)
+    primed_transform(spec)
+    return build_degenerate_primed(spec)
+
+
 def cmd_build(args) -> int:
     qp = QParam(args.q)
     if args.so3:
@@ -235,7 +249,7 @@ def cmd_build(args) -> int:
             raise UsageError("--degenerate needs --r and --s")
         lam = _resolve_lambda(args, exact_required=False)
         spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
-        rep = build_degenerate_primed(spec) if args.primed else build_degenerate(spec)
+        rep = _build_rep(spec, args.primed)
         gens = rep.generators
         payload = {
             "kind": "degenerate",
@@ -316,7 +330,7 @@ def cmd_verify(args) -> int:
             raise UsageError("--degenerate needs --r and --s")
         lam = _resolve_lambda(args, exact_required=False)
         spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
-        rep = build_degenerate_primed(spec) if args.primed else build_degenerate(spec)
+        rep = _build_rep(spec, args.primed)
         record("relations", check_relations(rep, depth=args.depth, tol=args.tol))
         if args.star:
             record("star", check_star(rep, tol=args.tol))

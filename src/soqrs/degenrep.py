@@ -448,7 +448,9 @@ def build_degenerate_primed(spec: RepSpec) -> DegenerateRep:
     with sigma = m+m', d = m-m'.  This is the exact conjugate of the
     standard matrix by the primed transform wherever that is defined; the
     lowering rows differ from the naive principal branch of the written
-    bracket products by a sign.
+    bracket products by a sign.  Outside the domain of primed_transform
+    (where it raises PrimedBasisUndefined) the matrix is still built, but
+    it is not a change of basis of T; the CLI refuses such specs.
     """
     lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
     fr = frame(r, s, spec.epsilon, spec.cutoff, p)

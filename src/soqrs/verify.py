@@ -18,16 +18,27 @@ them; multiplicity one of the compact decomposition makes a block-scalar
 ansatz exhaustive.  Intertwiners between equivalent parameters are
 likewise block-scalar diagonal.
 
+Every residual is formed on bare CSC arrays (indptr, indices, data,
+shape) by the compiled kernels of scipy.sparse._sparsetools that
+scipy's own operators call on CSC operands: csr_matmat for a product,
+formed as B^T A^T; csr_plus_csr and csr_minus_csr for a sum; csr_tocsc
+for a transpose.  The kernels, their operands and the order of the
+operations are those of the sparse-matrix expressions, so every
+residual is bit for bit the one scipy's operators give, without a
+sparse-matrix object per intermediate.  A column prefix is a view of
+the arrays, and a row prefix that keeps every stored entry is a new
+shape.
+
 Every reported number is read from the CSC arrays: the largest residual
 entry by an argmax over the stored data, whose column comes from the
 column pointers.  The metric and intertwiner solvers walk the space's
 block-edge table (gtbasis.BlockEdges) breadth-first over int block ids,
 read the edge amplitudes of a rep from its CSC arrays, and form their
 residuals A^H C - C A and S T_A - T_B S by scaling stored entries, with
-one sparse subtraction per residual for the union of the two patterns.  The
-entrywise complex products are written in real arithmetic, as scipy's
-sparse kernels form them, so every reported residual equals the one of
-the sparse products bit for bit.
+one kernel subtraction per residual for the union of the two patterns.
+The entrywise complex products are written in real arithmetic, as
+scipy's sparse kernels form them, so every reported residual equals the
+one of the sparse products bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .compactrep import GeneratorMatrix
 from .degenrep import DegenerateRep
@@ -103,7 +115,114 @@ def _coerce(rep, qp: QParam | None, need_qp: bool = True):
     return gens, qp, None, None
 
 
-def _column_max(mat: sparse.csc_matrix, space):
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(*sizes: int):
+    """int32 when every dimension and entry count fits it, else int64."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
+def _pruned(buf: np.ndarray, n: int) -> np.ndarray:
+    """buf[:n], copied when it uses less than half of buf, as scipy prunes."""
+    return buf[:n].copy() if n < buf.size // 2 else buf[:n]
+
+
+class _Csc:
+    """A CSC matrix as bare arrays, with the few operations the checks need.
+
+    `A @ B`, `A + B`, `A - B` and `A.transpose()` each make one call of
+    the compiled kernel that scipy's operator makes on CSC operands, with
+    the same operands in the same order; `x * A` scales the data as scipy
+    does.  Output buffers are pruned as scipy prunes them.  Column and row
+    prefixes share the arrays.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+    __array_ufunc__ = None  # a numpy scalar times _Csc defers to __rmul__
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
+
+    @classmethod
+    def of(cls, mat: sparse.spmatrix) -> _Csc:
+        mat = mat.tocsc()
+        nnz = mat.nnz
+        return cls(mat.indptr, mat.indices[:nnz], mat.data[:nnz], mat.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def cols(self, n: int) -> _Csc:
+        """The first n columns."""
+        end = self.indptr[n]
+        return _Csc(self.indptr[:n + 1], self.indices[:end], self.data[:end],
+                    (self.shape[0], n))
+
+    def rows(self, n: int) -> _Csc:
+        """The first n rows, where every stored entry lies in the first n rows."""
+        return _Csc(self.indptr, self.indices, self.data, (n, self.shape[1]))
+
+    def _index_arrays(self, dtype) -> tuple:
+        return np.asarray(self.indptr, dtype=dtype), np.asarray(self.indices, dtype=dtype)
+
+    def __matmul__(self, other: _Csc) -> _Csc:
+        # the CSC arrays of A B are the CSR arrays of B^T A^T
+        (m, k), n = self.shape, other.shape[1]
+        if other.shape[0] != k:
+            raise ValueError(f"inconsistent shapes {self.shape} and {other.shape}")
+        idx = _index_dtype(m, k, n, self.nnz, other.nnz)
+        maxnnz = _sparsetools.csr_matmat_maxnnz(n, m, *other._index_arrays(idx),
+                                                *self._index_arrays(idx))
+        return _kernel(_sparsetools.csr_matmat, (m, n), other, self, maxnnz,
+                       _index_dtype(m, k, n, self.nnz, other.nnz, maxnnz))
+
+    def _binop(self, other: _Csc, kernel) -> _Csc:
+        if other.shape != self.shape:
+            raise ValueError(f"inconsistent shapes {self.shape} and {other.shape}")
+        maxnnz = self.nnz + other.nnz
+        return _kernel(kernel, self.shape, self, other, maxnnz,
+                       _index_dtype(*self.shape, maxnnz))
+
+    def __add__(self, other: _Csc) -> _Csc:
+        return self._binop(other, _sparsetools.csr_plus_csr)
+
+    def __sub__(self, other: _Csc) -> _Csc:
+        return self._binop(other, _sparsetools.csr_minus_csr)
+
+    def __rmul__(self, x) -> _Csc:
+        return _Csc(self.indptr, self.indices, self.data * x, self.shape)
+
+    def transpose(self) -> _Csc:
+        m, n = self.shape
+        idx = _index_dtype(m, n, self.nnz)
+        indptr, indices = np.empty(m + 1, idx), np.empty(self.nnz, idx)
+        data = np.empty(self.nnz, self.data.dtype)
+        _sparsetools.csr_tocsc(n, m, *self._index_arrays(idx), self.data, indptr, indices, data)
+        return _Csc(indptr, indices, data, (n, m))
+
+    def adjoint(self) -> _Csc:
+        return _Csc(self.indptr, self.indices, self.data.conjugate(), self.shape).transpose()
+
+
+def _kernel(kernel, shape, first: _Csc, second: _Csc, maxnnz: int, idx) -> _Csc:
+    """The CSC matrix of `shape` that kernel(major, minor, first, second, out) writes.
+
+    The output buffers hold maxnnz entries with idx indices and are pruned.
+    """
+    m, n = shape
+    dtype = np.result_type(first.data, second.data)
+    indptr, indices = np.empty(n + 1, idx), np.empty(maxnnz, idx)
+    data = np.empty(maxnnz, dtype)
+    kernel(n, m, *first._index_arrays(idx), first.data.astype(dtype, copy=False),
+           *second._index_arrays(idx), second.data.astype(dtype, copy=False),
+           indptr, indices, data)
+    nnz = int(indptr[-1])
+    return _Csc(indptr, _pruned(indices, nnz), _pruned(data, nnz), shape)
+
+
+def _column_max(mat: _Csc, space):
     """Largest |entry| of a CSC mat and the pattern of its column.
 
     The first largest entry in storage order, which is the order tocoo
@@ -135,17 +254,17 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     """
     gens, p, space, _ = _coerce(rep, qp)
     a = p.a
-    mats = {g.i: g.mat.tocsc() for g in gens}
+    mats = {g.i: _Csc.of(g.mat) for g in gens}
     dim = gens[0].mat.shape[1]
     ncols = dim if space is None else len(space.interior_indices(depth))
-    cols = {i: M if ncols == dim else M[:, :ncols] for i, M in mats.items()}
+    cols = {i: M if ncols == dim else M.cols(ncols) for i, M in mats.items()}
     squares = {}
 
     def square(i: int, n: int):
         """mats[i] @ mats[i] on its first n columns, formed once per (i, n)."""
         if (i, n) not in squares:
             M = mats[i]
-            squares[i, n] = M @ (M if n == dim else M[:, :n])
+            squares[i, n] = M @ (M if n == dim else M.cols(n))
         return squares[i, n]
 
     def square_times(i: int, right):
@@ -153,7 +272,7 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
         n = dim
         if ncols != dim:
             n = int(right.indices.max()) + 1 if right.nnz else 0
-            right = right[:n, :]
+            right = right.rows(n)
         return square(i, n) @ right
 
     idxs = sorted(mats)
@@ -187,12 +306,13 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
     gens, _, space, noncompact_i = _coerce(rep, qp, need_qp=False)
     rows = []
     for g in gens:
-        adj = g.mat.conjugate().transpose().tocsc()
+        mat = _Csc.of(g.mat)
+        adj = mat.adjoint()
         if g.i == noncompact_i:
-            res, worst = _column_max(adj - g.mat, space)
+            res, worst = _column_max(adj - mat, space)
             rows.append(RelationResidual(f"star[{g.i}] hermitian", res, worst))
         else:
-            res, worst = _column_max(adj + g.mat, space)
+            res, worst = _column_max(adj + mat, space)
             rows.append(RelationResidual(f"star[{g.i}] anti-hermitian", res, worst))
     dim = gens[0].mat.shape[1]
     return ResidualReport(rows, tol, dim, dim)
@@ -306,7 +426,7 @@ def _max_abs(data: np.ndarray) -> float:
     return float(np.max(np.abs(data))) if data.size else 0.0
 
 
-def _columns(mat: sparse.csc_matrix) -> np.ndarray:
+def _columns(mat: _Csc) -> np.ndarray:
     """The column of every stored entry."""
     return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
 
@@ -371,11 +491,15 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     weights = {blocks[b]: float(values[b].real) for b in order}
     diag = space.block_diagonal(weights)
     # A^H C - C A entrywise: C scales A^H by columns and A by rows, and the
-    # row of an entry of A is the column of its entry of A^H
+    # row of an entry of A is the column of its entry of A^H.  Both terms are
+    # formed transposed, as scipy subtracts them in CSR: A's CSC arrays with
+    # the data conjugated and scaled are those of (A^H C)^T, and (C A)^T is
+    # one transpose of C A
+    A = _Csc.of(A)
     w = diag[A.indices]
-    adjoint_c = sparse.csr_matrix((np.conj(A.data) * w, A.indices, A.indptr), shape=A.shape)
-    c_a = sparse.csc_matrix((w * A.data, A.indices, A.indptr), shape=A.shape)
-    residual = _max_abs((adjoint_c - c_a).data)
+    adjoint_c_t = _Csc(A.indptr, A.indices, np.conj(A.data) * w, A.shape[::-1])
+    c_a_t = _Csc(A.indptr, A.indices, w * A.data, A.shape).transpose()
+    residual = _max_abs((adjoint_c_t - c_a_t).data)
     rel = residual / max(scale * max(abs(v) for v in weights.values()), 1e-300)
     if rel > tol:
         return MetricSolution(NONE, weights, residual, connected,
@@ -423,12 +547,10 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     diag = space.block_diagonal(block_values)
     residual = 0.0
     for ga, gb in zip(repA.generators, repB.generators):
-        A, B = ga.mat, gb.mat
-        s_a = _times(diag[A.indices], A.data)  # S T_A
-        b_s = _times(diag[_columns(B)], B.data)  # T_B S
-        res = (sparse.csc_matrix((s_a, A.indices, A.indptr), shape=A.shape)
-               - sparse.csc_matrix((b_s, B.indices, B.indptr), shape=B.shape))
-        residual = max(residual, _max_abs(res.data))
+        A, B = _Csc.of(ga.mat), _Csc.of(gb.mat)
+        s_a = _Csc(A.indptr, A.indices, _times(diag[A.indices], A.data), A.shape)  # S T_A
+        b_s = _Csc(B.indptr, B.indices, _times(diag[_columns(B)], B.data), B.shape)  # T_B S
+        residual = max(residual, _max_abs((s_a - b_s).data))
     rel_scale = scale * max(abs(v) for v in block_values.values())
     if residual > tol * max(rel_scale, 1.0):
         return None

@@ -10,9 +10,10 @@ passes the scalar functions in: the per-chain compact reference takes
 the bracket and d(m) as arguments, so that a byte-for-byte comparison
 checks the walk over the chains rather than the libm calls.  The
 relation reference forms the full products with scipy and cuts the
-columns afterwards.  The lattice reference decides every transition block
-by block from the exact parameter and searches the block graph with plain
-sets.  The assembly reference for T_{eps,lambda} is the one exception to
+columns afterwards, and the star reference forms each adjoint residual
+with scipy's sparse operators.  The lattice reference decides every
+transition block by block from the exact parameter and searches the
+block graph with plain sets.  The assembly reference for T_{eps,lambda} is the one exception to
 the no-import rule: it takes its scalars from the package and rebuilds
 every generator block by block on each call, with no frame shared
 between calls.  The dump reference writes `soqrs build` JSON the way it
@@ -184,6 +185,31 @@ def full_product_relations(gens, a, ncols, pattern) -> list:
             if j - i > 1:
                 c = mats[i] @ mats[j] - mats[j] @ mats[i]
                 rows.append((f"commutator[{i},{j}]", *column_max(c)))
+    return rows
+
+
+def star_relations(gens, noncompact_i, pattern) -> list:
+    """[(relation, residual, worst)] of the adjoint conditions.
+
+    Forms M^* = M.conjugate().transpose().tocsc() and M^* - M for the
+    noncompact generator (index noncompact_i, None for none), M^* + M for
+    every other one, with scipy's sparse operators; worst is
+    pattern(column) of the largest entry, read through tocoo.
+    """
+    import numpy as np
+
+    rows = []
+    for g in gens:
+        adj = g.mat.conjugate().transpose().tocsc()
+        if g.i == noncompact_i:
+            name, res = f"star[{g.i}] hermitian", (adj - g.mat).tocoo()
+        else:
+            name, res = f"star[{g.i}] anti-hermitian", (adj + g.mat).tocoo()
+        if res.nnz == 0:
+            rows.append((name, 0.0, None))
+            continue
+        k = int(np.argmax(np.abs(res.data)))
+        rows.append((name, float(abs(res.data[k])), pattern(int(res.col[k]))))
     return rows
 
 

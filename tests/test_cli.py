@@ -191,6 +191,19 @@ def test_verify_empty_tower_is_usage_error(capsys):
     assert "below epsilon" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_primed_basis_that_does_not_exist_is_refused(capsys, command):
+    # at lambda = 0 the primed transform divides by [lambda+0]
+    argv = [command, "--degenerate", "--primed", "--r", "3", "--s", "3",
+            "--epsilon", "0", "--lambda-re", "0", "--cutoff", "6"]
+    code, out, err = run(capsys, *argv, *(["--star"] if command == "verify" else []))
+    assert code == 3 and out == ""
+    assert "primed basis undefined: factor [lambda+0] vanishes at block (0, 2)" in err
+    # the standard basis at the same lambda is still built and checked
+    code, _, _ = run(capsys, *[a for a in argv if a != "--primed"])
+    assert code == 0
+
+
 def test_reports_embed_config(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["verify", "--so3", "--l", "2", "--q", "2",

@@ -1,10 +1,12 @@
 """The array-level checks and solvers against their sparse-product references.
 
-check_relations and check_star read every residual from the CSC arrays,
-and solve_metric and solve_intertwiner walk the space's block-edge table
+check_relations and check_star form every residual on bare CSC arrays
+through scipy's compiled kernels and read it from those arrays, and
+solve_metric and solve_intertwiner walk the space's block-edge table
 and form their residuals by scaling stored entries.  Each must report
 what the sparse products report, bit for bit: rows by relation, residual
-and worst pattern; solutions by repr, the diagonal by its bytes.
+and worst pattern; solutions by repr, the diagonal by its bytes.  The
+kernel helper itself must store what scipy's operators store.
 """
 
 import itertools
@@ -14,7 +16,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from soqrs import (
     QParam,
@@ -30,12 +34,14 @@ from soqrs import (
     solve_metric,
 )
 from soqrs.degenrep import frame
+from soqrs.verify import _Csc, _index_dtype
 from oracles import (
     column_max_coo,
     conjugate_rep,
     full_product_relations,
     solve_intertwiner_reference,
     solve_metric_reference,
+    star_relations,
 )
 
 E = SpectralParam.exact
@@ -188,3 +194,135 @@ def test_solvers_leave_csgraph_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the CSC kernel helper against scipy's operators
+
+
+def _random_csc(rng, shape, nnz: int) -> sparse.csc_matrix:
+    """A complex CSC matrix with nnz distinct entries, some stored as 0 and -0."""
+    flat = rng.choice(shape[0] * shape[1], size=nnz, replace=False)
+    vals = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    vals[::5] = 0.0
+    vals[1::7] = complex(-0.0, -0.0)
+    mat = sparse.csc_matrix((vals, np.unravel_index(flat, shape)), shape=shape)
+    mat.data[::5] = 0.0  # the constructor keeps explicit zeros; keep -0.0 too
+    return mat
+
+
+def _stored(mat) -> tuple:
+    """What a CSC matrix stores, as bytes."""
+    return (mat.shape, mat.indptr.dtype, mat.indptr.tobytes(), mat.indices.tobytes(),
+            mat.data.dtype, mat.data.tobytes())
+
+
+def test_csc_helper_stores_what_scipy_operators_store():
+    rng = np.random.default_rng(11)
+    a, b = _random_csc(rng, (9, 7), 30), _random_csc(rng, (7, 8), 25)
+    c, d = _random_csc(rng, (9, 8), 40), _random_csc(rng, (9, 8), 0)
+    empty_k = sparse.csc_matrix((9, 7), dtype=complex)
+    # a (7, 8) matrix whose entries all lie in its first 4 rows
+    top = _random_csc(rng, (4, 8), 15)
+    low = sparse.csc_matrix((top.data, top.indices, top.indptr), shape=(7, 8))
+    x = {name: _Csc.of(m) for name, m in
+         (("a", a), ("b", b), ("c", c), ("d", d), ("e", empty_k), ("low", low))}
+    product = a @ b
+    assert not product.has_sorted_indices  # csr_matmat leaves columns unsorted
+    cases = [
+        (x["a"] @ x["b"], product),
+        (x["c"] + x["c"], c + c),
+        (x["c"] - x["a"] @ x["b"], c - product),
+        # the product's unsorted output fed into a sum and a difference
+        (x["a"] @ x["b"] + x["c"], product + c),
+        (x["a"] @ x["b"] - x["c"], product - c),
+        (2.5 * (x["a"] @ x["b"]), 2.5 * product),
+        # empty operands
+        (x["e"] @ x["b"], empty_k @ b),
+        (x["d"] + x["c"], d + c),
+        (x["c"] - x["d"], c - d),
+        (x["d"] - x["d"], d - d),
+        # zero-column and partial prefixes, a row prefix holding every entry
+        (x["a"] @ x["b"].cols(0), a @ b[:, :0]),
+        (x["a"] @ x["b"].cols(3), a @ b[:, :3]),
+        (x["a"].cols(4) @ x["low"].rows(4), a[:, :4] @ low[:4, :]),
+        (x["c"].cols(5) - x["c"].cols(5), c[:, :5] - c[:, :5]),
+        # the adjoint, as check_star forms it
+        (x["a"].adjoint(), a.conjugate().transpose().tocsc()),
+        (x["a"].adjoint() - x["a"].adjoint(), a.conjugate().transpose().tocsc()
+         - a.conjugate().transpose().tocsc()),
+    ]
+    for k, (got, want) in enumerate(cases):
+        want = want.tocsc()
+        assert _stored(got) == _stored(want), k
+        # pruned as scipy prunes: no output keeps a buffer over twice its size
+        for arr in (got.indices, got.data):
+            assert arr.base is None or 2 * arr.size >= arr.base.size, k
+
+
+def test_index_dtype_widens_past_int32():
+    top = np.iinfo(np.int32).max
+    assert _index_dtype(3, top) is np.int32
+    assert _index_dtype(3, top + 1, 7) is np.int64
+
+
+def _int64_indices(rep):
+    """The rep with every generator's index arrays widened to int64."""
+    gens = []
+    for g in rep.generators:
+        mat = g.mat.copy()
+        mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+        gens.append(type(g)(g.i, mat))
+    return type(rep)(rep.spec, rep.space, gens, rep.basis_kind)
+
+
+def test_int64_indices_give_the_same_rows():
+    spec = RepSpec(4, 3, 1, E(Fraction(5, 2), 0, Fraction(3, 4)), QParam(0.5), 6)
+    for rep in (build_degenerate(spec), build_degenerate_primed(spec)):
+        wide = _int64_indices(rep)
+        assert wide.noncompact.mat.indices.dtype == np.int64
+        for depth in (0, 3):
+            assert (repr(check_relations(wide, depth=depth).to_dict())
+                    == repr(check_relations(rep, depth=depth).to_dict()))
+        assert repr(check_star(wide).to_dict()) == repr(check_star(rep).to_dict())
+        assert _metric(solve_metric(wide)) == _metric(solve_metric(rep))
+        assert _intertwiner(solve_intertwiner(wide, rep)) == _intertwiner(solve_intertwiner(rep, rep))
+
+
+def test_check_star_matches_sparse_operator_reference():
+    reps = []
+    for (r, s), eps, q in itertools.product(RANKS, (0, 1), (0.5, 2.0)):
+        qp = QParam(q)
+        for lam in (E(Fraction(1, 3)), E(Fraction(r + s - 2, 2), 0, Fraction(3, 4))):
+            spec = RepSpec(r, s, eps, lam, qp, 4)
+            reps += [build_degenerate(spec), build_degenerate_primed(spec)]
+    for rep in reps:
+        got = [(row.relation, row.residual, row.worst) for row in check_star(rep).rows]
+        want = star_relations(rep.generators, rep.spec.r + 1, rep.space.pattern)
+        assert repr(got) == repr(want), (rep.spec, rep.basis_kind)
+    for q in (0.5, 1.0, 2.0, 7.0):
+        qp = QParam(q)
+        for gens in [build_so3(Fraction(5, 2), qp)] + [build_class1(n, 3, qp) for n in range(3, 8)]:
+            got = [(row.relation, row.residual, row.worst) for row in check_star(gens).rows]
+            assert repr(got) == repr(star_relations(gens, None, int)), (len(gens), q)
+
+
+def test_checks_build_no_sparse_matrix(monkeypatch):
+    # every intermediate of a relation or star check stays bare arrays
+    spec = RepSpec(3, 4, 0, E(Fraction(5, 2), 0, Fraction(3, 4)), QParam(2.0), 5)
+    reps = [build_degenerate(spec), build_degenerate_primed(spec)]
+    gens = build_class1(4, 2, QParam(2.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
+
+    # the common base of the CSC, CSR and COO classes
+    monkeypatch.setattr(sparse._data._data_matrix, "__init__", refuse)
+    with pytest.raises(AssertionError, match="was built"):
+        sparse.csc_matrix((2, 2))
+    for rep in reps:
+        check_relations(rep, depth=0)
+        check_relations(rep, depth=2)
+        check_star(rep)
+    check_relations(gens, qp=QParam(2.0))
+    check_star(gens)
