@@ -39,6 +39,23 @@ one kernel subtraction per residual for the union of the two patterns.
 The entrywise complex products are written in real arithmetic, as
 scipy's sparse kernels form them, so every reported residual equals the
 one of the sparse products bit for bit.
+
+Only the noncompact generator depends on lambda: every rep built from
+one degenrep Frame holds the same read-only compact matrices.  So the
+relation rows without the noncompact generator (at (4,4), 19 of 27) and
+the anti-Hermitian star rows of the compact generators are formed once
+by the code above and kept in a memo with one entry, which the next rep
+of the frame reads them from; the noncompact rows are formed per rep.
+The entry holds strong references to the compact matrices and their
+data, indices and indptr arrays, and matches a rep only when it holds
+the same objects (compared by identity) on the same space object; its
+relation rows also carry the interior column count and a.  Generators
+with any writeable array (a dump, a conjugated rep, an edited copy) are
+never looked up or stored, so they are always checked afresh.  The entry
+also records, computed once, which compact generators are
+block-diagonal: solve_intertwiner skips such a generator when both reps
+hold it, since S T - T S is then exactly 0 for the block-scalar S.  A
+new set of compact generators replaces the entry.
 """
 
 from __future__ import annotations
@@ -239,6 +256,68 @@ def _column_max(mat: _Csc, space):
     return float(abs(mat.data[k])), worst
 
 
+class _Shared:
+    """The lambda-independent results of one set of shared compact generators.
+
+    Every rep of one degenrep Frame holds the same read-only compact
+    matrices, so the relation rows that leave out the noncompact
+    generator, their anti-Hermitian star rows and whether each one is
+    block-diagonal are the same for all of them.  An entry holds the
+    generators it was made for (index, matrix and its three arrays, by
+    strong reference) with the space, and keeps the relation rows of one
+    (interior column count, a) at a time.
+    """
+
+    __slots__ = ("gens", "space", "relations", "star", "block_diagonal")
+
+    def __init__(self, gens: tuple, space):
+        self.gens, self.space = gens, space
+        self.relations = None  # (ncols, a, {name: RelationResidual})
+        self.star = None  # {i: RelationResidual}
+        self.block_diagonal = None  # {i: bool}
+
+    def matches(self, gens: tuple, space) -> bool:
+        return (space is self.space and len(gens) == len(self.gens)
+                and all(i == j and all(x is y for x, y in zip(a, b))
+                        for (i, *a), (j, *b) in zip(gens, self.gens)))
+
+    def relation_rows(self, ncols: int, a: float) -> dict | None:
+        if self.relations is not None and self.relations[:2] == (ncols, a):
+            return self.relations[2]
+        return None
+
+    def block_diagonal_flags(self) -> dict:
+        """Per generator index, whether every stored entry lies in a diagonal block."""
+        if self.block_diagonal is None:
+            space = self.space
+            block = np.repeat(np.arange(len(space.blocks)), np.diff(space.offsets))
+            flags = {}
+            for i, mat, *_ in self.gens:
+                M = _Csc.of(mat)
+                flags[i] = bool(np.array_equal(block[M.indices], block[_columns(M)]))
+            self.block_diagonal = flags
+        return self.block_diagonal
+
+
+_shared: _Shared | None = None
+
+
+def _shared_entry(gens, space, noncompact_i) -> _Shared | None:
+    """The one memo entry, made for the compact gens on space if it holds others.
+
+    None, with the entry left alone, unless every data, indices and
+    indptr array of every compact matrix is read-only.
+    """
+    global _shared
+    key = tuple((g.i, g.mat, g.mat.data, g.mat.indices, g.mat.indptr)
+                for g in gens if g.i != noncompact_i)
+    if any(a.flags.writeable for _, _, *arrays in key for a in arrays):
+        return None
+    if _shared is None or not _shared.matches(key, space):
+        _shared = _Shared(key, space)
+    return _shared
+
+
 def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
                     qp: QParam | None = None) -> ResidualReport:
     """Residuals of the defining relations, restricted to interior columns.
@@ -251,8 +330,12 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     keep the association (Y Y) X, with Y Y formed only on the columns
     that X reaches, so every reported entry is summed in the same order
     as from the full products.
+
+    The rows without the noncompact generator are read from the memo
+    entry of the compact generators when it holds them for this column
+    count and a; otherwise they are formed here and stored there.
     """
-    gens, p, space, _ = _coerce(rep, qp)
+    gens, p, space, noncompact_i = _coerce(rep, qp)
     a = p.a
     mats = {g.i: _Csc.of(g.mat) for g in gens}
     dim = gens[0].mat.shape[1]
@@ -275,25 +358,39 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
             right = right.rows(n)
         return square(i, n) @ right
 
+    def cubic_a(i: int, j: int):
+        X, Y, Xc, Yc = mats[i], mats[j], cols[i], cols[j]
+        return X @ square(j, ncols) - a * (Y @ (X @ Yc)) + square_times(j, Xc) + Xc
+
+    def cubic_b(i: int, j: int):
+        X, Y, Xc, Yc = mats[i], mats[j], cols[i], cols[j]
+        return square_times(i, Yc) - a * (X @ (Y @ Xc)) + Y @ square(i, ncols) + Yc
+
+    def commutator(i: int, j: int):
+        return mats[i] @ cols[j] - mats[j] @ cols[i]
+
     idxs = sorted(mats)
-    rows = []
+    terms = []
     for i in idxs[:-1]:
-        X, Y, Xc, Yc = mats[i], mats[i + 1], cols[i], cols[i + 1]
-        r1 = (X @ square(i + 1, ncols) - a * (Y @ (X @ Yc))
-              + square_times(i + 1, Xc) + Xc)
-        res, worst = _column_max(r1, space)
-        rows.append(RelationResidual(f"cubic[{i},{i + 1}]a", res, worst))
-        r2 = (square_times(i, Yc) - a * (X @ (Y @ Xc))
-              + Y @ square(i, ncols) + Yc)
-        res, worst = _column_max(r2, space)
-        rows.append(RelationResidual(f"cubic[{i},{i + 1}]b", res, worst))
-    for ii, i in enumerate(idxs):
-        for j in idxs[ii + 1:]:
-            if j - i <= 1:
-                continue
-            c = mats[i] @ cols[j] - mats[j] @ cols[i]
-            res, worst = _column_max(c, space)
-            rows.append(RelationResidual(f"commutator[{i},{j}]", res, worst))
+        terms.append((f"cubic[{i},{i + 1}]a", cubic_a, i, i + 1))
+        terms.append((f"cubic[{i},{i + 1}]b", cubic_b, i, i + 1))
+    terms += [(f"commutator[{i},{j}]", commutator, i, j)
+              for ii, i in enumerate(idxs) for j in idxs[ii + 1:] if j - i > 1]
+
+    shared = _shared_entry(gens, space, noncompact_i)
+    known = shared.relation_rows(ncols, a) if shared is not None else None
+    rows, compact_rows = [], {}
+    for name, residual, i, j in terms:
+        compact = noncompact_i not in (i, j)
+        if compact and known is not None:
+            rows.append(known[name])
+            continue
+        res, worst = _column_max(residual(i, j), space)
+        rows.append(RelationResidual(name, res, worst))
+        if compact:
+            compact_rows[name] = rows[-1]
+    if shared is not None and known is None:
+        shared.relations = (ncols, a, compact_rows)
     return ResidualReport(rows, tol, ncols, dim)
 
 
@@ -302,10 +399,17 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
 
     Compact generators must satisfy M* = -M; for a degenerate
     representation the noncompact generator must satisfy M* = M instead.
+    The compact rows are read from the memo entry of the compact
+    generators once it holds them.
     """
     gens, _, space, noncompact_i = _coerce(rep, qp, need_qp=False)
+    shared = _shared_entry(gens, space, noncompact_i)
+    known = shared.star if shared is not None else None
     rows = []
     for g in gens:
+        if g.i != noncompact_i and known is not None:
+            rows.append(known[g.i])
+            continue
         mat = _Csc.of(g.mat)
         adj = mat.adjoint()
         if g.i == noncompact_i:
@@ -314,6 +418,8 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
         else:
             res, worst = _column_max(adj + mat, space)
             rows.append(RelationResidual(f"star[{g.i}] anti-hermitian", res, worst))
+    if shared is not None and known is None:
+        shared.star = {g.i: row for g, row in zip(gens, rows) if g.i != noncompact_i}
     dim = gens[0].mat.shape[1]
     return ResidualReport(rows, tol, dim, dim)
 
@@ -518,6 +624,8 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
 
     Returns None when the linear conditions are inconsistent or require a
     non-invertible S.  The diagonal is normalized to 1 on the base block.
+    A compact generator that both reps share and that the memo entry
+    finds block-diagonal adds no residual and is skipped.
     """
     sa, sb = repA.spec, repB.spec
     if (sa.r, sa.s, sa.epsilon, sa.cutoff, sa.qp) != (sb.r, sb.s, sb.epsilon, sb.cutoff, sb.qp):
@@ -545,8 +653,13 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
         return None
     block_values = {space.blocks[b]: values[b] for b in order}
     diag = space.block_diagonal(block_values)
+    # S T - T S is exactly 0 for a block-scalar S and a block-diagonal T
+    shared = _shared_entry(repA.generators, space, sa.r + 1)
+    block_diagonal = shared.block_diagonal_flags() if shared is not None else {}
     residual = 0.0
     for ga, gb in zip(repA.generators, repB.generators):
+        if ga.mat is gb.mat and block_diagonal.get(ga.i, False):
+            continue
         A, B = _Csc.of(ga.mat), _Csc.of(gb.mat)
         s_a = _Csc(A.indptr, A.indices, _times(diag[A.indices], A.data), A.shape)  # S T_A
         b_s = _Csc(B.indptr, B.indices, _times(diag[_columns(B)], B.data), B.shape)  # T_B S

@@ -1,17 +1,24 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
+
+import soqrs.verify as verify_module
 
 from soqrs import (
     DegenerateRep,
     FOUND,
+    GeneratorMatrix,
     INDEFINITE,
     NONE,
     QParam,
     RepSpec,
     SpectralParam,
+    TruncatedSpace,
     build_degenerate,
     build_degenerate_primed,
     build_class1,
@@ -22,7 +29,13 @@ from soqrs import (
     solve_intertwiner,
     solve_metric,
 )
-from oracles import block_edges, conjugate_rep, full_product_relations
+from soqrs.degenrep import frame
+from oracles import (
+    block_edges,
+    conjugate_rep,
+    full_product_relations,
+    solve_intertwiner_reference,
+)
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -353,3 +366,192 @@ def test_metric_reason_first_nonpositive_weight():
     first = next(b for b in rep.space.blocks if ms.weights[b] <= 0)
     assert first == (0, 2)
     assert ms.reason == f"first nonpositive weight: block (0, 2), c = {ms.weights[first]:.6g}"
+
+
+# ---------------------------------------------------------------------------
+# the memo of the shared compact generators
+
+
+def _frozen_copy(mat):
+    """A read-only copy of a CSC matrix: equal, but not the same object."""
+    copy = mat.copy()
+    for a in (copy.data, copy.indices, copy.indptr):
+        a.flags.writeable = False
+    return copy
+
+
+def _with_compact(rep, i, mat):
+    gens = [GeneratorMatrix(g.i, mat) if g.i == i else g for g in rep.generators]
+    return DegenerateRep(rep.spec, rep.space, gens, rep.basis_kind)
+
+
+def _moved_entry(rep, i, depth):
+    """Generator i with one interior entry moved into the next block in block order.
+
+    Returns the read-only mutated matrix and the column of the moved entry.
+    """
+    space = rep.space
+    interior = len(space.interior_indices(depth))
+    coo = rep.gen(i).mat.tocoo()
+    k = int(np.flatnonzero(coo.col >= interior // 2)[0])
+    j = int(np.searchsorted(space.offsets, coo.row[k], side="right")) - 1
+    size = space.offsets[j + 2] - space.offsets[j + 1]
+    rows = coo.row.copy()
+    rows[k] = space.offsets[j + 1] + (rows[k] - space.offsets[j]) % size
+    moved = _frozen_copy(sparse.csc_matrix((coo.data, (rows, coo.col)), shape=coo.shape))
+    return moved, int(coo.col[k])
+
+
+def _tower(lam_re, kind):
+    spec = RepSpec(4, 4, 0, E(lam_re, 0, Fraction(5, 8)), Q2, 8)
+    return build_degenerate(spec) if kind == "standard" else build_degenerate_primed(spec)
+
+
+def test_warm_checks_equal_cold_ones(monkeypatch):
+    # a lambda sweep on one tower in both bases: every warm report equals
+    # the report of a call with the memo emptied first, by repr, and a warm
+    # relation check forms only the 8 of 27 rows with the noncompact generator
+    reps = [_tower(lam_re, kind) for lam_re in (3, Fraction(1, 3), Fraction(-5, 2))
+            for kind in ("standard", "primed")]
+    cold = {}
+    for depth in (0, 3):
+        for k, rep in enumerate(reps):
+            monkeypatch.setattr(verify_module, "_shared", None)
+            relations = check_relations(rep, depth=depth)
+            monkeypatch.setattr(verify_module, "_shared", None)
+            star = check_star(rep)
+            cold[k, depth] = [repr(x) for x in (relations.to_dict(), _rows(relations),
+                                                star.to_dict(), _rows(star))]
+    calls = []
+    column_max = verify_module._column_max
+    monkeypatch.setattr(verify_module, "_column_max",
+                        lambda mat, space: calls.append(1) or column_max(mat, space))
+    monkeypatch.setattr(verify_module, "_shared", None)
+    for depth in (0, 3):
+        for k, rep in enumerate(reps):
+            calls.clear()
+            relations, star = check_relations(rep, depth=depth), check_star(rep)
+            assert len(calls) == (27 if k == 0 else 8) + (7 if (k, depth) == (0, 0) else 1)
+            warm = [repr(x) for x in (relations.to_dict(), _rows(relations),
+                                      star.to_dict(), _rows(star))]
+            assert warm == cold[k, depth], (k, depth)
+
+
+def test_compact_generator_made_writeable_is_recomputed():
+    frame.cache_clear()
+    rep = _tower(3, "standard")
+    assert check_relations(rep).passed and check_star(rep).passed
+    mat = rep.gen(3).mat
+    k = mat.indptr[len(rep.space.interior_indices(3)) // 2]
+    try:
+        mat.data.flags.writeable = True
+        mat.data[k] += 0.1
+        relations, star = check_relations(rep), check_star(rep)
+        assert not relations.passed and not star.passed
+        assert relations.worst_row().relation in (
+            "cubic[2,3]a", "cubic[2,3]b", "cubic[3,4]a", "cubic[3,4]b",
+            "commutator[3,6]", "commutator[3,7]", "commutator[3,8]")
+        assert star.worst_row().relation == "star[3] anti-hermitian"
+    finally:
+        mat.data[k] -= 0.1
+        mat.data.flags.writeable = False
+        frame.cache_clear()
+
+
+def test_corrupted_compact_copy_is_recomputed_and_localized():
+    rep = _tower(3, "primed")
+    assert check_relations(rep).passed and check_star(rep).passed
+    mat = rep.gen(7).mat
+    col = len(rep.space.interior_indices(3)) // 2
+    bad = _frozen_copy(mat)
+    bad.data.flags.writeable = True
+    bad.data[bad.indptr[col]] *= 1.5
+    bad.data.flags.writeable = False
+    corrupted = _with_compact(rep, 7, bad)
+    relations, star = check_relations(corrupted), check_star(corrupted)
+    assert not relations.passed and not star.passed
+    worst = relations.worst_row()
+    assert "7" in worst.relation
+    pat = rep.space.pattern(col)
+    assert max(abs(worst.worst.m - pat.m), abs(worst.worst.mp - pat.mp)) <= 2
+    assert star.worst_row().relation == "star[7] anti-hermitian"
+    assert star.worst_row().worst.block == pat.block
+    # the clean rep is still right afterwards
+    assert check_relations(rep).passed and check_star(rep).passed
+
+
+def test_memo_keeps_one_entry():
+    frame.cache_clear()
+    first = _tower(3, "standard")
+    check_relations(first)
+    ref = weakref.ref(first.gen(2).mat)
+    del first
+    frame.cache_clear()
+    second = build_degenerate(RepSpec(3, 4, 1, E(Fraction(1, 3)), Q2, 5))
+    check_relations(second)
+    check_star(second)
+    gc.collect()
+    assert ref() is None
+    entry = verify_module._shared
+    assert entry.space is second.space
+    assert [g[1] for g in entry.gens] == [g.mat for g in second.generators if g.i != 4]
+    check_relations(second, depth=0)
+    assert entry is verify_module._shared and entry.relations[0] == second.dim
+
+
+def test_moved_compact_entry_fails_and_is_not_skipped(monkeypatch):
+    # a compact entry moved into a neighbouring block: the relations
+    # fail, and the intertwiner forms the residual of the unshared generator
+    clean = build_degenerate(RepSpec(4, 4, 0, E(Fraction(1, 3)), Q2, 8))
+    mirror = build_degenerate(RepSpec(4, 4, 0, E(Fraction(17, 3)), Q2, 8))
+    for i in (2, 3, 4, 6, 7, 8):
+        moved, col = _moved_entry(clean, i, 3)
+        mutated = _with_compact(clean, i, moved)
+        report = check_relations(mutated)
+        assert not report.passed, i
+        worst, pat = report.worst_row(), clean.space.pattern(col)
+        assert str(i) in worst.relation
+        assert max(abs(worst.worst.m - pat.m), abs(worst.worst.mp - pat.mp)) <= 2
+        assert check_relations(clean).passed
+        assert solve_intertwiner(clean, mutated) is None
+        assert solve_intertwiner(mutated, clean) is None
+        # shared by both reps, but not block-diagonal
+        assert solve_intertwiner(mutated, _with_compact(mirror, i, moved)) is None
+    # with every compact generator shared, only the noncompact one is formed
+    formed = []
+    times = verify_module._times
+    monkeypatch.setattr(verify_module, "_times", lambda s, g: formed.append(1) or times(s, g))
+    sol = solve_intertwiner(clean, mirror)
+    assert sol is not None and len(formed) == 2
+    assert repr((sol.block_values, sol.residual, sol.diagonal.tobytes())) == repr(
+        (lambda s: (s.block_values, s.residual, s.diagonal.tobytes()))(
+            solve_intertwiner_reference(clean, mirror)))
+
+
+def test_read_only_bare_generators_are_memoized_per_a():
+    # the relation rows of frozen class-1 generators depend on the a of qp
+    gens = [GeneratorMatrix(g.i, _frozen_copy(g.mat)) for g in build_class1(5, 3, Q2)]
+    for qp in (Q2, QParam(3.0), Q2):
+        warm = check_relations(gens, qp=qp)
+        verify_module._shared = None
+        cold = check_relations(gens, qp=qp)
+        assert repr(warm.to_dict()) == repr(cold.to_dict())
+        assert warm.passed == (qp is Q2)
+
+
+def test_memo_entry_is_per_space_object(monkeypatch):
+    # the same compact matrices on another space object: every row is
+    # formed again, with that space naming the worst columns
+    rep = _tower(3, "standard")
+
+    def counting_space(seen):
+        space = TruncatedSpace(4, 4, 0, 8)
+        space.pattern = lambda i: seen.append(i) or TruncatedSpace.pattern(space, i)
+        return DegenerateRep(rep.spec, space, rep.generators, rep.basis_kind)
+
+    cold, warm = [], []
+    monkeypatch.setattr(verify_module, "_shared", None)
+    want = check_relations(counting_space(cold)).to_dict()
+    got = check_relations(counting_space(warm)).to_dict()
+    assert repr(got) == repr(want) == repr(check_relations(rep).to_dict())
+    assert warm == cold and len(cold) > 8
