@@ -12,15 +12,11 @@ from .qarith import (
     InexactSpectralError,
     QParam,
     SpectralParam,
-    bracket_vanishes,
     normalize_spectral,
 )
 from .gtbasis import (
-    ChainPattern,
-    DoublePattern,
     TruncatedSpace,
     class1_dim,
-    enumerate_chain,
 )
 from .compactrep import (
     GeneratorMatrix,
@@ -67,10 +63,9 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QParam", "SpectralParam", "InexactSpectralError", "bracket_vanishes",
+    "QParam", "SpectralParam", "InexactSpectralError",
     "normalize_spectral", "IDENTICAL", "EQUIVALENT_FLIP",
-    "ChainPattern", "DoublePattern", "TruncatedSpace",
-    "class1_dim", "enumerate_chain",
+    "TruncatedSpace", "class1_dim",
     "GeneratorMatrix", "d_coeff", "R_coeff", "build_so3", "build_class1",
     "RepSpec", "DegenerateRep", "K_coeff", "build_degenerate",
     "build_degenerate_primed", "primed_transform", "PrimedTransform",

@@ -24,7 +24,7 @@ from .compactrep import GeneratorMatrix, assemble, build_class1, build_so3
 from .classify import cross_check, predict_constituents
 from .degenrep import (DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed,
                        primed_transform)
-from .gtbasis import TruncatedSpace, chain_labels, enumerate_chain
+from .gtbasis import TruncatedSpace, chain_labels
 from .qarith import InexactSpectralError, QParam, SpectralParam
 from .verify import check_relations, check_star, solve_metric
 
@@ -195,10 +195,10 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
 
 
 def _chain_table(n: int, top: Fraction) -> _Table:
-    """The basis enumerate_chain(n, top); half-integer labels as strings."""
+    """The chains (top, ..., m_2) ascending; half-integer so'_q(3) labels as strings."""
     if top.denominator == 2:
-        return _Table(*np.array([[str(e) for e in c.entries]
-                                 for c in enumerate_chain(n, top)]).T)
+        return _Table(*np.array([(str(top), str(j - top))
+                                 for j in range(int(2 * top) + 1)]).T)
     return _Table(*chain_labels(n, int(top))[-1].T)
 
 

@@ -226,7 +226,7 @@ def build_so3(l, p: QParam) -> list[GeneratorMatrix]:
 def build_class1(n: int, m_top, p: QParam) -> list[GeneratorMatrix]:
     """Generator matrices of the class-1 representation of so'_q(n).
 
-    Matrices act on the enumerate_chain(n, m_top) basis; the generator
+    Matrices act on the chain_labels(n, m_top)[m_top] basis; the generator
     indexed k only changes the label m_{k-1}.  For n = 3 this is
     build_so3(m_top), half-integer labels included.
     """

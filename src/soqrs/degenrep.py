@@ -57,7 +57,7 @@ from scipy import sparse
 
 from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, class1_arrays
 from .gtbasis import FAMILIES, TruncatedSpace, enumerate_blocks
-from .qarith import QParam, SpectralParam, bracket_vanishes
+from .qarith import QParam, SpectralParam, vanishing_point
 
 
 class PrimedBasisUndefined(ValueError):
@@ -379,25 +379,12 @@ class PrimedTransform:
     spec: RepSpec
     coefficients: dict[tuple[int, int], complex]
 
-    def block_indices(self, m: int, mp: int) -> tuple[int, int, int]:
-        """(m0, i, family) of a block; family is +1 for m-m' >= eps else -1."""
-        eps = self.spec.epsilon
-        m0 = (m + mp - eps) // 2
-        if m - mp >= eps:
-            return m0, (m - mp - eps) // 2, 1
-        return m0, (mp - m + eps) // 2, -1
-
-    def coefficient(self, m: int, mp: int) -> complex:
-        return self.coefficients[(m, mp)]
-
-    def diagonal(self, space: TruncatedSpace) -> np.ndarray:
-        return space.block_diagonal(self.coefficients)
-
 
 def _checked_sqrt_factor(spec: RepSpec, sign: int, offset: int, block) -> complex:
     """Principal sqrt of [sign*lambda + offset], refusing exact zeros."""
     lam = spec.lam
-    if lam.is_exact and bracket_vanishes(lam, offset, sign):
+    # [sign*lambda + offset] = 0 exactly where offset == -sign*L
+    if lam.is_exact and vanishing_point(lam) == -sign * offset:
         name = f"[{'-' if sign < 0 else ''}lambda{offset:+d}]"
         raise PrimedBasisUndefined(name, block)
     v = spec.qp.qnum(sign * spec.lambda_value + offset)

@@ -194,21 +194,6 @@ class SpectralParam:
         return f"SpectralParam({' + '.join(parts)})"
 
 
-def bracket_vanishes(lam: SpectralParam, c, sign: int = 1) -> bool:
-    """Whether [sign*lambda + c] is exactly zero.
-
-    Holds iff sign*re + c == 0, im_y == 0 and im_t is an even integer.
-    """
-    lam.require_exact("vanishing test")
-    c = _as_fraction(c)
-    if sign * lam.re + c != 0:
-        return False
-    if lam.im_y != 0:
-        return False
-    t = lam.im_t
-    return t.denominator == 1 and t.numerator % 2 == 0
-
-
 def vanishing_point(lam: SpectralParam) -> int | None:
     """The integer L at which the brackets of lambda with integer shifts vanish.
 

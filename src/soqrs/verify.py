@@ -78,14 +78,18 @@ INDEFINITE = "indefinite"
 
 @dataclass(frozen=True)
 class RelationResidual:
+    """One residual row of a check.
+
+    worst is the space.pattern row of the worst column, the column itself
+    when there is no space, or None when the residual stores no entry.
+    """
+
     relation: str
     residual: float
-    worst: object = None
+    worst: tuple | int | None = None
 
     def to_dict(self) -> dict:
-        worst = None
-        if self.worst is not None:
-            worst = getattr(self.worst, "as_list", lambda: self.worst)()
+        worst = list(self.worst) if isinstance(self.worst, tuple) else self.worst
         return {"relation": self.relation, "residual": self.residual, "worst": worst}
 
 
@@ -245,8 +249,8 @@ def _column_max(mat: _Csc, space):
     The first largest entry in storage order, which is the order tocoo
     lists them in; its column comes from the column pointers.  The value
     is the scalar abs of that entry, which may differ in the last bit from
-    the array abs the argmax compares.  Without a space the column index
-    itself stands in for the pattern.
+    the array abs the argmax compares.  The pattern is the label row
+    space.pattern(col); without a space the column index stands in.
     """
     if mat.nnz == 0:
         return 0.0, None

@@ -4,11 +4,13 @@ Everything here is coded directly from the classical (q = 1) formulas,
 the q-deformed noncompact formulas with [x] in its exponential form, and
 plain combinatorics, without importing any evaluation code from the
 package, so that package output can be checked against an independent
-path.  Basis ORDER is taken from the package where entrywise comparison
-requires it; entry VALUES are computed here, except where a caller
-passes the scalar functions in: the per-chain compact reference takes
-the bracket and d(m) as arguments, so that a byte-for-byte comparison
-checks the walk over the chains rather than the libm calls.  The
+path.  The basis of a space, chain by chain, is built here from
+brute_chains; only the block order is taken from the package, where
+entrywise comparison requires it.  Entry VALUES are computed here,
+except where a caller passes the scalar functions in: the per-chain
+compact reference takes the bracket and d(m) as arguments, so that a
+byte-for-byte comparison checks the walk over the chains rather than
+the libm calls.  The
 relation reference forms the full products with scipy and cuts the
 columns afterwards, and the star reference forms each adjoint residual
 with scipy's sparse operators.  The lattice reference decides every
@@ -25,6 +27,7 @@ types; they recompute every block edge per call and walk a dict of
 tuple-keyed blocks.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -36,12 +39,15 @@ from fractions import Fraction
 
 
 def brute_chains(n: int, top: int) -> list:
-    """Chains (m_n, ..., m_2) with m_n = top by exhaustive search, ascending."""
+    """Chains (m_n, ..., m_2) with m_n = top by exhaustive search, ascending.
+
+    Every label but m_2 is nonnegative, so only m_2 runs over -top..top.
+    """
     chains = []
-    for tup in itertools.product(range(-top, top + 1), repeat=n - 2):
+    inner = [range(top + 1)] * (n - 3) + [range(-top, top + 1)]
+    for tup in itertools.product(*inner):
         chain = (top,) + tup
         ok = all(chain[i] >= chain[i + 1] for i in range(len(chain) - 2))
-        ok = ok and all(x >= 0 for x in chain[:-1])
         ok = ok and chain[-2] >= abs(chain[-1])
         if ok:
             chains.append(chain)
@@ -59,6 +65,25 @@ def class1_dim_formula(n: int, m: int) -> int:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def class1_chains(n: int, top) -> tuple:
+    """The chains of the class-1 representation with top label `top`, ascending.
+
+    brute_chains(n, top) for an integer top; for a half-integer so'_q(3)
+    label l, the chains (l, m_2) with m_2 = -l, ..., l, as Fractions.
+    """
+    top = Fraction(top)
+    if top.denominator == 1:
+        return tuple(brute_chains(n, int(top)))
+    return tuple((top, j - top) for j in range(int(2 * top) + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def descending_chains(n: int, top: int) -> tuple:
+    """class1_chains(n, top) in the order a block lists them: descending."""
+    return class1_chains(n, top)[::-1]
+
+
 def brute_space_dim(r: int, s: int, epsilon: int, cutoff: int) -> int:
     total = 0
     for m in range(cutoff + 1):
@@ -66,6 +91,44 @@ def brute_space_dim(r: int, s: int, epsilon: int, cutoff: int) -> int:
             if (m + mp) % 2 == epsilon % 2:
                 total += brute_chain_count(r, m) * brute_chain_count(s, mp)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the truncated basis of a space, chain by chain
+#
+# Built from brute_chains; only the block order is the package's.
+
+
+def space_chains(space, side: int) -> list:
+    """chains[t]: the descending chains with top t of so'_q(r) (side 0) or so'_q(s)."""
+    n = (space.r, space.s)[side]
+    return [descending_chains(n, t) for t in range(space.top_ring + 1)]
+
+
+def space_positions(space, side: int) -> dict:
+    """positions[chain]: the index of a chain among the chains of its top."""
+    return {c: i for chains in space_chains(space, side) for i, c in enumerate(chains)}
+
+
+def space_basis(space) -> list:
+    """(left chain, right chain) of every column, in column order."""
+    left, right = space_chains(space, 0), space_chains(space, 1)
+    return [(a, b) for m, mp in space.blocks for a in left[m] for b in right[mp]]
+
+
+def basis_rows(space) -> list:
+    """Row (m_r, ..., m_2, m'_s, ..., m'_2) of every column, in column order."""
+    return [a + b for a, b in space_basis(space)]
+
+
+def block_slices(space) -> dict:
+    """slice of the columns of every block (m, m')."""
+    left, right = space_chains(space, 0), space_chains(space, 1)
+    out, start = {}, 0
+    for m, mp in space.blocks:
+        out[m, mp] = slice(start, start + len(left[m]) * len(right[mp]))
+        start = out[m, mp].stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +385,12 @@ def q_degenerate_noncompact_entries(r, s, lam, q, patterns, top_ring) -> dict:
 # per-block lattice reference
 
 
-def bracket_is_zero(lam, c: int, sign: int = 1) -> bool:
+def bracket_vanishes(lam, c: int, sign: int = 1) -> bool:
     """[sign*lambda + c] == 0 for an exact lambda = re + i(im_t pi/h + im_y).
 
     [z] vanishes exactly when Re z = 0, the absolute imaginary part is 0
-    and the pi/h part is an even integer.
+    and the pi/h part is an even integer.  The reference for
+    qarith.vanishing_point.
     """
     t = lam.im_t
     return (sign * lam.re + c == 0 and lam.im_y == 0
@@ -341,13 +405,13 @@ def moves(r: int, s: int, lam, m: int, mp: int):
     nonzero.
     """
     sigma, d = m + mp, m - mp
-    if not bracket_is_zero(lam, sigma):
+    if not bracket_vanishes(lam, sigma):
         yield (m + 1, mp + 1)
-    if mp >= 1 and not bracket_is_zero(lam, d - s + 2):
+    if mp >= 1 and not bracket_vanishes(lam, d - s + 2):
         yield (m + 1, mp - 1)
-    if m >= 1 and not bracket_is_zero(lam, -d - r + 2):
+    if m >= 1 and not bracket_vanishes(lam, -d - r + 2):
         yield (m - 1, mp + 1)
-    if m >= 1 and mp >= 1 and not bracket_is_zero(lam, -sigma - r - s + 4):
+    if m >= 1 and mp >= 1 and not bracket_vanishes(lam, -sigma - r - s + 4):
         yield (m - 1, mp - 1)
 
 
@@ -409,10 +473,13 @@ def block_edges(space, A) -> list:
     order, moving by (+1,+1), (+1,-1), (-1,+1), (-1,-1); the entries are
     read between the two patterns whose inner labels are all zero.
     """
+    slices, right = block_slices(space), space_chains(space, 1)
+    positions = space_positions(space, 0), space_positions(space, 1)
+
     def column(m, mp):
-        a = space.positions[0][(m,) + (0,) * (space.r - 2)]
-        b = space.positions[1][(mp,) + (0,) * (space.s - 2)]
-        return space.block_slices[m, mp].start + a * len(space.chains[1][mp]) + b
+        a = positions[0][(m,) + (0,) * (space.r - 2)]
+        b = positions[1][(mp,) + (0,) * (space.s - 2)]
+        return slices[m, mp].start + a * len(right[mp]) + b
 
     blocks, seen, out = set(space.blocks), set(), []
     for m, mp in space.blocks:
@@ -472,6 +539,8 @@ def kron_assembly(spec, primed: bool = False) -> list:
         }
 
     space = TruncatedSpace(r, s, spec.epsilon, spec.cutoff)
+    chains = (space_chains(space, 0), space_chains(space, 1))
+    slices = block_slices(space)
 
     def assemble_parts(parts):
         if not parts:
@@ -493,7 +562,7 @@ def kron_assembly(spec, primed: bool = False) -> list:
     def compact(i):
         parts = []
         for (m, mp), o in zip(space.blocks, space.offsets):
-            nl, nr = len(space.chains[0][m]), len(space.chains[1][mp])
+            nl, nr = len(chains[0][m]), len(chains[1][mp])
             if i <= r:
                 a, c, g = class1[r][m][i - 2]
                 eye = np.arange(nr)
@@ -509,27 +578,27 @@ def kron_assembly(spec, primed: bool = False) -> list:
 
     tables = {}
     for n, side in {r: 0, s: 1}.items():
-        positions = space.positions[side]
-        for top, chains in space.chains[side].items():
+        positions = space_positions(space, side)
+        for top, of_top in enumerate(chains[side]):
             for step in (1, -1):
                 if top + step > space.top_ring:
                     continue
                 m = top if step == 1 else top - 1
-                factor = {k: K_coeff(m, k, n, p) for k in {c.entries[1] for c in chains}}
-                src = [i for i, c in enumerate(chains) if factor[c.entries[1]]]
+                factor = {k: K_coeff(m, k, n, p) for k in {c[1] for c in of_top}}
+                src = [i for i, c in enumerate(of_top) if factor[c[1]]]
                 tables[n, top, step] = (
                     np.array(src, dtype=np.int64),
-                    np.array([positions[(top + step,) + chains[i].entries[1:]]
+                    np.array([positions[(top + step,) + of_top[i][1:]]
                               for i in src], dtype=np.int64),
-                    np.array([factor[chains[i].entries[1]] for i in src]),
+                    np.array([factor[of_top[i][1]] for i in src]),
                 )
 
     def noncompact():
-        right = space.chains[1]
+        right = chains[1]
         parts = []
         for (m, mp), o in zip(space.blocks, space.offsets):
             for (dm, dmp), (sign, factor) in families.items():
-                target = space.block_slices.get((m + dm, mp + dmp))
+                target = slices.get((m + dm, mp + dmp))
                 if target is None:
                     continue
                 value = factor(m + mp, m - mp)
@@ -566,12 +635,12 @@ def dump_generators(gens) -> list:
     return out
 
 
-def chain_basis(chains) -> list:
-    """Basis rows of ChainPatterns; half-integer labels as strings."""
+def chain_basis(n: int, top) -> list:
+    """Basis rows of class1_chains(n, top); half-integer labels as strings."""
     def entry(value):
         f = Fraction(value)
         return int(f) if f.denominator == 1 else str(f)
-    return [[entry(e) for e in c.entries] for c in chains]
+    return [[entry(e) for e in c] for c in class1_chains(n, top)]
 
 
 def dump_text(kind: str, config: dict, dim: int, basis: list, gens) -> str:
@@ -586,7 +655,7 @@ def dump_text(kind: str, config: dict, dim: int, basis: list, gens) -> str:
 
 
 def column_max_coo(mat, space):
-    """Largest |entry| of mat and the pattern of its column, through tocoo."""
+    """Largest |entry| of mat and the basis_rows row of its column, through tocoo."""
     import numpy as np
 
     coo = mat.tocoo()
@@ -594,7 +663,7 @@ def column_max_coo(mat, space):
         return 0.0, None
     k = int(np.argmax(np.abs(coo.data)))
     col = int(coo.col[k])
-    worst = space.pattern(col) if space is not None else col
+    worst = basis_rows(space)[col] if space is not None else col
     return float(abs(coo.data[k])), worst
 
 

@@ -24,18 +24,20 @@ from soqrs import (
     classify_irreducible,
     classify_star,
     cross_check,
-    enumerate_chain,
     predict_constituents,
     scan_lattice,
     solve_intertwiner,
     solve_metric,
 )
 from soqrs.classify import NO_SERIES
+from soqrs.gtbasis import chain_labels
 from oracles import (
     brute_chain_count,
+    class1_chains,
     class1_dim_formula,
     cl_compact_matrices,
     cl_degenerate_generators,
+    space_basis,
 )
 
 E = SpectralParam.exact
@@ -66,10 +68,10 @@ def test_criterion_1_compact_relation_suite():
 def test_criterion_2_dimension_oracle():
     for n in range(3, 7):
         for m in range(0, 5):
-            got = len(enumerate_chain(n, m))
+            got = len(chain_labels(n, m)[m])
             assert got == class1_dim_formula(n, m), (n, m)
             assert got == brute_chain_count(n, m), (n, m)
-    print("[criterion 2] PASS dimension oracle: enumerate_chain counts equal "
+    print("[criterion 2] PASS dimension oracle: chain_labels counts equal "
           "the classical class-1 dimension formula exactly")
 
 
@@ -221,8 +223,7 @@ def test_criterion_9_classical_limit_regression():
     worst = 0.0
     for n in range(3, 6):
         for m in range(0, 4):
-            basis = [c.entries for c in enumerate_chain(n, m)]
-            oracle = cl_compact_matrices(n, basis)
+            oracle = cl_compact_matrices(n, class1_chains(n, m))
             for g in build_class1(n, m, p_near):
                 worst = max(worst,
                             np.max(np.abs(g.mat.toarray() - oracle[g.i])))
@@ -235,8 +236,7 @@ def test_criterion_9_classical_limit_regression():
         (3, 4, 0, E(1, 0, 1), 1 + 1j),
     ]:
         rep = build_degenerate(RepSpec(r, s, eps, lam, p_near, 6))
-        patterns = [(pt.left.entries, pt.right.entries)
-                    for pt in rep.space.basis]
+        patterns = space_basis(rep.space)
         oracle = cl_degenerate_generators(r, s, eps, lam_plain, patterns,
                                           rep.space.top_ring)
         for g in rep.generators:

@@ -19,7 +19,6 @@ from soqrs import (
     build_degenerate,
     build_degenerate_primed,
     build_so3,
-    enumerate_chain,
 )
 from soqrs import cli
 from soqrs.cli import main
@@ -283,10 +282,10 @@ def _reference_dump(data: dict) -> str:
     cfg, q = data["config"], QParam(data["config"]["q"])
     if data["kind"] == "so3":
         gens = build_so3(Fraction(cfg["l"]), q)
-        basis = oracles.chain_basis(enumerate_chain(3, Fraction(cfg["l"])))
+        basis = oracles.chain_basis(3, cfg["l"])
     elif data["kind"] == "class1":
         gens = build_class1(cfg["n"], cfg["m"], q)
-        basis = oracles.chain_basis(enumerate_chain(cfg["n"], cfg["m"]))
+        basis = oracles.chain_basis(cfg["n"], cfg["m"])
     else:
         lam = (SpectralParam.exact(Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
                                    Fraction(cfg["lambda_im"]))
@@ -294,7 +293,7 @@ def _reference_dump(data: dict) -> str:
         spec = RepSpec(cfg["r"], cfg["s"], cfg["epsilon"], lam, q, cfg["cutoff"])
         primed = cfg["basis_kind"] == "primed"
         rep = build_degenerate_primed(spec) if primed else build_degenerate(spec)
-        gens, basis = rep.generators, [p.as_list() for p in rep.space.basis]
+        gens, basis = rep.generators, [list(row) for row in oracles.basis_rows(rep.space)]
     return oracles.dump_text(data["kind"], cfg, data["dim"], basis, gens)
 
 

@@ -14,9 +14,8 @@ from soqrs import (
     check_relations,
     check_star,
     d_coeff,
-    enumerate_chain,
 )
-from oracles import cl_compact_matrices, cl_R, q_compact_coo
+from oracles import class1_chains, cl_compact_matrices, cl_R, q_compact_coo
 
 
 def test_out_of_range_q_is_refused():
@@ -104,16 +103,15 @@ def test_class1_n3_equals_so3():
 
 def test_class1_restriction_blocks():
     # restriction to the next algebra down is labelled by the second entry
-    basis = enumerate_chain(5, 1)
-    seconds = {c.entries[1] for c in basis}
+    basis = class1_chains(5, 1)
+    seconds = {c[1] for c in basis}
     assert seconds == {0, 1}
     gens = build_class1(5, 1, QParam(2.0))
     # generators below the top leave the top restriction label alone
-    index = {c.entries: i for i, c in enumerate(basis)}
     for g in gens[:-1]:
         coo = g.mat.tocoo()
         for i, j in zip(coo.row, coo.col):
-            assert basis[i].entries[1] == basis[j].entries[1]
+            assert basis[i][1] == basis[j][1]
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
@@ -140,7 +138,7 @@ def test_classical_matrices_match_oracle():
     p = QParam(1.0)
     for n in (3, 4, 5):
         for m in (0, 1, 2, 3):
-            basis = [c.entries for c in enumerate_chain(n, m)]
+            basis = class1_chains(n, m)
             expected = cl_compact_matrices(n, basis)
             for g in build_class1(n, m, p):
                 assert np.allclose(g.mat.toarray(), expected[g.i], atol=1e-12), (n, m, g.i)
@@ -184,7 +182,7 @@ def test_class1_matches_per_chain_reference(q):
         warnings.simplefilter("error")
         for n, top in cases:
             gens = build_so3(top, p) if n == 3 else build_class1(n, top, p)
-            chains = [c.entries for c in enumerate_chain(n, top)]
+            chains = class1_chains(n, top)
             ref = q_compact_coo(chains, p.qnum, lambda m: d_coeff(m, p))
             assert [g.i for g in gens] == sorted(ref)
             for g in gens:

@@ -16,7 +16,12 @@ from soqrs import (
     check_star,
     primed_transform,
 )
-from oracles import cl_degenerate_noncompact, q_degenerate_noncompact_entries
+from oracles import (
+    block_slices,
+    cl_degenerate_noncompact,
+    q_degenerate_noncompact_entries,
+    space_basis,
+)
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -50,21 +55,22 @@ def test_origin_column_single_entry():
     rep = build_degenerate(spec)
     col = rep.noncompact.mat[:, 0]
     assert col.nnz == 1
-    target = rep.space.basis[col.tocoo().row[0]]
-    assert target.block == (1, 1)
+    left, right = space_basis(rep.space)[col.tocoo().row[0]]
+    assert (left[0], right[0]) == (1, 1)
 
 
 def test_vanishing_coefficient_severs_block_edge():
     # [lambda + m + m'] = 0 on the (1,1) -> (2,2) transition at lambda = -2
     spec = RepSpec(3, 3, 0, E(-2), Q2, 8)
     rep = build_degenerate(spec)
-    src = rep.space.block_slices[(1, 1)]
-    dst = rep.space.block_slices[(2, 2)]
+    slices = block_slices(rep.space)
+    src = slices[(1, 1)]
+    dst = slices[(2, 2)]
     sub = rep.noncompact.mat[dst, src]
     assert sub.nnz == 0
     # but the (2,2) -> (3,3) edge upward is also severed only where stated
-    src2 = rep.space.block_slices[(2, 2)]
-    dst2 = rep.space.block_slices[(3, 3)]
+    src2 = slices[(2, 2)]
+    dst2 = slices[(3, 3)]
     assert rep.noncompact.mat[dst2, src2].nnz > 0
 
 
@@ -72,13 +78,13 @@ def test_lower_wall_is_exact():
     spec = RepSpec(3, 4, 1, E(Fraction(7, 10)), Q2, 6)
     rep = build_degenerate(spec)
     coo = rep.noncompact.mat.tocoo()
+    basis = space_basis(rep.space)
     for i, j in zip(coo.row, coo.col):
-        src = rep.space.basis[j]
-        tgt = rep.space.basis[i]
-        if src.m == 0:
-            assert tgt.m == 1  # no lowering ever produced
-        if src.mp == 0:
-            assert tgt.mp == 1
+        (src_l, src_r), (tgt_l, tgt_r) = basis[j], basis[i]
+        if src_l[0] == 0:
+            assert tgt_l[0] == 1  # no lowering ever produced
+        if src_r[0] == 0:
+            assert tgt_r[0] == 1
 
 
 def test_sparsity_contract():
@@ -130,7 +136,7 @@ def test_classical_entries_match_oracle():
     for lam_exact, lam_plain in [(E(Fraction(2, 5)), 0.4), (E(1, 0, 1), 1 + 1j)]:
         spec = RepSpec(3, 4, 0, lam_exact, QParam(1.0), 5)
         rep = build_degenerate(spec)
-        patterns = [(p.left.entries, p.right.entries) for p in rep.space.basis]
+        patterns = space_basis(rep.space)
         expected = cl_degenerate_noncompact(
             3, 4, 0, lam_plain, patterns, rep.space.top_ring)
         assert np.allclose(rep.noncompact.mat.toarray(), expected, atol=1e-12)
@@ -143,7 +149,7 @@ def test_q_deformed_entries_match_oracle(q):
         for r, s in [(3, 4), (4, 3), (4, 4)]:
             for eps in (0, 1):
                 rep = build_degenerate(RepSpec(r, s, eps, lam_exact, QParam(q), 6))
-                patterns = [(p.left.entries, p.right.entries) for p in rep.space.basis]
+                patterns = space_basis(rep.space)
                 expected = q_degenerate_noncompact_entries(
                     r, s, lam_plain, q, patterns, rep.space.top_ring)
                 coo = rep.noncompact.mat.tocoo()
@@ -168,9 +174,8 @@ def test_near_classical_limit_degenerate():
 def test_primed_transform_base_coefficient():
     spec = RepSpec(3, 3, 1, E(Fraction(2, 5)), Q2, 6)
     tr = primed_transform(spec)
-    assert tr.coefficient(1, 0) == 1.0  # base block, empty products
-    m0, i, fam = tr.block_indices(1, 0)
-    assert (m0, i) == (0, 0)
+    # (1, 0) has m0 = (m+m'-eps)/2 = 0 and i = |m-m'-eps|/2 = 0: empty products
+    assert tr.coefficients[(1, 0)] == 1.0
 
 
 def test_primed_transform_unit_modulus_on_principal_line():
@@ -185,13 +190,28 @@ def test_primed_transform_undefined_at_resonance():
     with pytest.raises(PrimedBasisUndefined) as exc:
         primed_transform(spec)
     assert "lambda" in str(exc.value)
+    # the exact refusal names the factor the numeric one finds, for
+    # vanishing [lambda + c] and [-lambda + c] factors alike
+    factors = set()
+    for re in range(-8, 9):
+        found = []
+        for lam in (E(re), SpectralParam.inexact(complex(re))):
+            try:
+                primed_transform(RepSpec(3, 4, 1, lam, Q2, 6))
+                found.append(None)
+            except PrimedBasisUndefined as refused:
+                found.append((refused.factor, refused.block))
+        assert found[0] == found[1], re
+        if found[0] is not None:
+            factors.add(found[0][0].startswith("[-lambda"))
+    assert factors == {False, True}
 
 
 def test_primed_equals_conjugated_standard():
     spec = RepSpec(3, 3, 0, E(Fraction(2, 5)), Q2, 6)
     rep_std = build_degenerate(spec)
     rep_pr = build_degenerate_primed(spec)
-    D = primed_transform(spec).diagonal(rep_std.space)
+    D = rep_std.space.block_diagonal(primed_transform(spec).coefficients)
     A = rep_std.noncompact.mat.toarray()
     conj = np.diag(D) @ A @ np.diag(1.0 / D)
     assert np.max(np.abs(conj - rep_pr.noncompact.mat.toarray())) < 1e-9

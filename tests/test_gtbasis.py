@@ -1,15 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from soqrs import (
-    ChainPattern,
-    DoublePattern,
-    TruncatedSpace,
-    class1_dim,
-    enumerate_chain,
-)
+from soqrs import TruncatedSpace, class1_dim
 from soqrs.gtbasis import (
     FAMILIES,
     block_arrays,
@@ -18,32 +13,43 @@ from soqrs.gtbasis import (
     enumerate_blocks,
     lattice_steps,
 )
-from oracles import brute_chain_count, brute_chains, brute_space_dim, class1_dim_formula
+from soqrs.cli import _chain_table
+from oracles import (
+    basis_rows,
+    block_slices,
+    brute_chain_count,
+    brute_chains,
+    brute_space_dim,
+    class1_dim_formula,
+    space_basis,
+)
 
 
 def test_enumerate_chain_examples():
-    assert len(enumerate_chain(3, 2)) == 5
-    assert len(enumerate_chain(5, 1)) == 5
-    assert len(enumerate_chain(4, 2)) == 9
+    assert len(chain_labels(3, 2)[2]) == 5
+    assert len(chain_labels(5, 1)[1]) == 5
+    assert len(chain_labels(4, 2)[2]) == 9
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_enumerate_chain_counts_match_oracles(n):
+    labels = chain_labels(n, 6)
     for m in range(0, 7):
-        got = len(enumerate_chain(n, m))
+        got = len(labels[m])
         assert got == brute_chain_count(n, m)
         assert got == class1_dim_formula(n, m)
         assert got == class1_dim(n, m)
 
 
 def test_enumerate_chain_half_integer():
-    chains = enumerate_chain(3, Fraction(3, 2))
-    assert len(chains) == 4
-    assert [c.entries[1] for c in chains] == [
-        Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)
+    # the half-integer so'_q(3) chains (l, m_2) of a dump, m_2 = -l..l
+    table = _chain_table(3, Fraction(3, 2))
+    assert [c.tolist() for c in table.columns] == [
+        ["3/2"] * 4, ["-3/2", "-1/2", "1/2", "3/2"]
     ]
+    assert class1_dim(3, Fraction(3, 2)) == 4
     with pytest.raises(ValueError):
-        enumerate_chain(4, Fraction(3, 2))
+        chain_labels(4, Fraction(3, 2))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -61,19 +67,9 @@ def test_chain_labels_match_brute_force(n):
 
 
 def test_enumerate_chain_betweenness():
-    for c in enumerate_chain(5, 3):
-        e = c.entries
+    for e in chain_labels(5, 3)[3].tolist():
         assert all(e[i] >= e[i + 1] for i in range(len(e) - 2))
         assert e[-2] >= abs(e[-1])
-
-
-def test_chain_pattern_validation():
-    with pytest.raises(ValueError):
-        ChainPattern(4, (1, 2, 0))
-    with pytest.raises(ValueError):
-        ChainPattern(3, (1, 2))
-    with pytest.raises(ValueError):
-        ChainPattern(4, (1, 2))
 
 
 def test_build_space_dimensions():
@@ -100,11 +96,15 @@ def test_build_space_rejects_small_ranks():
 
 def test_block_completeness():
     sp = TruncatedSpace(4, 3, 0, 6)
-    for (m, mp), sl in sp.block_slices.items():
+    slices = block_slices(sp)
+    assert list(slices) == sp.blocks
+    for j, ((m, mp), sl) in enumerate(slices.items()):
         expected = class1_dim(4, m) * class1_dim(3, mp)
         assert sl.stop - sl.start == expected
-        for pat in sp.basis[sl]:
-            assert pat.block == (m, mp)
+        assert (sl.start, sl.stop) == (sp.offsets[j], sp.offsets[j + 1])
+        for i in range(sl.start, sl.stop):
+            row = sp.pattern(i)
+            assert (row[0], row[sp.r - 1]) == (m, mp)
 
 
 def test_block_arrays_and_index_follow_enumerate_blocks():
@@ -136,36 +136,31 @@ def test_lattice_steps_are_the_space_block_steps():
 
 def test_ordering_and_index_roundtrip():
     sp = TruncatedSpace(3, 3, 0, 2)
-    first = sp.basis[0]
-    assert first.block == (0, 0)
-    assert sp.index_of(first) == 0
-    for i, pat in enumerate(sp.basis):
-        assert sp.index_of(pat) == i
-        assert sp.pattern(i) == pat
-    # blocks ordered by (m+m', m)
-    keys = [(p.m + p.mp, p.m) for p in sp.basis]
+    assert sp.pattern(0) == (0, 0, 0, 0)
+    basis = space_basis(sp)
+    for i, (left, right) in enumerate(basis):
+        assert sp.pattern(i) == left + right
+    # blocks ordered by (m+m', m), each block left-chain-major and descending
+    keys = [(left[0] + right[0], left[0]) for left, right in basis]
     assert keys == sorted(keys)
-
-
-def test_pattern_index_not_found():
-    sp = TruncatedSpace(3, 3, 0, 2)
-    outside = DoublePattern(ChainPattern(3, (2, 0)), ChainPattern(3, (2, 0)))
-    with pytest.raises(KeyError):
-        sp.index_of(outside)
+    assert basis == sorted(basis, key=lambda p: (p[0][0] + p[1][0], p[0][0],
+                                                 tuple(-x for x in p[0] + p[1])))
 
 
 def test_interior_indices_and_top_ring():
     sp = TruncatedSpace(3, 3, 0, 8)
+    rows = basis_rows(sp)
     assert sp.top_ring == 8
     interior = sp.interior_indices(3)
-    assert all(sp.basis[i].m + sp.basis[i].mp <= 5 for i in interior)
+    assert all(rows[i][0] + rows[i][2] <= 5 for i in interior)
     assert all(
         i in interior
-        for i, p in enumerate(sp.basis) if p.m + p.mp <= 5
+        for i, p in enumerate(rows) if p[0] + p[2] <= 5
     )
     sp1 = TruncatedSpace(3, 3, 1, 8)
+    rows1 = basis_rows(sp1)
     assert sp1.top_ring == 7
-    assert max(sp1.basis[i].m + sp1.basis[i].mp for i in sp1.interior_indices(3)) <= 4
+    assert max(rows1[i][0] + rows1[i][2] for i in sp1.interior_indices(3)) <= 4
 
 
 def test_basis_array_matches_patterns():
@@ -173,4 +168,16 @@ def test_basis_array_matches_patterns():
         sp = TruncatedSpace(r, s, eps, cutoff)
         rows = sp.basis_array()
         assert rows.dtype == np.int64 and rows.shape == (sp.dim, (r - 1) + (s - 1))
-        assert rows.tolist() == [p.as_list() for p in sp.basis]
+        assert [tuple(row) for row in rows.tolist()] == basis_rows(sp)
+
+
+def test_pattern_is_the_oracle_row():
+    # every column, r, s in {3, 4, 5}, both parities, cutoffs 0, 1 and 5;
+    # Python ints, not NumPy ones
+    for r, s, (eps, cutoff) in itertools.product(
+            (3, 4, 5), (3, 4, 5), ((0, 0), (0, 1), (0, 5), (1, 1), (1, 5))):
+        sp = TruncatedSpace(r, s, eps, cutoff)
+        want = basis_rows(sp)
+        got = [sp.pattern(i) for i in range(sp.dim)]
+        assert got == want, (r, s, eps, cutoff)
+        assert all(type(x) is int for row in got for x in row)

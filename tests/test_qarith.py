@@ -9,10 +9,10 @@ from soqrs import (
     InexactSpectralError,
     QParam,
     SpectralParam,
-    bracket_vanishes,
     normalize_spectral,
 )
 from soqrs.qarith import vanishing_point
+from oracles import bracket_vanishes
 
 E = SpectralParam.exact
 
@@ -72,9 +72,10 @@ def test_qnum_out_of_range_is_a_value_error():
 
 
 def test_vanishing_examples():
-    assert bracket_vanishes(E(-3), 3)
-    assert not bracket_vanishes(E(-3, 1), 3)  # Im lambda = pi/h
-    assert not bracket_vanishes(E(Fraction(3, 2)), 3)
+    # [lambda + c] = 0 exactly at c == -vanishing_point(lambda)
+    assert vanishing_point(E(-3)) == -3
+    assert vanishing_point(E(-3, 1)) is None  # Im lambda = pi/h
+    assert vanishing_point(E(Fraction(3, 2))) is None
     # direct numeric oracle for the pi/h case: bracket value is i-cosh-like
     p = QParam(2.0)
     z = complex(0.0, math.pi / p.h)
@@ -88,14 +89,14 @@ def test_vanishing_matches_numeric_oracle():
             lam = E(re, im_t)
             val = lam.value(p)
             for c in range(-3, 4):
-                exact = bracket_vanishes(lam, c)
+                exact = vanishing_point(lam) == -c
                 numeric = abs(p.qnum(val + c)) < 1e-12
                 assert exact == numeric, (re, im_t, c)
 
 
 def test_vanishing_with_absolute_imag():
-    assert not bracket_vanishes(E(-3, 0, 2), 3)
-    assert bracket_vanishes(E(-3, 0, 0), 3)
+    assert vanishing_point(E(-3, 0, 2)) is None
+    assert vanishing_point(E(-3, 0, 0)) == -3
 
 
 def test_vanishing_point_matches_bracket_vanishes():
@@ -116,8 +117,6 @@ def test_vanishing_point_matches_bracket_vanishes():
 
 
 def test_vanishing_rejects_inexact():
-    with pytest.raises(InexactSpectralError):
-        bracket_vanishes(SpectralParam.inexact(0.5 + 1j), 3)
     with pytest.raises(InexactSpectralError):
         vanishing_point(SpectralParam.inexact(0.5 + 1j))
 

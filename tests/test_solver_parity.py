@@ -36,6 +36,7 @@ from soqrs import (
 from soqrs.degenrep import frame
 from soqrs.verify import _Csc, _index_dtype
 from oracles import (
+    basis_rows,
     column_max_coo,
     conjugate_rep,
     full_product_relations,
@@ -171,7 +172,7 @@ def test_relation_rows_report_the_scalar_abs():
     qp = QParam(0.5)
     rep = build_degenerate(RepSpec(3, 3, 0, E(2, 0, Fraction(3, 4)), qp, 2))
     report = check_relations(rep, depth=0)
-    want = full_product_relations(rep.generators, qp.a, rep.dim, rep.space.pattern)
+    want = full_product_relations(rep.generators, qp.a, rep.dim, basis_rows(rep.space).__getitem__)
     assert [(r.relation, r.residual, r.worst) for r in report.rows] == want
 
 
@@ -298,7 +299,7 @@ def test_check_star_matches_sparse_operator_reference():
             reps += [build_degenerate(spec), build_degenerate_primed(spec)]
     for rep in reps:
         got = [(row.relation, row.residual, row.worst) for row in check_star(rep).rows]
-        want = star_relations(rep.generators, rep.spec.r + 1, rep.space.pattern)
+        want = star_relations(rep.generators, rep.spec.r + 1, basis_rows(rep.space).__getitem__)
         assert repr(got) == repr(want), (rep.spec, rep.basis_kind)
     for q in (0.5, 1.0, 2.0, 7.0):
         qp = QParam(q)
