@@ -9,7 +9,14 @@ between blocks are gtbasis.lattice_steps, and the bracket of each step is
 [lambda + c] with c from degenrep.bracket_shifts.  A step is cut exactly
 where c == -L, with L = qarith.vanishing_point(lambda) found once per
 lambda in rational arithmetic, so every lattice edge is an integer array
-test.
+test.  Only that cut depends on lambda: _step_table keeps the blocks, the
+steps and the shift of every step of one window (one entry, keyed on
+(r, s, epsilon, window), as degenrep.frame keeps a frame).
+predict_constituents checks region closure and cross_check counts
+components on one window, that of _scan_window: the larger of 12 and the
+smallest window that shows every wall.  Both calls on one lambda, and
+every further lambda of the same (r, s, epsilon) with the same window,
+read one table.
 
 Two independent routes are provided and cross-checked:
 
@@ -20,8 +27,8 @@ Two independent routes are provided and cross-checked:
 
 * a lattice scanner (scan_lattice) that builds the directed block graph
   with an edge for every non-vanishing transition and reports its strongly
-  connected components (the constituent regions) and forward-closed sets
-  (the invariant subspaces).
+  connected components (the constituent regions, found by Tarjan's
+  algorithm) and forward-closed sets (the invariant subspaces).
 
 The supplementary-series parity for r == s (mod 2): the stated rule ties
 epsilon to the parity of (r+s)/2, but solving the positivity recurrences
@@ -43,11 +50,11 @@ a canonical L <= (r+s-2)/2, which the decomposition tables cover.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 
 from .degenrep import RepSpec, bracket_shifts
 from .gtbasis import block_arrays, lattice_steps
@@ -257,20 +264,87 @@ def _wall_dict(r: int, s: int, lam: SpectralParam) -> dict:
     return dict(zip(_FAMILY_NAMES, _walls(r, s, lam)))
 
 
+@functools.lru_cache(maxsize=1)
+def _step_table(r: int, s: int, epsilon: int, window: int) -> tuple:
+    """(m, m', source, target, shift): the lambda-independent steps of a window.
+
+    The blocks of gtbasis.block_arrays, the steps of gtbasis.lattice_steps
+    and, per step, the c of its degenrep.bracket_shifts entry.  One table
+    is cached, keyed on (r, s, epsilon, window), so every lambda scanned on
+    the same window reads it; its arrays are read-only.
+    """
+    m, mp = block_arrays(epsilon, window)
+    src, family, dst = lattice_steps(epsilon, window)
+    sigma, d = m[src] + mp[src], m[src] - mp[src]
+    shift = np.choose(family, bracket_shifts(r, s, sigma, d))
+    for a in (m, mp, src, dst, shift):
+        a.flags.writeable = False
+    return m, mp, src, dst, shift
+
+
 def _live_steps(r: int, s: int, epsilon: int, lam: SpectralParam, cutoff: int):
     """(m, m', source, target): the blocks below the cutoff and the steps lambda keeps.
 
-    The steps are those of gtbasis.lattice_steps; one is cut exactly where
-    its degenrep.bracket_shifts entry equals -L for the L of
-    qarith.vanishing_point.
+    A step of _step_table is cut exactly where its shift equals -L for the
+    L of qarith.vanishing_point.
     """
-    m, mp = block_arrays(epsilon, cutoff)
-    src, family, dst = lattice_steps(epsilon, cutoff)
+    m, mp, src, dst, shift = _step_table(r, s, epsilon, cutoff)
     L = vanishing_point(lam)
     if L is not None:
-        live = np.stack(bracket_shifts(r, s, m + mp, m - mp))[family, src] != -L
+        live = shift != -L
         src, dst = src[live], dst[live]
     return m, mp, src, dst
+
+
+def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """(count, labels): the strongly connected components of a digraph.
+
+    Nodes are 0..n-1 and edge k runs from src[k] to dst[k], with src
+    sorted.  Tarjan's algorithm with an explicit stack, in plain Python:
+    on the windows classification scans it costs about what a sparse
+    matrix and a call of scipy's csgraph did, and importing csgraph loads
+    scipy.sparse.linalg and scipy.linalg, about 9 MB that nothing else
+    here needs.
+    """
+    # the edges out of node v are first[v]:first[v+1]
+    first = memoryview(np.searchsorted(src, np.arange(n + 1)))
+    targets = memoryview(dst)
+    index = [-1] * n
+    low = [0] * n
+    labels = [-1] * n
+    path = []
+    count = visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        path.append(root)
+        work = [(root, first[root])]
+        while work:
+            v, k = work[-1]
+            for k in range(k, first[v + 1]):
+                w = targets[k]
+                if index[w] < 0:
+                    work[-1] = (v, k + 1)
+                    index[w] = low[w] = visited
+                    visited += 1
+                    path.append(w)
+                    work.append((w, first[w]))
+                    break
+                if labels[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    w = -1
+                    while w != v:
+                        w = path.pop()
+                        labels[w] = count
+                    count += 1
+    return count, np.array(labels, dtype=np.int64)
 
 
 def _strong_components(spec: RepSpec):
@@ -280,17 +354,9 @@ def _strong_components(spec: RepSpec):
     connected components of the graph they form, and each block's
     component label.
     """
-    # imported here: csgraph loads scipy.sparse.linalg and scipy.linalg,
-    # which nothing else in the package needs
-    from scipy.sparse import csgraph
-
     m, mp, src, dst = _live_steps(spec.r, spec.s, spec.epsilon, spec.lam, spec.cutoff)
-    # steps come in source order, so each block's row is one run of src
-    indptr = np.searchsorted(src, np.arange(m.size + 1))
-    graph = sparse.csr_matrix((np.ones(src.size), dst, indptr), shape=(m.size, m.size))
-    n_comp, labels = csgraph.connected_components(graph, directed=True,
-                                                  connection="strong")
-    return m, mp, src, dst, n_comp, labels
+    # steps come in source order
+    return (m, mp, src, dst, *_component_labels(m.size, src, dst))
 
 
 @dataclass
@@ -355,10 +421,26 @@ def _region_is_closed(region: Region, m: np.ndarray, mp: np.ndarray,
                       src: np.ndarray, dst: np.ndarray) -> bool:
     """Whether no live step leaves the region.
 
-    m, m', src, dst are the blocks and live steps of _live_steps on a
-    window comfortably beyond every wall; steps that leave the window
-    upward keep d and therefore cannot witness a leak of a sigma-unbounded
-    region.
+    m, m', src, dst are the blocks and live steps of _live_steps on the
+    _scan_window of lambda, which decides closure as the whole lattice
+    would:
+
+    * every bound of a constituent region is a wall of L or of its mirror
+      r+s-2-L, or such a wall +-2 (each mirror wall is a wall of L
+      shifted by 2);
+    * a ring step changes only sigma and a diagonal step only d, and
+      whether a step is live depends only on its family and on the sigma
+      (ring steps) or d (diagonal steps) of its source, so if a step
+      leaves the region across a bound, so does the step of that family
+      from every block of the region next to that bound;
+    * hence one step across each bound decides closure, and
+      _sufficient_cutoff reaches one: it lies at least 4 past every
+      positive ring wall (at most one ring wall is positive, and the
+      other's magnitude is then at least 2 larger) and past the magnitude
+      of every diagonal wall.
+
+    Steps that leave the window upward keep d and therefore cannot
+    witness a leak of a sigma-unbounded region.
     """
     inside = region.contains(m, mp)
     return not (inside[src] & ~inside[dst]).any()
@@ -493,14 +575,13 @@ def predict_constituents(r: int, s: int, epsilon: int,
                      "(star list ambiguity recorded)")
 
     constituents = []
-    window = 2 * (abs(L) + r + s + 8)
     for name, region, star, finite in spec:
         if swap:
             name = _SWAP_NAMES.get(name, name)
             region = region.swapped()
         constituents.append(Constituent(name, region, QUOTIENT, star, finite))
 
-    steps = _live_steps(r, s, epsilon, nlam, window)
+    steps = _live_steps(r, s, epsilon, nlam, _scan_window(r, s, nlam))
     closed_flags = [_region_is_closed(c.region, *steps) for c in constituents]
     if len(constituents) == 2 and all(closed_flags):
         for c in constituents:
@@ -554,6 +635,16 @@ def _sufficient_cutoff(r: int, s: int, lam: SpectralParam) -> int:
     return max(abs(up), abs(down), abs(d_up) + 2, abs(d_down) + 2) + 2
 
 
+def _scan_window(r: int, s: int, lam: SpectralParam, cutoff: int = 12) -> int:
+    """The window cross_check and predict_constituents scan for lambda.
+
+    At least cutoff and wide enough to show every wall; cross_check counts
+    components and predict_constituents checks region closure on it, so
+    both read one _step_table.
+    """
+    return max(cutoff, _sufficient_cutoff(r, s, lam))
+
+
 def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
                 cutoff: int = 12) -> CrossCheck:
     """Compare the closed-form verdict with the scanner's component count.
@@ -563,7 +654,7 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
     window would masquerade as irreducibility.
     """
     irr = classify_irreducible(r, s, epsilon, lam)
-    window = max(cutoff, _sufficient_cutoff(r, s, lam))
+    window = _scan_window(r, s, lam, cutoff)
     *_, n_regions, _ = _strong_components(
         RepSpec(r, s, epsilon, lam, QParam(2.0), window))
     return CrossCheck(r, s, epsilon, lam, irr, n_regions)

@@ -443,12 +443,40 @@ def scan_reference(r: int, s: int, epsilon: int, lam, cutoff: int):
     return blocks, components, regions
 
 
+def strong_partition(n: int, edges) -> set:
+    """Nodes 0..n-1 of a digraph grouped by mutual reachability, by search from every node."""
+    succ = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+
+
 def region_contains(region, m: int, mp: int) -> bool:
     sigma, d = m + mp, m - mp
     return ((region.sigma_min is None or sigma >= region.sigma_min)
             and (region.sigma_max is None or sigma <= region.sigma_max)
             and (region.d_min is None or d >= region.d_min)
             and (region.d_max is None or d <= region.d_max))
+
+
+def closure_window(r: int, s: int, lam) -> int:
+    """The reference window for region closure: 2(|L|+r+s+8).
+
+    L is the real part of lambda when it is an integer, else 0.  The
+    window reaches far past every wall of lambda and of its mirror, so
+    closure on it is closure on the whole lattice.
+    """
+    L = abs(int(lam.re)) if lam.re.denominator == 1 else 0
+    return 2 * (L + r + s + 8)
 
 
 def region_is_closed(region, r: int, s: int, epsilon: int, lam, window: int) -> bool:

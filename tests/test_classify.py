@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,14 @@ from soqrs import (
     scan_lattice,
 )
 from soqrs.classify import (
+    QUOTIENT,
+    SUBSPACE,
     Region,
+    _component_labels,
     _live_steps,
     _region_is_closed,
+    _scan_window,
+    _step_table,
     _sufficient_cutoff,
     _walls,
 )
@@ -247,6 +253,36 @@ def test_scan_matches_per_block_reference():
                     assert scan.regions == regions, what
 
 
+def test_scan_matches_per_block_reference_on_wide_windows():
+    """Far walls: long search paths through the component search, up to 400 blocks."""
+    for r, s, eps, lam in ((4, 4, 0, E(-14)), (3, 5, 1, E(-13)), (4, 5, 1, E(25)),
+                           (5, 3, 0, E(-12, 2)), (4, 4, 1, E(Fraction(1, 2)))):
+        cutoff = 38 + eps
+        scan = scan_lattice(RepSpec(r, s, eps, lam, Q2, cutoff))
+        assert ((scan.blocks, scan.components, scan.regions)
+                == oracles.scan_reference(r, s, eps, lam, cutoff)), (r, s, eps, lam)
+
+
+def test_component_labels_match_reachability_on_random_digraphs():
+    """Arbitrary digraphs, not only lattices: cycles through one-way edges, and one long path."""
+    path = np.arange(5999, dtype=np.int64)
+    assert _component_labels(6000, path, path + 1)[0] == 6000
+    assert _component_labels(6000, np.append(path, 5999), np.append(path + 1, 0))[0] == 1
+    rng = np.random.default_rng(7)
+    graphs = []
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(0, 3 * n))
+        graphs.append((n, sorted(set(zip(rng.integers(0, n, k).tolist(),
+                                          rng.integers(0, n, k).tolist())))))
+    for n, edges in graphs:
+        src = np.array([a for a, _ in edges], dtype=np.int64)
+        dst = np.array([b for _, b in edges], dtype=np.int64)
+        count, labels = _component_labels(n, src, dst)
+        parts = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)}
+        assert parts == oracles.strong_partition(n, edges), (n, edges)
+
+
 def test_cross_check_counts_the_scanned_components():
     for r, s in itertools.product((3, 4, 5), repeat=2):
         for eps in (0, 1):
@@ -268,8 +304,7 @@ def test_region_is_closed_matches_per_block_reference():
         for eps in (0, 1):
             for lam in _lattice_params(r, s):
                 cl = predict_constituents(r, s, eps, lam)
-                L = abs(int(cl.lam.re)) if cl.lam.re.denominator == 1 else 0
-                window = 2 * (L + r + s + 8)
+                window = _scan_window(r, s, cl.lam)
                 for c in cl.constituents:
                     steps = _live_steps(r, s, eps, cl.lam, window)
                     assert (_region_is_closed(c.region, *steps)
@@ -285,6 +320,64 @@ def test_region_is_closed_matches_per_block_reference():
                     assert (_region_is_closed(region, *steps)
                             == oracles.region_is_closed(region, r, s, eps, lam, 9)), \
                         (r, s, eps, lam, region)
+
+
+def test_closure_on_the_scan_window_matches_the_reference_window():
+    """Each realized_on flag equals closure on the window reaching far past every wall."""
+    for r, s in itertools.product(range(3, 9), repeat=2):
+        for eps in (0, 1):
+            lams = [E(Fraction(k, 2)) for k in range(-60, 61)] + _lattice_params(r, s)
+            # grouped by reference window, so each window's table is built once
+            for lam in sorted(lams, key=lambda lam: oracles.closure_window(r, s, lam)):
+                cl = predict_constituents(r, s, eps, lam)
+                steps = _live_steps(r, s, eps, cl.lam, oracles.closure_window(r, s, cl.lam))
+                for c in cl.constituents:
+                    assert ((c.realized_on != QUOTIENT)
+                            == _region_is_closed(c.region, *steps)), (r, s, eps, lam, c)
+
+
+def test_step_table_warm_results_equal_cold_ones():
+    """Interleaved keys: a result read from the cached table equals one from a fresh table."""
+    calls = []
+    for r, s, eps in ((4, 4, 0), (3, 5, 1), (4, 4, 1), (5, 4, 0)):
+        for lam in (E(-3), E(2), E(Fraction(1, 2)), E(-20), E(2, 2), E(r + s + 1)):
+            calls += [lambda r=r, s=s, eps=eps, lam=lam: predict_constituents(r, s, eps, lam),
+                      lambda r=r, s=s, eps=eps, lam=lam: cross_check(r, s, eps, lam),
+                      lambda r=r, s=s, eps=eps, lam=lam: scan_lattice(
+                          RepSpec(r, s, eps, lam, Q2, 9))]
+    _step_table.cache_clear()
+    cold = []
+    for call in calls:
+        _step_table.cache_clear()
+        cold.append(repr(call()))
+    # twice through, in a different order each time, with the cache kept
+    for order in (calls, calls[::-1]):
+        warm = [repr(call()) for call in order]
+        assert warm == (cold if order is calls else cold[::-1])
+        assert _step_table.cache_info().currsize <= 1
+    assert _step_table.cache_info().hits > 0
+
+
+def test_step_table_is_read_only():
+    for a in _step_table(4, 4, 0, 12):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    assert _step_table.cache_info().currsize == 1
+
+
+def test_large_lambda_prediction_memory():
+    """predict_constituents at lambda = -1000 stays under 150 MB of traced allocation."""
+    _step_table.cache_clear()
+    tracemalloc.start()
+    try:
+        cl = predict_constituents(4, 4, 0, E(-1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _step_table.cache_clear()
+    assert [c.realized_on for c in cl.constituents] == [SUBSPACE, QUOTIENT, QUOTIENT,
+                                                        QUOTIENT]
+    assert peak < 150e6, peak
 
 
 def test_region_blocks_match_per_block_reference():
