@@ -27,8 +27,9 @@ Two independent routes are provided and cross-checked:
 
 * a lattice scanner (scan_lattice) that builds the directed block graph
   with an edge for every non-vanishing transition and reports its strongly
-  connected components (the constituent regions, found by Tarjan's
-  algorithm) and forward-closed sets (the invariant subspaces).
+  connected components (the constituent regions: the cells between the
+  rings and diagonals that a vanishing transition cuts, see
+  _strong_components) and forward-closed sets (the invariant subspaces).
 
 The supplementary-series parity for r == s (mod 2): the stated rule ties
 epsilon to the parity of (r+s)/2, but solving the positivity recurrences
@@ -296,67 +297,48 @@ def _live_steps(r: int, s: int, epsilon: int, lam: SpectralParam, cutoff: int):
     return m, mp, src, dst
 
 
-def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
-    """(count, labels): the strongly connected components of a digraph.
-
-    Nodes are 0..n-1 and edge k runs from src[k] to dst[k], with src
-    sorted.  Tarjan's algorithm with an explicit stack, in plain Python:
-    on the windows classification scans it costs about what a sparse
-    matrix and a call of scipy's csgraph did, and importing csgraph loads
-    scipy.sparse.linalg and scipy.linalg, about 9 MB that nothing else
-    here needs.
-    """
-    # the edges out of node v are first[v]:first[v+1]
-    first = memoryview(np.searchsorted(src, np.arange(n + 1)))
-    targets = memoryview(dst)
-    index = [-1] * n
-    low = [0] * n
-    labels = [-1] * n
-    path = []
-    count = visited = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = visited
-        visited += 1
-        path.append(root)
-        work = [(root, first[root])]
-        while work:
-            v, k = work[-1]
-            for k in range(k, first[v + 1]):
-                w = targets[k]
-                if index[w] < 0:
-                    work[-1] = (v, k + 1)
-                    index[w] = low[w] = visited
-                    visited += 1
-                    path.append(w)
-                    work.append((w, first[w]))
-                    break
-                if labels[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    w = -1
-                    while w != v:
-                        w = path.pop()
-                        labels[w] = count
-                    count += 1
-    return count, np.array(labels, dtype=np.int64)
-
-
 def _strong_components(spec: RepSpec):
     """(m, m', source, target, count, labels) of the scan of spec's window.
 
-    The blocks and live steps of _live_steps, the number of strongly
-    connected components of the graph they form, and each block's
-    component label.
+    The blocks of the window, the steps lambda keeps (those of
+    _live_steps), the number of strongly connected components of the
+    graph they form and each block's component label, read off the cuts
+    without a graph search.  A step of _step_table is dead where its
+    shift equals -L.  A dead step that changes sigma cuts the gap between
+    its two rings, any other dead step the gap between its two diagonals,
+    and a block's label is its cell: (the number of ring cuts below its
+    sigma, the number of diagonal cuts below its d).  The strong
+    components are the non-empty cells:
+
+    * degenrep.bracket_shifts makes a ring step's shift depend only on
+      its family and source sigma, and a diagonal step's only on its
+      family and source d, and only ring steps change sigma and only
+      diagonal steps change d.  So the steps that cross one gap in one
+      direction are all live or all dead, and where the window holds
+      blocks on both sides of a gap it holds steps across it both ways;
+    * a closed path crosses each gap as often one way as the other, so it
+      crosses no cut, and blocks of different cells lie in different
+      components;
+    * in the window a cell is the set of blocks whose sigma and d lie in
+      two intervals, and steps up in sigma to its top ring, then along
+      that ring, join any two of its blocks; these steps cross no cut, so
+      they run both ways.
     """
-    m, mp, src, dst = _live_steps(spec.r, spec.s, spec.epsilon, spec.lam, spec.cutoff)
-    # steps come in source order
-    return (m, mp, src, dst, *_component_labels(m.size, src, dst))
+    m, mp, src, dst, shift = _step_table(spec.r, spec.s, spec.epsilon, spec.cutoff)
+    L = vanishing_point(spec.lam)
+    dead = np.zeros(shift.shape, dtype=bool) if L is None else shift == -L
+    sigma, d = m + mp, m - mp
+    a, b = src[dead], dst[dead]
+    ring = sigma[a] != sigma[b]
+    # sets, not np.unique: a first np.unique pages in ~0.5 MB of sort code
+    ring_cuts = sorted(set(np.minimum(sigma[a], sigma[b])[ring].tolist()))
+    diag_cuts = sorted(set(np.minimum(d[a], d[b])[~ring].tolist()))
+    cell = (np.searchsorted(ring_cuts, sigma) * (len(diag_cuts) + 1)
+            + np.searchsorted(diag_cuts, d))
+    # the non-empty cells, numbered in cell order
+    occupied = np.bincount(cell) > 0
+    labels = np.cumsum(occupied)[cell] - 1
+    return m, mp, src[~dead], dst[~dead], int(occupied.sum()), labels
 
 
 @dataclass
@@ -371,11 +353,14 @@ class ScanResult:
 def scan_lattice(spec: RepSpec) -> ScanResult:
     """Severed-edge scan of the block lattice, exact in lambda.
 
-    Builds the directed graph of blocks within the cutoff with an edge per
+    Takes the directed graph of blocks within the cutoff with an edge per
     non-vanishing transition, and returns its strongly connected
-    components together with all principal forward-closed block sets (the
-    candidate invariant subspaces).  Irreducible parameters give a single
-    component whose closure is the whole lattice.
+    components (the non-empty cells between the cut rings and diagonals,
+    labelled by _strong_components) together with all principal
+    forward-closed block sets (the candidate invariant subspaces), the
+    closures of the components through the live steps between them.
+    Irreducible parameters give a single component whose closure is the
+    whole lattice.
     """
     spec.lam.require_exact("lattice scan")
     m, mp, src, dst, n_comp, labels = _strong_components(spec)

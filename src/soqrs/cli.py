@@ -7,7 +7,7 @@ is derived from the same data.  Exit codes: 0 success, 2 check failure,
 A `build` dump is the bytes of json.dumps(report, indent=2): a header, the
 basis rows and, per generator, its (row, col, re, im) entries in (col, row)
 order.  The basis and entry tables are written from arrays, one C-encoder
-call per column.  Only `scan` loads scipy's graph routines, on first use.
+call per column.
 """
 
 from __future__ import annotations
@@ -375,6 +375,10 @@ def cmd_scan(args) -> int:
     if args.lambda_rationals:
         lams += [SpectralParam.exact(Fraction(tok))
                  for tok in args.lambda_rationals.split(",") if tok.strip()]
+    if not lams:
+        raise UsageError(
+            f"no lambda to scan: the integer range {args.lambda_int_min}.."
+            f"{args.lambda_int_max} is empty and --lambda-rationals gives none")
     rows = []
     disagreements = 0
     for lam in lams:

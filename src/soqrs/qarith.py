@@ -160,10 +160,6 @@ class SpectralParam:
             im += float(self.im_t) * math.pi / p.h
         return complex(float(self.re), im)
 
-    def shifted(self, c) -> "SpectralParam":
-        self.require_exact("shift")
-        return SpectralParam(self.re + _as_fraction(c), self.im_t, self.im_y)
-
     def mirrored(self, rs_sum: int) -> "SpectralParam":
         """The equivalent parameter r+s-2-lambda."""
         self.require_exact("mirror")

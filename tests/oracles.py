@@ -444,20 +444,36 @@ def scan_reference(r: int, s: int, epsilon: int, lam, cutoff: int):
 
 
 def strong_partition(n: int, edges) -> set:
-    """Nodes 0..n-1 of a digraph grouped by mutual reachability, by search from every node."""
-    succ = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
-    reach = []
-    for v in range(n):
-        seen, stack = {v}, [v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(seen)
-    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+    """Nodes 0..n-1 of a digraph grouped by mutual reachability.
+
+    reach[v] is the set of nodes reachable from v, as an int with bit w
+    set for node w: every node reaches itself, and reach[v] absorbs
+    reach[w] for each edge v -> w until nothing changes, sweeping the
+    nodes forwards and backwards in turn.  The part of v is what v
+    reaches and what reaches v.
+    """
+    edges = list(edges)
+
+    def closure(pairs):
+        succ = [[] for _ in range(n)]
+        for a, b in pairs:
+            succ[a].append(b)
+        reach = [1 << v for v in range(n)]
+        order = list(range(n))
+        changed = True
+        while changed:
+            changed = False
+            order.reverse()
+            for v in order:
+                new = reach[v]
+                for w in succ[v]:
+                    new |= reach[w]
+                if new != reach[v]:
+                    reach[v], changed = new, True
+        return reach
+
+    parts = {f & b for f, b in zip(closure(edges), closure((b, a) for a, b in edges))}
+    return {frozenset(v for v in range(n) if part >> v & 1) for part in parts}
 
 
 def region_contains(region, m: int, mp: int) -> bool:

@@ -20,11 +20,11 @@ from soqrs.classify import (
     QUOTIENT,
     SUBSPACE,
     Region,
-    _component_labels,
     _live_steps,
     _region_is_closed,
     _scan_window,
     _step_table,
+    _strong_components,
     _sufficient_cutoff,
     _walls,
 )
@@ -254,7 +254,7 @@ def test_scan_matches_per_block_reference():
 
 
 def test_scan_matches_per_block_reference_on_wide_windows():
-    """Far walls: long search paths through the component search, up to 400 blocks."""
+    """Far walls, up to 400 blocks."""
     for r, s, eps, lam in ((4, 4, 0, E(-14)), (3, 5, 1, E(-13)), (4, 5, 1, E(25)),
                            (5, 3, 0, E(-12, 2)), (4, 4, 1, E(Fraction(1, 2)))):
         cutoff = 38 + eps
@@ -263,24 +263,36 @@ def test_scan_matches_per_block_reference_on_wide_windows():
                 == oracles.scan_reference(r, s, eps, lam, cutoff)), (r, s, eps, lam)
 
 
-def test_component_labels_match_reachability_on_random_digraphs():
-    """Arbitrary digraphs, not only lattices: cycles through one-way edges, and one long path."""
-    path = np.arange(5999, dtype=np.int64)
-    assert _component_labels(6000, path, path + 1)[0] == 6000
-    assert _component_labels(6000, np.append(path, 5999), np.append(path + 1, 0))[0] == 1
-    rng = np.random.default_rng(7)
-    graphs = []
-    for _ in range(300):
-        n = int(rng.integers(1, 30))
-        k = int(rng.integers(0, 3 * n))
-        graphs.append((n, sorted(set(zip(rng.integers(0, n, k).tolist(),
-                                          rng.integers(0, n, k).tolist())))))
-    for n, edges in graphs:
-        src = np.array([a for a, _ in edges], dtype=np.int64)
-        dst = np.array([b for _, b in edges], dtype=np.int64)
-        count, labels = _component_labels(n, src, dst)
-        parts = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)}
-        assert parts == oracles.strong_partition(n, edges), (n, edges)
+def test_strong_components_are_the_mutually_reachable_blocks():
+    """The cells of the cuts partition the blocks as mutual reachability does."""
+    for r, s in itertools.product(range(3, 7), repeat=2):
+        for eps in (0, 1):
+            for lam in _lattice_params(r, s):
+                for window in (eps, 12, _scan_window(r, s, lam), 38 + eps):
+                    m, _, src, dst, count, labels = _strong_components(
+                        RepSpec(r, s, eps, lam, Q2, window))
+                    parts = {frozenset(np.flatnonzero(labels == c).tolist())
+                             for c in range(count)}
+                    edges = zip(src.tolist(), dst.tolist())
+                    assert parts == oracles.strong_partition(m.size, edges), \
+                        (r, s, eps, lam, window)
+
+
+def test_steps_across_one_level_in_one_direction_share_one_shift():
+    """What the cells rest on: each gap between levels is live or cut whole, per direction."""
+    for r, s in itertools.product(range(3, 9), repeat=2):
+        for eps in (0, 1):
+            for window in range(eps, 25, 2):
+                m, mp, src, dst, shift = _step_table(r, s, eps, window)
+                sigma, d = m + mp, m - mp
+                ring = sigma[src] != sigma[dst]
+                level = np.where(ring, np.minimum(sigma[src], sigma[dst]),
+                                 np.minimum(d[src], d[dst]))
+                up = np.where(ring, sigma[dst] > sigma[src], d[dst] > d[src])
+                crossings = np.stack([ring, level, up])
+                n_crossings = np.unique(crossings, axis=1).shape[1]
+                n_shifts = np.unique(np.vstack([crossings, shift]), axis=1).shape[1]
+                assert n_crossings == n_shifts, (r, s, eps, window)
 
 
 def test_cross_check_counts_the_scanned_components():

@@ -152,6 +152,17 @@ def test_scan_grid(capsys):
     assert len(data["rows"]) == 15
 
 
+def test_scan_refuses_an_empty_lambda_list(capsys):
+    code, out, err = run(capsys, "scan", "--r", "4", "--s", "4", "--epsilon", "0",
+                         "--lambda-int-min", "5", "--lambda-int-max", "4")
+    assert code == 3 and out == ""
+    assert "no lambda to scan: the integer range 5..4 is empty" in err
+    code, out, _ = run(capsys, "scan", "--r", "4", "--s", "4", "--epsilon", "0",
+                       "--lambda-int-min", "5", "--lambda-int-max", "4",
+                       "--lambda-rationals", "1/2", "--json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["build"]) == 3
     assert main(["nonsense"]) == 3
