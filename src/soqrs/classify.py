@@ -298,12 +298,12 @@ def _live_steps(r: int, s: int, epsilon: int, lam: SpectralParam, cutoff: int):
 
 
 def _strong_components(spec: RepSpec):
-    """(m, m', source, target, count, labels) of the scan of spec's window.
+    """(m, m', source, target, dead, count, labels) of the scan of spec's window.
 
-    The blocks of the window, the steps lambda keeps (those of
-    _live_steps), the number of strongly connected components of the
-    graph they form and each block's component label, read off the cuts
-    without a graph search.  A step of _step_table is dead where its
+    The blocks and steps of the window, the mask of the steps lambda
+    cuts, the number of strongly connected components of the graph of the
+    other (live) steps and each block's component label, read off the
+    cuts without a graph search.  A step of _step_table is dead where its
     shift equals -L.  A dead step that changes sigma cuts the gap between
     its two rings, any other dead step the gap between its two diagonals,
     and a block's label is its cell: (the number of ring cuts below its
@@ -338,7 +338,7 @@ def _strong_components(spec: RepSpec):
     # the non-empty cells, numbered in cell order
     occupied = np.bincount(cell) > 0
     labels = np.cumsum(occupied)[cell] - 1
-    return m, mp, src[~dead], dst[~dead], int(occupied.sum()), labels
+    return m, mp, src, dst, dead, int(occupied.sum()), labels
 
 
 @dataclass
@@ -363,7 +363,8 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
     whole lattice.
     """
     spec.lam.require_exact("lattice scan")
-    m, mp, src, dst, n_comp, labels = _strong_components(spec)
+    m, mp, src, dst, dead, n_comp, labels = _strong_components(spec)
+    src, dst = src[~dead], dst[~dead]
     blocks = list(zip(m.tolist(), mp.tolist()))
     comp_blocks: list[set] = [set() for _ in range(n_comp)]
     for b, lbl in zip(blocks, labels.tolist()):

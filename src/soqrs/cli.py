@@ -294,7 +294,11 @@ def cmd_verify(args) -> int:
         gens = []
         for g in data["generators"]:
             rows, cols, re, im = np.array(g["entries"], dtype=float).reshape(-1, 4).T
-            gens.append(GeneratorMatrix(g["i"], assemble(dim, rows, cols, re + 1j * im)))
+            try:
+                mat = assemble(dim, rows, cols, re + 1j * im)
+            except ValueError as exc:
+                raise ValueError(f"generator {g['i']} of {args.dump}: {exc}") from None
+            gens.append(GeneratorMatrix(g["i"], mat))
         if data["kind"] == "degenerate":
             cfg = data["config"]
             lam = SpectralParam.exact(

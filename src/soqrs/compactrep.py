@@ -11,7 +11,10 @@ chain basis and have at most two nonzero entries per column.
 The matrices are assembled from an integer array of chain labels, one
 row per chain: brackets are looked up in a per-call table of
 QParam.qnum values, and target chains are found by searchsorted, so no
-Python runs per chain.
+Python runs per chain.  The labels may hold the chains of several top
+labels at once; no generator changes the top label.  `assemble` makes
+the canonical CSC arrays of each matrix with one sort of its
+coordinates, with no scipy COO matrix in between.
 """
 
 from __future__ import annotations
@@ -39,13 +42,52 @@ class GeneratorMatrix:
         return self.mat.shape[0]
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _index_dtype(*sizes: int):
+    """int32 when every dimension and entry count fits it, else int64."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
+def _csc_order(dim: int, rows, cols) -> tuple:
+    """(order, indices, indptr) of the canonical CSC form of dim x dim entries.
+
+    Entry order[j] is the j-th in column-major order with rows ascending
+    in each column, as scipy's COO -> CSC conversion stores it; the index
+    arrays have the _index_dtype of (dim, entry count).  A negative, out of
+    range or repeated (row, col) raises ValueError: a repeat would be
+    summed by scipy, so the matrix would not be the entries given.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if rows.size:
+        bad = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"entry ({rows[i]}, {cols[i]}) lies outside the "
+                             f"{dim} x {dim} matrix")
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    repeat = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    if repeat.size:
+        i = repeat[0]
+        raise ValueError(f"entry ({rows[i]}, {cols[i]}) is given twice")
+    idx = _index_dtype(dim, rows.size)
+    indptr = np.zeros(dim + 1, dtype=idx)
+    indptr[1:] = np.cumsum(np.bincount(cols, minlength=dim))
+    return order, rows.astype(idx), indptr
+
+
 def assemble(dim: int, rows, cols, vals) -> sparse.csc_matrix:
-    """COO arrays (rows, cols, vals) -> csc matrix of fixed shape."""
-    return sparse.coo_matrix(
-        (np.asarray(vals, dtype=np.complex128),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(dim, dim),
-    ).tocsc()
+    """The dim x dim csc matrix with entries vals at (rows, cols), in canonical form.
+
+    The arrays are scipy's coo_matrix(...).tocsc() byte for byte, built
+    from one sort (_csc_order) with no COO matrix; repeated coordinates are
+    refused, not summed.
+    """
+    order, indices, indptr = _csc_order(dim, rows, cols)
+    data = np.asarray(vals, dtype=np.complex128)[order]
+    return sparse.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def d_coeff(m, p: QParam) -> float:

@@ -29,9 +29,12 @@ Only the edge scalar depends on lambda.  Everything else is a Frame of
 noncompact sparsity pattern in CSC order with the K L product and the
 edge of every entry, plus the family, sigma = m+m' and d = m-m' of every
 edge.  Both Kronecker forms are assembled once per frame, for all blocks
-at once.  A build then evaluates one sign and one bracket (or square-root
-pair) per edge, drops the edges whose scalar is exactly 0, and forms the
-noncompact data as (kl * sign) * scalar.  The most recent frame is cached
+at once, from one class1_arrays call and one table of K (or L) values
+per tower; every matrix, and the pattern's order, comes from one sort of
+its coordinates (compactrep._csc_order).  A build then evaluates one
+sign and one bracket (or square-root pair) per edge, drops the edges
+whose scalar is exactly 0, and forms the noncompact data as
+(kl * sign) * scalar.  The most recent frame is cached
 (`frame`, one entry, keyed on (r, s, eps, cutoff, q)), so the primed
 build of a spec, its mirror and every further lambda on the same tower
 reuse it; the cache keeps that one frame alive after its representations
@@ -55,7 +58,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .compactrep import GeneratorMatrix, _ratio_sqrt, assemble, class1_arrays
+from .compactrep import (
+    GeneratorMatrix,
+    _csc_order,
+    _range_error,
+    _ratio_sqrt,
+    _Table,
+    assemble,
+    class1_arrays,
+)
 from .gtbasis import FAMILIES, TruncatedSpace, enumerate_blocks
 from .qarith import QParam, SpectralParam, vanishing_point
 
@@ -185,14 +196,17 @@ def _frozen(mat: sparse.csc_matrix) -> sparse.csc_matrix:
 
 
 class _Pool:
-    """COO factors concatenated: factor f holds entries start[f]:start[f+1]."""
+    """COO factors concatenated: factor f holds entries start[f]:start[f+1].
 
-    def __init__(self, parts: list):
-        rows, cols, vals = zip(*parts)
-        self.start = np.concatenate(([0], np.cumsum([len(x) for x in rows])))
-        self.rows = np.concatenate(rows).astype(np.int64)
-        self.cols = np.concatenate(cols).astype(np.int64)
-        self.vals = np.concatenate(vals)
+    counts[f] is the entry count of factor f, and the entry arrays are
+    ordered by factor.
+    """
+
+    def __init__(self, counts, rows, cols, vals):
+        self.start = np.concatenate(([0], np.cumsum(counts)))
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.vals = np.asarray(vals)
 
 
 def _kron_blocks(a: _Pool, fa, b: _Pool, fb, b_rows, b_cols, row_off, col_off):
@@ -215,21 +229,60 @@ def _kron_blocks(a: _Pool, fa, b: _Pool, fb, b_rows, b_cols, row_off, col_off):
     return term, rows, cols, ia, ib
 
 
+def _by_factor(factor, n_factors: int, rows, cols, vals) -> _Pool:
+    """The pool of entries whose factor ids are `factor`, kept in entry order per factor."""
+    order = np.argsort(factor, kind="stable")
+    return _Pool(np.bincount(factor, minlength=n_factors),
+                 rows[order], cols[order], vals[order])
+
+
 def _class1_pools(space: TruncatedSpace, p: QParam) -> dict:
     """Per rank, one pool per class-1 generator, with one factor per top label.
 
-    class1_arrays orders chains ascending; the space orders them
-    descending, so positions are flipped.  Equal ranks share one tower.
+    One class1_arrays call takes the tower's chains of every top label
+    at once, ascending; no generator changes the top label, so its
+    matrix is block-diagonal by top, and a stable sort on the top cuts it
+    into the per-top matrices in the order of per-top calls.  The space
+    orders each top's chains descending, so positions are flipped.  Equal
+    ranks share one tower.
     """
     out = {}
     for n, side in {space.r: 0, space.s: 1}.items():
-        per_top = []
-        for labels in space.labels[side]:
-            last = len(labels) - 1
-            per_top.append([(last - rows, last - cols, vals)
-                            for rows, cols, vals in class1_arrays(labels, p)])
-        out[n] = [_Pool(parts) for parts in zip(*per_top)]
+        labels = space.labels[side]
+        chains = np.concatenate(labels)
+        top = chains[:, 0]
+        # the tower position of each top's last chain: descending position 0
+        last = np.cumsum([len(a) for a in labels]) - 1
+        out[n] = []
+        for rows, cols, vals in class1_arrays(chains, p):
+            t = top[cols]
+            out[n].append(_by_factor(t, len(labels), last[t] - rows, last[t] - cols, vals))
     return out
+
+
+def _k_factors(m: np.ndarray, k: np.ndarray, n: int, q: _Table, p: QParam) -> np.ndarray:
+    """K_coeff(m, k, n, p) per entry, from the table q of p.qnum values.
+
+    _ratio_sqrt's arithmetic in its order: a zero numerator argument gives
+    0 before any q-number of the entry is read, an under- or overflowing
+    ratio raises its range ValueError and a negative one ArithmeticError.
+    A nonzero integer argument has |[x]| >= 1, so no other numerator is 0.
+    """
+    a, b = m - k + 1, m + k + n - 2
+    factor = np.zeros(len(m))
+    live = np.flatnonzero((a != 0) & (b != 0))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        radicand = ((q(a[live]) * q(b[live]))
+                    / (q(2 * m[live] + n) * q(2 * m[live] + n - 2)))
+    bad = (radicand == 0) | ~np.isfinite(radicand)
+    if bad.any():
+        i = live[np.argmax(bad)]
+        num_args, den_args = (int(a[i]), int(b[i])), (int(2 * m[i] + n), int(2 * m[i] + n - 2))
+        raise _range_error(f"bracket ratio {num_args}/{den_args}", p)
+    if (radicand < 0).any():
+        raise ArithmeticError(f"negative radicand for K of so'_q({n})")
+    factor[live] = np.sqrt(radicand)
+    return factor
 
 
 def _embedding_pool(labels: list, n: int, p: QParam) -> _Pool:
@@ -238,29 +291,32 @@ def _embedding_pool(labels: list, n: int, p: QParam) -> _Pool:
     Rows are positions among the target chains, columns among the source
     chains, both in descending order, and only chains whose K factor is
     nonzero appear.  Inner labels are kept, so a chain is found among the
-    target chains by a mixed-radix key of its inner labels; the chains of
-    the highest top label span every inner label of the tower.
+    target chains by a mixed-radix key of its top and inner labels; the
+    chains of the highest top label span every inner label of the tower.
+    K comes from one table of q-numbers: its arguments lie in [0, 2m + n]
+    for the largest m = len(labels) - 2 it is read at.
     """
-    inner = [a[:, 1:] for a in labels]
-    lo = inner[-1].min(axis=0)
-    radix = inner[-1].max(axis=0) - lo + 1
+    chains = np.concatenate(labels)
+    top, k = chains[:, 0], chains[:, 1]
+    inner = chains[:, 1:]
+    lo = inner.min(axis=0)
+    radix = inner.max(axis=0) - lo + 1
     place = np.concatenate((np.cumprod(radix[::-1])[::-1][1:], [1]))
-    keys = [(x - lo) @ place for x in inner]
+    per_top = int(np.prod(radix))
+    keys = top * per_top + (inner - lo) @ place  # ascending with the chains
+    last = np.cumsum([len(a) for a in labels]) - 1
+    q = _Table(p.qnum, 0, 2 * len(labels) + n - 4)
     parts = []
-    for top, chains in enumerate(labels):
-        last = len(chains) - 1
-        for step in (1, -1):
-            target = top + step
-            if not 0 <= target < len(labels):
-                parts.append(((), (), ()))
-                continue
-            m = top if step == 1 else top - 1
-            ks, k_of = np.unique(chains[:, 1], return_inverse=True)
-            factor = np.array([K_coeff(m, int(k), n, p) for k in ks])[k_of]
-            src = np.flatnonzero(factor)
-            dst = np.searchsorted(keys[target], keys[top][src])
-            parts.append((len(keys[target]) - 1 - dst, last - src, factor[src]))
-    return _Pool(parts)
+    for step in (1, -1):
+        src = np.flatnonzero((top + step >= 0) & (top + step < len(labels)))
+        m = top[src] if step == 1 else top[src] - 1
+        factor = _k_factors(m, k[src], n, q, p)
+        src, factor = src[factor != 0], factor[factor != 0]
+        dst = np.searchsorted(keys, keys[src] + step * per_top)
+        parts.append((2 * top[src] + (step == -1), last[top[src] + step] - dst,
+                      last[top[src]] - src, factor))
+    fid, rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return _by_factor(fid, 2 * len(labels), rows, cols, vals)
 
 
 @functools.lru_cache(maxsize=1)
@@ -278,8 +334,10 @@ def frame(r: int, s: int, epsilon: int, cutoff: int, qp: QParam) -> Frame:
     offsets = space.offsets[:-1]
     nl = np.array([len(a) for a in space.labels[0]])
     nr = np.array([len(a) for a in space.labels[1]])
-    eye = [_Pool([(np.arange(k), np.arange(k), np.ones(k)) for k in sizes])
-           for sizes in (nl, nr)]
+    eye = []
+    for sizes in (nl, nr):  # one identity factor per top label
+        i = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        eye.append(_Pool(sizes, i, i, np.ones(i.size)))
 
     class1 = _class1_pools(space, qp)
     compact = []
@@ -306,14 +364,12 @@ def frame(r: int, s: int, epsilon: int, cutoff: int, qp: QParam) -> Frame:
         right, 2 * mp[src] + (steps[family, 1] < 0),
         nr[mp[dst]], nr[mp[src]], offsets[dst], offsets[src])
     kl = left.vals[ia] * right.vals[ib]
-    # entry numbers as data: scipy's COO -> CSC sort then yields the order
-    pattern = sparse.csc_matrix((np.arange(rows.size), (rows, cols)), shape=(dim, dim))
-    order = pattern.data
+    # the one sort assemble makes puts the entries in canonical CSC order
+    order, indices, indptr = _csc_order(dim, rows, cols)
     kl, edge = kl[order], edge[order].astype(np.min_scalar_type(max(len(src) - 1, 0)))
     sigma, d = m[src] + mp[src], m[src] - mp[src]
-    _read_only(pattern.indices, pattern.indptr, kl, edge, family, sigma, d)
-    return Frame(space, tuple(compact), pattern.indices, pattern.indptr, kl,
-                 edge, family, sigma, d)
+    _read_only(indices, indptr, kl, edge, family, sigma, d)
+    return Frame(space, tuple(compact), indices, indptr, kl, edge, family, sigma, d)
 
 
 def _build(spec: RepSpec, fr: Frame, signs, values: list, basis_kind: str) -> DegenerateRep:

@@ -66,7 +66,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .compactrep import GeneratorMatrix
+from .compactrep import GeneratorMatrix, _index_dtype
 from .degenrep import DegenerateRep
 from .gtbasis import BlockEdges
 from .qarith import QParam
@@ -134,14 +134,6 @@ def _coerce(rep, qp: QParam | None, need_qp: bool = True):
     if qp is None and need_qp:
         raise ValueError("a QParam is required when passing bare generators")
     return gens, qp, None, None
-
-
-_INT32_MAX = np.iinfo(np.int32).max
-
-
-def _index_dtype(*sizes: int):
-    """int32 when every dimension and entry count fits it, else int64."""
-    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
 
 
 def _pruned(buf: np.ndarray, n: int) -> np.ndarray:

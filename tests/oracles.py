@@ -541,6 +541,17 @@ def block_edges(space, A) -> list:
 # per-call Kronecker assembly of T_{eps,lambda}, block by block
 
 
+def coo_to_csc(dim: int, rows, cols, vals):
+    """scipy's dim x dim coo_matrix(...).tocsc() of the entries, complex128."""
+    import numpy as np
+    from scipy import sparse
+
+    return sparse.coo_matrix(
+        (np.asarray(vals, dtype=np.complex128),
+         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(dim, dim)).tocsc()
+
+
 def kron_assembly(spec, primed: bool = False) -> list:
     """csc matrices of generators 2..r+s of T_{eps,lambda}, assembled per call.
 
@@ -548,15 +559,16 @@ def kron_assembly(spec, primed: bool = False) -> list:
     class-1 COO arrays per block and compact generator, and
     kron(E_L diag K, E_R diag L) times (sign * bracket factor) per block
     edge, each family's factor evaluated through a closure.  The scalars
-    come from the package (class1_arrays, K_coeff, QParam.qnum), so a
-    byte comparison checks how the package splits and reassembles the
-    work, not libm.
+    come from the package (class1_arrays per top label, K_coeff,
+    QParam.qnum), so a byte comparison checks how the package splits and
+    reassembles the work, not libm; the matrices come from scipy's own
+    COO -> CSC conversion, not from the package's assemble.
     """
     import cmath
 
     import numpy as np
 
-    from soqrs.compactrep import assemble, class1_arrays
+    from soqrs.compactrep import class1_arrays
     from soqrs.degenrep import K_coeff
     from soqrs.gtbasis import TruncatedSpace
 
@@ -587,9 +599,8 @@ def kron_assembly(spec, primed: bool = False) -> list:
     slices = block_slices(space)
 
     def assemble_parts(parts):
-        if not parts:
-            return assemble(space.dim, (), (), ())
-        return assemble(space.dim, *(np.concatenate(x) for x in zip(*parts)))
+        rows, cols, vals = (np.concatenate(x) for x in zip(*parts)) if parts else ((), (), ())
+        return coo_to_csc(space.dim, rows, cols, vals)
 
     def kron_index(rows_a, cols_a, rows_b, cols_b, nrows_b, ncols_b):
         return ((rows_a[:, None] * nrows_b + rows_b).ravel(),

@@ -105,6 +105,28 @@ def test_verify_corrupted_dump_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("corruption", ["repeated entry", "row past dim"])
+def test_verify_dump_refuses_bad_entries(tmp_path, capsys, corruption):
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--class1", "--n", "6", "--m", "4", "--q", "0.5",
+                 "--out", str(dump)]) == 0
+    data = json.loads(dump.read_text())
+    entries = data["generators"][1]["entries"]
+    row, col = entries[0][:2]
+    if corruption == "repeated entry":
+        # COO -> CSC would add the two, and the check would report on a
+        # matrix the file does not hold
+        entries.append(list(entries[0]))
+        what = f"entry ({row}, {col}) is given twice"
+    else:
+        entries[0][0] = data["dim"]
+        what = f"entry ({data['dim']}, {col}) lies outside the 105 x 105 matrix"
+    dump.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--dump", str(dump))
+    assert code == 3 and out == ""
+    assert f"parameter error: generator 3 of {dump}: {what}" in err, err
+
+
 def test_classify_reducible_with_ladder(capsys):
     code, out, _ = run(capsys, "classify", "--r", "4", "--s", "4",
                        "--epsilon", "0", "--lambda-re", "2", "--json")

@@ -15,7 +15,8 @@ from soqrs import (
     check_star,
     d_coeff,
 )
-from oracles import class1_chains, cl_compact_matrices, cl_R, q_compact_coo
+from soqrs.compactrep import assemble
+from oracles import class1_chains, cl_compact_matrices, cl_R, coo_to_csc, q_compact_coo
 
 
 def test_out_of_range_q_is_refused():
@@ -192,3 +193,32 @@ def test_class1_matches_per_chain_reference(q):
                     shape=(len(chains), len(chains)),
                 ).tocsc()
                 assert _same_bytes(g.mat, want), (n, top, q, g.i)
+
+
+def test_assemble_is_scipys_coo_to_csc_byte_for_byte():
+    rng = np.random.default_rng(5)
+    cases = []
+    for dim, nnz in [(9, 40), (64, 900), (1, 1)]:
+        flat = rng.choice(dim * dim, size=nnz, replace=False)  # unsorted, no repeats
+        vals = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+        vals[:4] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)][:nnz]
+        cases.append((dim, flat // dim, flat % dim, vals))
+    cases.append((0, [], [], []))  # the empty matrix
+    cases.append((5, [], [], []))  # no entries
+    # column 2 stays empty, column 4 holds rows in descending input order
+    cases.append((5, [4, 0, 3, 1, 2], [0, 1, 4, 4, 3], [1, -0.0, 2j, 3, 0.0]))
+    for dim, rows, cols, vals in cases:
+        got = assemble(dim, rows, cols, vals)
+        want = coo_to_csc(dim, rows, cols, vals)
+        assert got.shape == want.shape == (dim, dim)
+        assert _same_bytes(got, want), (dim, len(rows))
+
+
+@pytest.mark.parametrize("rows, cols, what", [
+    ([0, -1], [1, 0], r"entry \(-1, 0\) lies outside the 3 x 3 matrix"),
+    ([0, 1], [3, 0], r"entry \(0, 3\) lies outside"),
+    ([2, 0, 2], [1, 0, 1], r"entry \(2, 1\) is given twice"),
+])
+def test_assemble_refuses_bad_coordinates(rows, cols, what):
+    with pytest.raises(ValueError, match=what):
+        assemble(3, rows, cols, np.ones(len(rows)))

@@ -11,18 +11,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from soqrs import (
     FOUND,
     QParam,
     RepSpec,
     SpectralParam,
+    build_class1,
     build_degenerate,
     build_degenerate_primed,
+    build_so3,
     check_relations,
     solve_intertwiner,
     solve_metric,
 )
+from soqrs.cli import main
 from soqrs.degenrep import frame
 from oracles import kron_assembly
 
@@ -174,3 +178,31 @@ def test_failed_frame_is_not_cached():
         assert frame.cache_info().currsize == 1
         rep = build_degenerate_primed(good)
         _assert_same_bytes(rep.generators, kron_assembly(good, primed=True), good)
+
+
+def test_no_builder_or_dump_load_makes_a_coo_matrix(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy COO matrix was built")
+
+    for cls in (sparse.coo_matrix, sparse.coo_array):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for make in (sparse.coo_matrix, sparse.coo_array):
+        with pytest.raises(AssertionError, match="COO matrix was built"):
+            make((2, 2))
+    # the conversion the frame's CSC order used to come from
+    with pytest.raises(AssertionError, match="COO matrix was built"):
+        sparse.csc_matrix(([1.0], ([0], [0])), shape=(1, 1))
+    frame.cache_clear()
+    for r in (3, 4):
+        for s in (3, 4):
+            for eps in (0, 1):
+                spec = RepSpec(r, s, eps, E(Fraction(1, 3)), Q2, 5)
+                build_degenerate(spec)
+                build_degenerate_primed(spec)
+    build_class1(5, 3, Q2)
+    build_so3(Fraction(5, 2), Q2)
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--degenerate", "--r", "3", "--s", "4", "--epsilon", "1",
+                 "--lambda-re", "1/3", "--cutoff", "5", "--out", str(dump)]) == 0
+    assert main(["verify", "--dump", str(dump)]) == 0
+    assert "PASS  overall" in capsys.readouterr().out

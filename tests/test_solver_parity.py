@@ -34,7 +34,8 @@ from soqrs import (
     solve_metric,
 )
 from soqrs.degenrep import frame
-from soqrs.verify import _Csc, _index_dtype
+from soqrs.compactrep import _index_dtype
+from soqrs.verify import _Csc
 from oracles import (
     basis_rows,
     column_max_coo,
