@@ -32,14 +32,19 @@ edge.  Both Kronecker forms are assembled once per frame, for all blocks
 at once, from one class1_arrays call and one table of K (or L) values
 per tower; every matrix, and the pattern's order, comes from one sort of
 its coordinates (compactrep._csc_order).  A build then evaluates one
-sign and one bracket (or square-root pair) per edge, drops the edges
-whose scalar is exactly 0, and forms the noncompact data as
-(kl * sign) * scalar.  The most recent frame is cached
+sign and one bracket (or square-root pair) per edge, and
+_noncompact_arrays drops the edges whose scalar is exactly 0 and forms
+the noncompact data as (kl * sign) * scalar.  The rep keeps its frame,
+its four family signs and its edge scalars (no per-entry array), so
+verify can tell a rep that is exactly what its frame builds, by forming
+the same arrays with the same function, and read the lambda-independent
+rows from the frame's record.  The most recent frame is cached
 (`frame`, one entry, keyed on (r, s, eps, cutoff, q)), so the primed
 build of a spec, its mirror and every further lambda on the same tower
 reuse it; the cache keeps that one frame alive after its representations
-are dropped.  The compact matrices are shared by every representation of
-a frame, so all returned matrices are read-only.
+are dropped, and each representation keeps its own frame alive.  The
+compact matrices are shared by every representation of a frame, so all
+returned matrices, and the edge scalars, are read-only.
 
 A rescaled ("primed") basis makes the noncompact generator Hermitian on
 the principal line Re lambda = (r+s-2)/2.  It shares the block edges and
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -129,21 +134,31 @@ class DegenerateRep:
 
     A rep from build_degenerate or build_degenerate_primed shares its
     space and compact generators with every rep of the same Frame, and
-    all its matrix arrays are read-only.
+    all its matrix arrays are read-only.  It also records where it came
+    from: its `frame`, the family `signs` and the read-only `edge_values`
+    (one complex scalar per block edge) its noncompact generator was
+    formed from.  A rep made by hand has no frame.
     """
 
     spec: RepSpec
     space: TruncatedSpace
     generators: list[GeneratorMatrix]
     basis_kind: str = "standard"
+    frame: Frame | None = field(default=None, repr=False, compare=False)
+    signs: tuple | None = field(default=None, repr=False, compare=False)
+    edge_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def gen(self, i: int) -> GeneratorMatrix:
+        n = self.spec.r + self.spec.s
+        if not 2 <= i <= n:
+            raise ValueError(f"generator index {i} is outside 2..{n}")
         g = self.generators[i - 2]
-        assert g.i == i
+        if g.i != i:
+            raise ValueError(f"generator list holds generator {g.i} where {i} belongs")
         return g
 
     @property
@@ -372,27 +387,36 @@ def frame(r: int, s: int, epsilon: int, cutoff: int, qp: QParam) -> Frame:
     return Frame(space, tuple(compact), indices, indptr, kl, edge, family, sigma, d)
 
 
-def _build(spec: RepSpec, fr: Frame, signs, values: list, basis_kind: str) -> DegenerateRep:
-    """Noncompact generator (kl * sign) * value on the frame; zero edges dropped.
+def _noncompact_arrays(fr: Frame, signs, value: np.ndarray) -> tuple:
+    """(data, indices, indptr) of the noncompact generator on fr, zero edges dropped.
 
-    signs holds one sign per family and values one scalar per edge.
+    signs holds one sign per family and value one complex scalar per edge;
+    each entry is (kl * sign) * value of its edge.  Every build forms its
+    noncompact generator here, and verify compares a rep's arrays with
+    what this returns before it reads anything from the rep's frame.
     """
-    value = np.array(values, dtype=np.complex128)
-    kl, edge, indices, indptr = fr.kl, fr.edge, fr.indices, fr.indptr
+    kl, indices, indptr = fr.kl, fr.indices, fr.indptr
+    edge = fr.edge.astype(np.intp)  # a gather by an intp index is the fast one
     live = value != 0
     if not live.all():
         keep = live[edge]
         kl, edge, indices = kl[keep], edge[keep], indices[keep]
         indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indices.dtype)
     sign = np.array(signs, dtype=np.float64)[fr.family]
-    dim = fr.space.dim
     # the sign goes on the real kl first: folded into the complex value it
     # would flip signed zeros of the product
-    mat = sparse.csc_matrix(((kl * sign[edge]) * value[edge], indices, indptr),
-                            shape=(dim, dim))
+    return (kl * sign[edge]) * value[edge], indices, indptr
+
+
+def _build(spec: RepSpec, fr: Frame, signs: tuple, values: list, basis_kind: str) -> DegenerateRep:
+    """The rep whose noncompact generator is _noncompact_arrays(fr, signs, values)."""
+    value = np.array(values, dtype=np.complex128)
+    _read_only(value)
+    dim = fr.space.dim
+    mat = sparse.csc_matrix(_noncompact_arrays(fr, signs, value), shape=(dim, dim))
     gens = list(fr.compact)
     gens.insert(spec.r - 1, GeneratorMatrix(spec.r + 1, _frozen(mat)))
-    return DegenerateRep(spec, fr.space, gens, basis_kind)
+    return DegenerateRep(spec, fr.space, gens, basis_kind, fr, signs, value)
 
 
 def bracket_shifts(r: int, s: int, sigma, d) -> tuple:

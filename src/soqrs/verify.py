@@ -40,26 +40,45 @@ The entrywise complex products are written in real arithmetic, as
 scipy's sparse kernels form them, so every reported residual equals the
 one of the sparse products bit for bit.
 
-Only the noncompact generator depends on lambda: every rep built from
-one degenrep Frame holds the same read-only compact matrices.  So the
-relation rows without the noncompact generator (at (4,4), 19 of 27) and
-the anti-Hermitian star rows of the compact generators are formed once
-by the code above and kept in a memo with one entry, which the next rep
-of the frame reads them from; the noncompact rows are formed per rep.
-The entry holds strong references to the compact matrices and their
-data, indices and indptr arrays, and matches a rep only when it holds
-the same objects (compared by identity) on the same space object; its
-relation rows also carry the interior column count and a.  Generators
-with any writeable array (a dump, a conjugated rep, an edited copy) are
-never looked up or stored, so they are always checked afresh.  The entry
-also records, computed once, which compact generators are
-block-diagonal: solve_intertwiner skips such a generator when both reps
-hold it, since S T - T S is then exactly 0 for the block-scalar S.  A
-new set of compact generators replaces the entry.
+Only the noncompact generator depends on lambda, and only through one
+scalar per block edge: a rep built by degenrep records its Frame, its
+family signs and its edge scalars.  verify keeps one record per Frame
+object in a weak mapping, so a record lives exactly as long as its
+frame.  The structural check of a rep against its frame has three
+points: every array of the frame and of the rep is read-only; the rep's
+space and compact generators are the frame's own objects; its
+noncompact indices, indptr and data equal, bit for bit, what
+degenrep._noncompact_arrays forms from the frame, the signs and the edge
+scalars (one O(nnz) comparison).  On first use, and with the row code
+above, the record forms the relation rows without the noncompact
+generator per (interior column count, a), the compact anti-Hermitian
+star rows, which compact generators are block-diagonal, and the squares
+of I_r and I_{r+2} on each column prefix a check asks for.  It forms the
+far commutators [I_j, I_{r+1}], |j - r - 1| > 1, once on the frame's
+unit K L pattern (every edge scalar 1).  G_j of a far j neither reads
+the top label nor changes the label below it, the two labels K (or L)
+reads, so each entry of such a commutator is one G_j coefficient times
+one K L value times the edge scalar, on either side: a far row that
+vanishes on the unit pattern vanishes on every rep of the frame and is
+read from the record, and one that does not is formed on the rep.
+
+A rep that passes all three points forms only the 4 junction rows
+cubic[r,r+1]a/b and cubic[r+1,r+2]a/b of check_relations.  The star
+rows and block-diagonal flags are results of the compact generators
+alone, so the first two points suffice for them: check_star then forms
+only the Hermitian row, and solve_intertwiner skips a compact generator
+when both reps hold the same frame's own one and the record finds it
+block-diagonal, since S T - T S is then exactly 0 for the block-scalar
+S.  Every report is the full path's bit for bit.  Everything else takes
+the full path through the same row code: a dump, a conjugated, edited
+or re-spaced copy, a bare generator list.  The check reads write flags
+and bits, not history: an array edited and made read-only again after
+its frame's record was formed goes unseen.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +86,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .compactrep import GeneratorMatrix, _index_dtype
-from .degenrep import DegenerateRep
+from .degenrep import DegenerateRep, Frame, _noncompact_arrays
 from .gtbasis import BlockEdges
 from .qarith import QParam
 
@@ -252,66 +271,208 @@ def _column_max(mat: _Csc, space):
     return float(abs(mat.data[k])), worst
 
 
-class _Shared:
-    """The lambda-independent results of one set of shared compact generators.
+def _relation_terms(idxs: list) -> list:
+    """(name, kind, i, j) of every relation row among the sorted generator indices.
 
-    Every rep of one degenrep Frame holds the same read-only compact
-    matrices, so the relation rows that leave out the noncompact
-    generator, their anti-Hermitian star rows and whether each one is
-    block-diagonal are the same for all of them.  An entry holds the
-    generators it was made for (index, matrix and its three arrays, by
-    strong reference) with the space, and keeps the relation rows of one
-    (interior column count, a) at a time.
+    kind is "a" or "b" for the two cubic relations of adjacent i, j and
+    "c" for the commutator of distant ones.
+    """
+    terms = []
+    for i in idxs[:-1]:
+        terms.append((f"cubic[{i},{i + 1}]a", "a", i, i + 1))
+        terms.append((f"cubic[{i},{i + 1}]b", "b", i, i + 1))
+    terms += [(f"commutator[{i},{j}]", "c", i, j)
+              for ii, i in enumerate(idxs) for j in idxs[ii + 1:] if j - i > 1]
+    return terms
+
+
+class _Relations:
+    """The relation rows of one set of CSC generator matrices on their first ncols columns.
+
+    Each product is evaluated right to left on the columns of its
+    rightmost factor.  The terms Y^2 X and X^2 Y keep the association
+    (Y Y) X, with Y Y formed only on the columns that X reaches, so every
+    reported entry is summed in the same order as from the full products.
+    squares[i][n] keeps mats[i] @ mats[i] on its first n columns; the
+    squares passed in are shared with other checks, the rest are this
+    object's own.
     """
 
-    __slots__ = ("gens", "space", "relations", "star", "block_diagonal")
+    def __init__(self, mats: dict, ncols: int, a: float, squares: dict | None = None):
+        self.mats, self.ncols, self.a = mats, ncols, a
+        self.dim = next(iter(mats.values())).shape[1]
+        self.cols = {i: M if ncols == self.dim else M.cols(ncols) for i, M in mats.items()}
+        self.squares = {i: {} for i in mats} | (squares or {})
 
-    def __init__(self, gens: tuple, space):
-        self.gens, self.space = gens, space
-        self.relations = None  # (ncols, a, {name: RelationResidual})
-        self.star = None  # {i: RelationResidual}
-        self.block_diagonal = None  # {i: bool}
+    def square(self, i: int, n: int) -> _Csc:
+        """mats[i] @ mats[i] on its first n columns, formed once per (i, n)."""
+        memo = self.squares[i]
+        if n not in memo:
+            M = self.mats[i]
+            memo[n] = M @ (M if n == self.dim else M.cols(n))
+        return memo[n]
 
-    def matches(self, gens: tuple, space) -> bool:
-        return (space is self.space and len(gens) == len(self.gens)
-                and all(i == j and all(x is y for x, y in zip(a, b))
-                        for (i, *a), (j, *b) in zip(gens, self.gens)))
+    def square_times(self, i: int, right: _Csc) -> _Csc:
+        """(mats[i] @ mats[i]) @ right, squaring only the columns right reaches."""
+        n = self.dim
+        if self.ncols != self.dim:
+            n = int(right.indices.max()) + 1 if right.nnz else 0
+            right = right.rows(n)
+        return self.square(i, n) @ right
 
-    def relation_rows(self, ncols: int, a: float) -> dict | None:
-        if self.relations is not None and self.relations[:2] == (ncols, a):
-            return self.relations[2]
-        return None
+    def residual(self, kind: str, i: int, j: int) -> _Csc:
+        mats, cols, a, ncols = self.mats, self.cols, self.a, self.ncols
+        X, Y, Xc, Yc = mats[i], mats[j], cols[i], cols[j]
+        if kind == "a":
+            return X @ self.square(j, ncols) - a * (Y @ (X @ Yc)) + self.square_times(j, Xc) + Xc
+        if kind == "b":
+            return self.square_times(i, Yc) - a * (X @ (Y @ Xc)) + Y @ self.square(i, ncols) + Yc
+        return X @ Yc - Y @ Xc
 
-    def block_diagonal_flags(self) -> dict:
-        """Per generator index, whether every stored entry lies in a diagonal block."""
+    def row(self, name: str, kind: str, i: int, j: int, space) -> RelationResidual:
+        return RelationResidual(name, *_column_max(self.residual(kind, i, j), space))
+
+
+def _star_row(g: GeneratorMatrix, hermitian: bool, space) -> RelationResidual:
+    """The residual of M* = M (hermitian) or M* = -M for generator g."""
+    mat = _Csc.of(g.mat)
+    adj = mat.adjoint()
+    if hermitian:
+        return RelationResidual(f"star[{g.i}] hermitian", *_column_max(adj - mat, space))
+    return RelationResidual(f"star[{g.i}] anti-hermitian", *_column_max(adj + mat, space))
+
+
+def _compact_arrays(fr: Frame) -> list:
+    """The data, indices and indptr arrays of the frame's compact generators, in order."""
+    return [a for g in fr.compact for a in (g.mat.data, g.mat.indices, g.mat.indptr)]
+
+
+class _FrameRecord:
+    """The results of one degenrep Frame that no edge scalar enters.
+
+    `arrays` pins the frame's compact arrays as they were when the record
+    was made.  The rest is formed on first use: `relations` per (interior
+    column count, a) maps a row name to its row, for the rows without
+    the noncompact generator and for each far commutator that vanishes
+    on the unit pattern; `star` maps a compact generator to its
+    anti-Hermitian row; `block_diagonal` says whether each compact
+    generator stores entries only in diagonal blocks; `squares` keeps
+    I_r @ I_r and I_{r+2} @ I_{r+2} per column prefix.  A record holds no
+    reference to its frame.
+    """
+
+    __slots__ = ("arrays", "relations", "star", "block_diagonal", "squares")
+
+    def __init__(self, fr: Frame):
+        self.arrays = _compact_arrays(fr)
+        self.relations = {}
+        self.star = None
+        self.block_diagonal = None
+        r = fr.space.r
+        self.squares = {r: {}, r + 2: {}}
+
+    def relation_rows(self, fr: Frame, mats: dict, ncols: int, a: float, terms: list,
+                      noncompact_i: int) -> dict:
+        """The rows of check_relations that this record holds for (ncols, a), formed once.
+
+        The far commutators are formed with the noncompact generator
+        replaced by the unit pattern: the frame's kl on its indices and
+        indptr, every edge scalar 1.
+        """
+        key = (ncols, a)
+        if key not in self.relations:
+            space = fr.space
+            compact = _Relations(mats, ncols, a, self.squares)
+            unit = _Csc(fr.indptr, fr.indices, fr.kl, (space.dim, space.dim))
+            far = _Relations({**mats, noncompact_i: unit}, ncols, a)
+            rows = {}
+            for name, kind, i, j in terms:
+                if noncompact_i not in (i, j):
+                    rows[name] = compact.row(name, kind, i, j, space)
+                elif kind == "c":
+                    row = far.row(name, kind, i, j, space)
+                    if row.worst is None:  # the difference stores no entry at all
+                        rows[name] = row
+            self.relations[key] = rows
+        return self.relations[key]
+
+    def block_diagonal_flags(self, fr: Frame) -> dict:
+        """Per compact generator index, whether every stored entry lies in a diagonal block."""
         if self.block_diagonal is None:
-            space = self.space
+            space = fr.space
             block = np.repeat(np.arange(len(space.blocks)), np.diff(space.offsets))
             flags = {}
-            for i, mat, *_ in self.gens:
-                M = _Csc.of(mat)
-                flags[i] = bool(np.array_equal(block[M.indices], block[_columns(M)]))
+            for g in fr.compact:
+                M = _Csc.of(g.mat)
+                flags[g.i] = bool(np.array_equal(block[M.indices], block[_columns(M)]))
             self.block_diagonal = flags
         return self.block_diagonal
 
 
-_shared: _Shared | None = None
+_records: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _shared_entry(gens, space, noncompact_i) -> _Shared | None:
-    """The one memo entry, made for the compact gens on space if it holds others.
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two 1-d arrays hold the same dtype, length and bits."""
+    if x is y:
+        return True
+    if x.dtype != y.dtype or x.shape != y.shape:
+        return False
+    if x.dtype.kind in "fc":  # by bits: -0.0 is not 0.0, and a NaN equals itself
+        bits = f"u{x.dtype.itemsize // (2 if x.dtype.kind == 'c' else 1)}"
+        x, y = np.ascontiguousarray(x).view(bits), np.ascontiguousarray(y).view(bits)
+    return np.array_equal(x, y)
 
-    None, with the entry left alone, unless every data, indices and
-    indptr array of every compact matrix is read-only.
+
+def _compact_record(rep) -> _FrameRecord | None:
+    """The record of rep's frame if rep holds the frame's own compact generators, else None.
+
+    The first two points of the structural check: every array of the
+    frame and of the rep is read-only, and the rep's space and compact
+    generators are the frame's own objects, holding the arrays the record
+    pinned.  Enough for the results of the compact generators alone: the
+    star rows and the block-diagonal flags.
     """
-    global _shared
-    key = tuple((g.i, g.mat, g.mat.data, g.mat.indices, g.mat.indptr)
-                for g in gens if g.i != noncompact_i)
-    if any(a.flags.writeable for _, _, *arrays in key for a in arrays):
+    fr = getattr(rep, "frame", None)
+    if fr is None or rep.space is not fr.space or rep.edge_values is None:
         return None
-    if _shared is None or not _shared.matches(key, space):
-        _shared = _Shared(key, space)
-    return _shared
+    record = _records.get(fr)
+    if record is None:
+        record = _records[fr] = _FrameRecord(fr)
+    k = rep.spec.r - 1
+    gens, compact = rep.generators, _compact_arrays(fr)
+    if (len(gens) != len(fr.compact) + 1 or gens[k].i != rep.spec.r + 1
+            or any(g is not h for g, h in zip(gens[:k] + gens[k + 1:], fr.compact))
+            or any(a is not b for a, b in zip(compact, record.arrays))):
+        return None
+    N = gens[k].mat
+    arrays = [fr.indices, fr.indptr, fr.kl, fr.edge, fr.family, fr.sigma, fr.d,
+              rep.edge_values, N.data, N.indices, N.indptr, *compact]
+    if any(a.flags.writeable for a in arrays):
+        return None
+    return record
+
+
+def _frame_record(rep) -> _FrameRecord | None:
+    """The record of rep's frame if rep is exactly what its frame builds, else None.
+
+    The whole structural check: _compact_record's two points, and a
+    noncompact generator that is a CSC matrix whose indices, indptr and
+    data equal, bit for bit, degenrep._noncompact_arrays of the frame,
+    the rep's signs and its edge values.  One O(nnz) comparison; nothing
+    is cached.
+    """
+    record = _compact_record(rep)
+    if record is None:
+        return None
+    fr, N = rep.frame, rep.noncompact.mat
+    if (N.format != "csc" or N.shape != (fr.space.dim,) * 2
+            or rep.edge_values.shape != fr.family.shape):
+        return None
+    want = _noncompact_arrays(fr, rep.signs, rep.edge_values)
+    if not all(_same_bits(x, y) for x, y in zip(want, (N.data, N.indices, N.indptr))):
+        return None
+    return record
 
 
 def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
@@ -321,72 +482,27 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     For a compact representation there is no truncation and every column
     counts; for a degenerate representation only columns at least `depth`
     below the top ring enter the report, and the residuals are formed on
-    those columns only: each product is evaluated right to left on the
-    interior columns of its rightmost factor.  The terms Y^2 X and X^2 Y
-    keep the association (Y Y) X, with Y Y formed only on the columns
-    that X reaches, so every reported entry is summed in the same order
-    as from the full products.
+    those columns only (see _Relations).
 
-    The rows without the noncompact generator are read from the memo
-    entry of the compact generators when it holds them for this column
-    count and a; otherwise they are formed here and stored there.
+    A rep that passes the structural check of its frame (see the module
+    docstring) forms only the 4 junction rows cubic[r,r+1]a/b and
+    cubic[r+1,r+2]a/b, and reads the other rows and the squares of I_r
+    and I_{r+2} from the frame's record.  Any other input forms every row.
     """
     gens, p, space, noncompact_i = _coerce(rep, qp)
-    a = p.a
     mats = {g.i: _Csc.of(g.mat) for g in gens}
     dim = gens[0].mat.shape[1]
     ncols = dim if space is None else len(space.interior_indices(depth))
-    cols = {i: M if ncols == dim else M.cols(ncols) for i, M in mats.items()}
-    squares = {}
-
-    def square(i: int, n: int):
-        """mats[i] @ mats[i] on its first n columns, formed once per (i, n)."""
-        if (i, n) not in squares:
-            M = mats[i]
-            squares[i, n] = M @ (M if n == dim else M.cols(n))
-        return squares[i, n]
-
-    def square_times(i: int, right):
-        """(mats[i] @ mats[i]) @ right, squaring only the columns right reaches."""
-        n = dim
-        if ncols != dim:
-            n = int(right.indices.max()) + 1 if right.nnz else 0
-            right = right.rows(n)
-        return square(i, n) @ right
-
-    def cubic_a(i: int, j: int):
-        X, Y, Xc, Yc = mats[i], mats[j], cols[i], cols[j]
-        return X @ square(j, ncols) - a * (Y @ (X @ Yc)) + square_times(j, Xc) + Xc
-
-    def cubic_b(i: int, j: int):
-        X, Y, Xc, Yc = mats[i], mats[j], cols[i], cols[j]
-        return square_times(i, Yc) - a * (X @ (Y @ Xc)) + Y @ square(i, ncols) + Yc
-
-    def commutator(i: int, j: int):
-        return mats[i] @ cols[j] - mats[j] @ cols[i]
-
-    idxs = sorted(mats)
-    terms = []
-    for i in idxs[:-1]:
-        terms.append((f"cubic[{i},{i + 1}]a", cubic_a, i, i + 1))
-        terms.append((f"cubic[{i},{i + 1}]b", cubic_b, i, i + 1))
-    terms += [(f"commutator[{i},{j}]", commutator, i, j)
-              for ii, i in enumerate(idxs) for j in idxs[ii + 1:] if j - i > 1]
-
-    shared = _shared_entry(gens, space, noncompact_i)
-    known = shared.relation_rows(ncols, a) if shared is not None else None
-    rows, compact_rows = [], {}
-    for name, residual, i, j in terms:
-        compact = noncompact_i not in (i, j)
-        if compact and known is not None:
-            rows.append(known[name])
-            continue
-        res, worst = _column_max(residual(i, j), space)
-        rows.append(RelationResidual(name, res, worst))
-        if compact:
-            compact_rows[name] = rows[-1]
-    if shared is not None and known is None:
-        shared.relations = (ncols, a, compact_rows)
+    terms = _relation_terms(sorted(mats))
+    record = _frame_record(rep)
+    if record is None:
+        known, squares = {}, None
+    else:
+        known = record.relation_rows(rep.frame, mats, ncols, p.a, terms, noncompact_i)
+        squares = record.squares
+    forms = _Relations(mats, ncols, p.a, squares)
+    rows = [known[name] if name in known else forms.row(name, kind, i, j, space)
+            for name, kind, i, j in terms]
     return ResidualReport(rows, tol, ncols, dim)
 
 
@@ -395,27 +511,16 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
 
     Compact generators must satisfy M* = -M; for a degenerate
     representation the noncompact generator must satisfy M* = M instead.
-    The compact rows are read from the memo entry of the compact
-    generators once it holds them.
+    A rep that holds its frame's own compact generators (the first two
+    points of the structural check) forms only its Hermitian row and
+    reads the compact rows from the frame's record, which forms them once.
     """
     gens, _, space, noncompact_i = _coerce(rep, qp, need_qp=False)
-    shared = _shared_entry(gens, space, noncompact_i)
-    known = shared.star if shared is not None else None
-    rows = []
-    for g in gens:
-        if g.i != noncompact_i and known is not None:
-            rows.append(known[g.i])
-            continue
-        mat = _Csc.of(g.mat)
-        adj = mat.adjoint()
-        if g.i == noncompact_i:
-            res, worst = _column_max(adj - mat, space)
-            rows.append(RelationResidual(f"star[{g.i}] hermitian", res, worst))
-        else:
-            res, worst = _column_max(adj + mat, space)
-            rows.append(RelationResidual(f"star[{g.i}] anti-hermitian", res, worst))
-    if shared is not None and known is None:
-        shared.star = {g.i: row for g, row in zip(gens, rows) if g.i != noncompact_i}
+    record = _compact_record(rep)
+    if record is not None and record.star is None:
+        record.star = {g.i: _star_row(g, False, space) for g in rep.frame.compact}
+    rows = [record.star[g.i] if record is not None and g.i != noncompact_i
+            else _star_row(g, g.i == noncompact_i, space) for g in gens]
     dim = gens[0].mat.shape[1]
     return ResidualReport(rows, tol, dim, dim)
 
@@ -620,8 +725,10 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
 
     Returns None when the linear conditions are inconsistent or require a
     non-invertible S.  The diagonal is normalized to 1 on the base block.
-    A compact generator that both reps share and that the memo entry
-    finds block-diagonal adds no residual and is skipped.
+    A compact generator adds no residual and is skipped when both reps
+    hold the same frame's own compact generators (the first two points of
+    the structural check) and its record finds the generator
+    block-diagonal.
     """
     sa, sb = repA.spec, repB.spec
     if (sa.r, sa.s, sa.epsilon, sa.cutoff, sa.qp) != (sb.r, sb.s, sb.epsilon, sb.cutoff, sb.qp):
@@ -650,11 +757,13 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     block_values = {space.blocks[b]: values[b] for b in order}
     diag = space.block_diagonal(block_values)
     # S T - T S is exactly 0 for a block-scalar S and a block-diagonal T
-    shared = _shared_entry(repA.generators, space, sa.r + 1)
-    block_diagonal = shared.block_diagonal_flags() if shared is not None else {}
+    record = _compact_record(repA)
+    block_diagonal = {}
+    if record is not None and _compact_record(repB) is record:
+        block_diagonal = record.block_diagonal_flags(repA.frame)
     residual = 0.0
     for ga, gb in zip(repA.generators, repB.generators):
-        if ga.mat is gb.mat and block_diagonal.get(ga.i, False):
+        if block_diagonal.get(ga.i, False):
             continue
         A, B = _Csc.of(ga.mat), _Csc.of(gb.mat)
         s_a = _Csc(A.indptr, A.indices, _times(diag[A.indices], A.data), A.shape)  # S T_A

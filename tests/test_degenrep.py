@@ -250,3 +250,25 @@ def test_repspec_validation():
         RepSpec(3, 3, 0, E(1), Q2, -1)
     with pytest.raises(ValueError, match="below epsilon"):
         RepSpec(3, 3, 1, E(1), Q2, 0)  # the tower would have no blocks
+
+
+def test_gen_refuses_an_index_outside_the_generators():
+    rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 4))
+    assert [rep.gen(i).i for i in range(2, 7)] == [2, 3, 4, 5, 6]
+    for i in (0, 1, 7):
+        with pytest.raises(ValueError, match=f"generator index {i} is outside 2..6"):
+            rep.gen(i)
+
+
+def test_rep_records_its_frame_signs_and_edge_values():
+    spec = RepSpec(3, 4, 1, E(-2, 0, Fraction(1, 3)), Q2, 5)
+    for build, signs in ((build_degenerate, (1, -1, 1, -1)),
+                         (build_degenerate_primed, (1, -1, -1, 1))):
+        rep = build(spec)
+        fr = rep.frame
+        assert rep.space is fr.space and rep.signs == signs
+        assert rep.edge_values.dtype == np.complex128 and not rep.edge_values.flags.writeable
+        assert rep.edge_values.shape == fr.family.shape
+        assert all(g is h for g, h in zip(rep.generators[:2] + rep.generators[3:], fr.compact))
+        # the provenance stays out of the repr
+        assert "edge_values" not in repr(rep)

@@ -21,6 +21,7 @@ import pytest
 from scipy import sparse
 
 from soqrs import (
+    DegenerateRep,
     QParam,
     RepSpec,
     SpectralParam,
@@ -35,7 +36,7 @@ from soqrs import (
 )
 from soqrs.degenrep import frame
 from soqrs.compactrep import _index_dtype
-from soqrs.verify import _Csc
+from soqrs.verify import _Csc, _frame_record
 from oracles import (
     basis_rows,
     column_max_coo,
@@ -111,6 +112,39 @@ def test_solvers_match_sparse_product_references(q):
                     checked.add(want == "None")
     assert {("found", True), ("found", False), ("indefinite", False),
             ("none", False), True, False} <= checked
+
+
+def _stripped(rep):
+    """rep without its frame, signs and edge values: every check takes the full path."""
+    return DegenerateRep(rep.spec, rep.space, rep.generators, rep.basis_kind)
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0])
+def test_frame_path_equals_full_path(q):
+    # every report and intertwiner of a frame-built rep equals, by repr,
+    # that of the same rep stripped of its provenance; lambda = -2 drops
+    # edges, and the inexact lambda has no exact vanishing
+    qp = QParam(q)
+    for (r, s), eps in itertools.product(RANKS, (0, 1)):
+        for lam in _lambdas(r, s):
+            spec = RepSpec(r, s, eps, lam, qp, 5)
+            mirror = RepSpec(r, s, eps, _mirror(lam, r, s, qp), qp, 5)
+            for rep, rep_mirror in _pairs(spec, mirror):
+                assert _frame_record(rep) is not None and _frame_record(rep_mirror) is not None
+                bare, bare_mirror = _stripped(rep), _stripped(rep_mirror)
+                for depth in (0, 3):
+                    report = check_relations(rep, depth=depth)
+                    assert repr(report) == repr(check_relations(bare, depth=depth)), (rep.spec, depth)
+                # the far commutators vanish on the unit pattern: the record
+                # holds every row but the 4 junction rows
+                known = _frame_record(rep).relations.values()
+                assert {len(rows) for rows in known} == {len(report.rows) - 4}, rep.spec
+                assert repr(check_star(rep)) == repr(check_star(bare)), rep.spec
+                for x, y, bx, by in ((rep, rep_mirror, bare, bare_mirror),
+                                     (rep_mirror, rep, bare_mirror, bare),
+                                     (rep, rep, bare, bare)):
+                    assert (_intertwiner(solve_intertwiner(x, y))
+                            == _intertwiner(solve_intertwiner(bx, by))), (x.spec, y.spec)
 
 
 def test_intertwiner_residual_matches_scipy_products():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -376,7 +377,7 @@ def test_metric_reason_first_nonpositive_weight():
 
 
 # ---------------------------------------------------------------------------
-# the memo of the shared compact generators
+# the frame record and the structural check
 
 
 def _frozen_copy(mat):
@@ -390,6 +391,20 @@ def _frozen_copy(mat):
 def _with_compact(rep, i, mat):
     gens = [GeneratorMatrix(g.i, mat) if g.i == i else g for g in rep.generators]
     return DegenerateRep(rep.spec, rep.space, gens, rep.basis_kind)
+
+
+def _stripped(rep):
+    """rep without its frame, signs and edge values: every check takes the full path."""
+    return DegenerateRep(rep.spec, rep.space, rep.generators, rep.basis_kind)
+
+
+def _count_rows(monkeypatch) -> list:
+    """A list that gets one item per residual read out (_column_max call)."""
+    calls = []
+    column_max = verify_module._column_max
+    monkeypatch.setattr(verify_module, "_column_max",
+                        lambda mat, space: calls.append(1) or column_max(mat, space))
+    return calls
 
 
 def _moved_entry(rep, i, depth):
@@ -414,31 +429,36 @@ def _tower(lam_re, kind):
     return build_degenerate(spec) if kind == "standard" else build_degenerate_primed(spec)
 
 
+JUNCTION = ("cubic[4,5]a", "cubic[4,5]b", "cubic[5,6]a", "cubic[5,6]b")
+FAR = ("commutator[2,5]", "commutator[3,5]", "commutator[5,7]", "commutator[5,8]")
+
+
 def test_warm_checks_equal_cold_ones(monkeypatch):
-    # a lambda sweep on one tower in both bases: every warm report equals
-    # the report of a call with the memo emptied first, by repr, and a warm
-    # relation check forms only the 8 of 27 rows with the noncompact generator
+    # a lambda sweep on one tower in both bases: every report equals, by
+    # repr, the report of the same rep stripped of its provenance, and a
+    # warm relation check forms only the 4 junction rows of 27
+    frame.cache_clear()
     reps = [_tower(lam_re, kind) for lam_re in (3, Fraction(1, 3), Fraction(-5, 2))
             for kind in ("standard", "primed")]
     cold = {}
     for depth in (0, 3):
         for k, rep in enumerate(reps):
-            monkeypatch.setattr(verify_module, "_shared", None)
-            relations = check_relations(rep, depth=depth)
-            monkeypatch.setattr(verify_module, "_shared", None)
-            star = check_star(rep)
+            relations, star = check_relations(_stripped(rep), depth=depth), check_star(_stripped(rep))
             cold[k, depth] = [repr(x) for x in (relations.to_dict(), _rows(relations),
                                                 star.to_dict(), _rows(star))]
-    calls = []
-    column_max = verify_module._column_max
-    monkeypatch.setattr(verify_module, "_column_max",
-                        lambda mat, space: calls.append(1) or column_max(mat, space))
-    monkeypatch.setattr(verify_module, "_shared", None)
+    calls = _count_rows(monkeypatch)
+    formed = []
+    relations_of = verify_module._Relations.row
+    monkeypatch.setattr(verify_module._Relations, "row",
+                        lambda self, name, *args: formed.append(name) or relations_of(self, name, *args))
     for depth in (0, 3):
         for k, rep in enumerate(reps):
             calls.clear()
+            formed.clear()
             relations, star = check_relations(rep, depth=depth), check_star(rep)
-            assert len(calls) == (27 if k == 0 else 8) + (7 if (k, depth) == (0, 0) else 1)
+            assert len(calls) == (27 if k == 0 else 4) + (7 if (k, depth) == (0, 0) else 1)
+            if k:
+                assert tuple(formed) == JUNCTION
             warm = [repr(x) for x in (relations.to_dict(), _rows(relations),
                                       star.to_dict(), _rows(star))]
             assert warm == cold[k, depth], (k, depth)
@@ -487,28 +507,31 @@ def test_corrupted_compact_copy_is_recomputed_and_localized():
     assert check_relations(rep).passed and check_star(rep).passed
 
 
-def test_memo_keeps_one_entry():
+def test_record_dies_with_its_frame():
     frame.cache_clear()
-    first = _tower(3, "standard")
-    check_relations(first)
-    ref = weakref.ref(first.gen(2).mat)
-    del first
-    frame.cache_clear()
-    second = build_degenerate(RepSpec(3, 4, 1, E(Fraction(1, 3)), Q2, 5))
-    check_relations(second)
-    check_star(second)
     gc.collect()
-    assert ref() is None
-    entry = verify_module._shared
-    assert entry.space is second.space
-    assert [g[1] for g in entry.gens] == [g.mat for g in second.generators if g.i != 4]
-    check_relations(second, depth=0)
-    assert entry is verify_module._shared and entry.relations[0] == second.dim
+    before = len(verify_module._records)
+    rep = _tower(3, "standard")
+    check_relations(rep)
+    check_star(rep)
+    assert len(verify_module._records) == before + 1
+    dead = weakref.ref(rep.frame)
+    # a second frame has a record of its own
+    frame.cache_clear()
+    other = build_degenerate(RepSpec(3, 4, 1, E(Fraction(1, 3)), Q2, 5))
+    check_relations(other)
+    assert len(verify_module._records) == before + 2
+    del rep
+    gc.collect()
+    assert dead() is None
+    assert len(verify_module._records) == before + 1
+    assert verify_module._frame_record(other) is verify_module._records[other.frame]
 
 
 def test_moved_compact_entry_fails_and_is_not_skipped(monkeypatch):
     # a compact entry moved into a neighbouring block: the relations
-    # fail, and the intertwiner forms the residual of the unshared generator
+    # fail, and the intertwiner forms the residual of the generator
+    # that is not the frame's
     clean = build_degenerate(RepSpec(4, 4, 0, E(Fraction(1, 3)), Q2, 8))
     mirror = build_degenerate(RepSpec(4, 4, 0, E(Fraction(17, 3)), Q2, 8))
     for i in (2, 3, 4, 6, 7, 8):
@@ -522,9 +545,9 @@ def test_moved_compact_entry_fails_and_is_not_skipped(monkeypatch):
         assert check_relations(clean).passed
         assert solve_intertwiner(clean, mutated) is None
         assert solve_intertwiner(mutated, clean) is None
-        # shared by both reps, but not block-diagonal
+        # the same matrix in both reps, but not block-diagonal
         assert solve_intertwiner(mutated, _with_compact(mirror, i, moved)) is None
-    # with every compact generator shared, only the noncompact one is formed
+    # with every compact generator the frame's, only the noncompact one is formed
     formed = []
     times = verify_module._times
     monkeypatch.setattr(verify_module, "_times", lambda s, g: formed.append(1) or times(s, g))
@@ -535,18 +558,22 @@ def test_moved_compact_entry_fails_and_is_not_skipped(monkeypatch):
             solve_intertwiner_reference(clean, mirror)))
 
 
-def test_read_only_bare_generators_are_memoized_per_a():
-    # the relation rows of frozen class-1 generators depend on the a of qp
+def test_bare_generators_are_formed_in_full_per_a(monkeypatch):
+    # a bare generator list has no frame: every row is formed on every
+    # call, with the a of its qp, and equals the full products
     gens = [GeneratorMatrix(g.i, _frozen_copy(g.mat)) for g in build_class1(5, 3, Q2)]
+    calls = _count_rows(monkeypatch)
     for qp in (Q2, QParam(3.0), Q2):
-        warm = check_relations(gens, qp=qp)
-        verify_module._shared = None
-        cold = check_relations(gens, qp=qp)
-        assert repr(warm.to_dict()) == repr(cold.to_dict())
-        assert warm.passed == (qp is Q2)
+        calls.clear()
+        report = check_relations(gens, qp=qp)
+        assert len(calls) == len(report.rows) == 9
+        assert _rows(report) == full_product_relations(gens, qp.a, None, int)
+        assert report.passed == (qp is Q2)
+        calls.clear()
+        assert check_star(gens).passed and len(calls) == len(gens)
 
 
-def test_memo_entry_is_per_space_object(monkeypatch):
+def test_memo_entry_is_per_space_object():
     # the same compact matrices on another space object: every row is
     # formed again, with that space naming the worst columns
     rep = _tower(3, "standard")
@@ -557,8 +584,138 @@ def test_memo_entry_is_per_space_object(monkeypatch):
         return DegenerateRep(rep.spec, space, rep.generators, rep.basis_kind)
 
     cold, warm = [], []
-    monkeypatch.setattr(verify_module, "_shared", None)
     want = check_relations(counting_space(cold)).to_dict()
     got = check_relations(counting_space(warm)).to_dict()
     assert repr(got) == repr(want) == repr(check_relations(rep).to_dict())
     assert warm == cold and len(cold) > 8
+
+
+def test_respaced_copy_with_provenance_takes_the_full_path(monkeypatch):
+    # a rep that keeps its frame but not the frame's space object
+    rep = _tower(3, "standard")
+    moved = dataclasses.replace(rep, space=TruncatedSpace(4, 4, 0, 8))
+    assert verify_module._frame_record(rep) is not None
+    assert verify_module._frame_record(moved) is None
+    calls = _count_rows(monkeypatch)
+    assert repr(check_relations(moved)) == repr(check_relations(_stripped(rep)))
+    assert len(calls) == 2 * 27
+
+
+# ---------------------------------------------------------------------------
+# mutations of the frame path: each must fail check_relations
+
+
+def _failing(report) -> set:
+    return {row.relation for row in report.rows if row.residual >= report.tol}
+
+
+def _interior_entry(mat, space):
+    """(storage position, column) of the first entry of a middle interior column at depth 3."""
+    col = len(space.interior_indices(3)) // 2
+    return int(mat.indptr[col]), col
+
+
+def test_frame_kl_value_perturbed_on_one_edge_fails():
+    frame.cache_clear()
+    fr = frame(4, 4, 0, 8, Q2)
+    k, col = _interior_entry(fr, fr.space)
+    fr.kl.flags.writeable = True
+    try:
+        fr.kl[k] *= 1.01
+    finally:
+        fr.kl.flags.writeable = False
+    try:
+        for kind in ("standard", "primed"):
+            rep = _tower(3, kind)
+            assert rep.frame is fr and verify_module._frame_record(rep) is not None
+            report = check_relations(rep)
+            assert report.worst_row().relation == "cubic[4,5]b", report.worst_row()
+            assert _distance(fr.space, report.worst_row().worst, basis_rows(fr.space)[col]) <= 2
+            # the far rows no longer vanish on the unit pattern, so they are
+            # formed on the rep, as the full path forms them
+            assert _failing(report) == {"cubic[4,5]a", "cubic[4,5]b", "cubic[5,6]b",
+                                        "commutator[3,5]", "commutator[5,7]"}
+            assert repr(report) == repr(check_relations(_stripped(rep)))
+    finally:
+        frame.cache_clear()
+
+
+def test_frame_compact_coefficient_changed_on_one_top_fails():
+    # one coefficient of G_3(m = 2), in every block (2, m') of kron(G_3(2), I)
+    frame.cache_clear()
+    fr = frame(4, 4, 0, 8, Q2)
+    space, mat = fr.space, fr.compact[1].mat
+    assert fr.compact[1].i == 3
+    cols = np.repeat(np.arange(space.dim), np.diff(mat.indptr))
+    block = np.searchsorted(space.offsets, cols, side="right") - 1
+    top = np.array([m for m, _ in space.blocks])[block]
+    width = np.array([len(space.labels[1][mp]) for _, mp in space.blocks])[block]
+    left_row = (mat.indices - space.offsets[block]) // width
+    left_col = (cols - space.offsets[block]) // width
+    first = np.flatnonzero((top == 2) & (left_row != left_col))[0]
+    hit = (top == 2) & (left_row == left_row[first]) & (left_col == left_col[first])
+    assert hit.sum() > 1
+    mat.data.flags.writeable = True
+    try:
+        mat.data[hit] *= 1.01
+    finally:
+        mat.data.flags.writeable = False
+    try:
+        rep = _tower(3, "standard")
+        assert verify_module._frame_record(rep) is not None
+        report = check_relations(rep)
+        assert report.worst_row().relation == "cubic[2,3]a", report.worst_row()
+        assert _block(space, report.worst_row().worst)[0] == 2
+        assert _failing(report) == {"cubic[2,3]a", "cubic[3,4]b", "commutator[3,5]"}
+        assert repr(report) == repr(check_relations(_stripped(rep)))
+    finally:
+        frame.cache_clear()
+
+
+def test_noncompact_entry_edited_after_build_takes_the_full_path(monkeypatch):
+    frame.cache_clear()
+    rep = _tower(3, "standard")
+    assert check_relations(rep).passed and check_star(rep).passed
+    N = rep.noncompact.mat
+    k, col = _interior_entry(N, rep.space)
+    calls = _count_rows(monkeypatch)
+    N.data.flags.writeable = True
+    N.data[k] *= 1.01
+    for writeable in (True, False):
+        # while writeable, and read-only again: only the bits tell the edit
+        N.data.flags.writeable = writeable
+        assert verify_module._frame_record(rep) is None
+        calls.clear()
+        report = check_relations(rep)
+        assert len(calls) == 27
+        assert report.worst_row().relation == "cubic[4,5]b", report.worst_row()
+        assert _distance(rep.space, report.worst_row().worst, basis_rows(rep.space)[col]) <= 2
+        assert repr(report) == repr(check_relations(_stripped(rep)))
+    # the star rows and the intertwiner read only the compact generators,
+    # which are still the frame's: the record serves them, as the full path would
+    calls.clear()
+    star = check_star(rep)
+    assert len(calls) == 1 and repr(star) == repr(check_star(_stripped(rep)))
+    mirror = _tower(5, "standard")
+    for x, y in ((rep, mirror), (mirror, rep), (rep, rep)):
+        want = solve_intertwiner(_stripped(x), _stripped(y))
+        got = solve_intertwiner(x, y)
+        assert repr(None if got is None else (got.block_values, got.residual)) == repr(
+            None if want is None else (want.block_values, want.residual))
+    frame.cache_clear()
+
+
+def test_swapped_frame_array_takes_the_full_path():
+    # a frame matrix given another read-only array after its record was made
+    frame.cache_clear()
+    rep = _tower(3, "standard")
+    assert check_relations(rep).passed and verify_module._frame_record(rep) is not None
+    mat = rep.gen(3).mat
+    data = mat.data
+    mat.data = _frozen_copy(mat).data
+    try:
+        assert verify_module._frame_record(rep) is None
+        assert repr(check_relations(rep)) == repr(check_relations(_stripped(rep)))
+    finally:
+        mat.data = data
+        frame.cache_clear()
