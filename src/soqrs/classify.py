@@ -8,15 +8,16 @@ The builder's two decisions are read here, not restated: the steps
 between blocks are gtbasis.lattice_steps, and the bracket of each step is
 [lambda + c] with c from degenrep.bracket_shifts.  A step is cut exactly
 where c == -L, with L = qarith.vanishing_point(lambda) found once per
-lambda in rational arithmetic, so every lattice edge is an integer array
-test.  Only that cut depends on lambda: _step_table keeps the blocks, the
-steps and the shift of every step of one window (one entry, keyed on
-(r, s, epsilon, window), as degenrep.frame keeps a frame).
-predict_constituents checks region closure and cross_check counts
-components on one window, that of _scan_window: the larger of 12 and the
-smallest window that shows every wall.  Both calls on one lambda, and
-every further lambda of the same (r, s, epsilon) with the same window,
-read one table.
+lambda in rational arithmetic, which puts each family's cuts on one wall
+(_walls).  predict_constituents and cross_check decide on the walls alone,
+in integer arithmetic and in time independent of |lambda|: _cuts turns the
+walls and a window's extent into the cut gaps, cross_check counts the
+non-empty cells between them, and _region_is_closed tests the one step
+across each bound of a region.  Both read the window of _scan_window: the
+larger of 12 and the smallest window that shows every wall.  Only
+scan_lattice, which reports explicit blocks, builds the step table of its
+window (_step_table: one entry, keyed on (r, s, epsilon, window), as
+degenrep.frame keeps a frame).
 
 Two independent routes are provided and cross-checked:
 
@@ -61,7 +62,6 @@ from .degenrep import RepSpec, bracket_shifts
 from .gtbasis import block_arrays, lattice_steps
 from .qarith import (
     EQUIVALENT_FLIP,
-    QParam,
     SpectralParam,
     normalize_spectral,
     vanishing_point,
@@ -246,7 +246,7 @@ def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
 _FAMILY_NAMES = ("ring_up", "diag_m_up", "diag_mp_up", "ring_down")
 
 
-def _walls(r: int, s: int, lam: SpectralParam) -> tuple:
+def _walls(r: int, s: int, L: int | None) -> tuple:
     """Wall of each family in FAMILIES order, None where its bracket never vanishes.
 
     The wall is the one ring sigma = m+m' (ring_up, ring_down) or diagonal
@@ -254,7 +254,6 @@ def _walls(r: int, s: int, lam: SpectralParam) -> tuple:
     degenrep.bracket_shifts entry equals -L, for the L of
     qarith.vanishing_point.
     """
-    L = vanishing_point(lam)
     if L is None:
         return (None,) * 4
     return (-L, s - 2 - L, L - r + 2, L - r - s + 4)
@@ -262,7 +261,67 @@ def _walls(r: int, s: int, lam: SpectralParam) -> tuple:
 
 def _wall_dict(r: int, s: int, lam: SpectralParam) -> dict:
     """The ring sigma or diagonal d each transition family is severed on, or None."""
-    return dict(zip(_FAMILY_NAMES, _walls(r, s, lam)))
+    return dict(zip(_FAMILY_NAMES, _walls(r, s, vanishing_point(lam))))
+
+
+def _floor(x: int, epsilon: int) -> int:
+    """The largest level <= x of parity epsilon: every block's sigma and d have it."""
+    return x - (x - epsilon) % 2
+
+
+def _holds_block(epsilon: int, sigma_lo: int, sigma_hi: int, d_lo: int, d_hi: int,
+                 m_min: int = 0, mp_min: int = 0) -> bool:
+    """Whether a block has sigma and d in the closed bounds, m >= m_min and m' >= mp_min.
+
+    The block's sigma and d share the parity of epsilon, and m = (sigma+d)/2,
+    m' = (sigma-d)/2.  The diagonals allowed on a ring widen as sigma grows,
+    so the top ring in the bounds decides.
+    """
+    top = _floor(sigma_hi, epsilon)
+    d_lo = max(-_floor(-d_lo, epsilon), 2 * m_min - top)
+    d_hi = min(_floor(d_hi, epsilon), top - 2 * mp_min)
+    return sigma_lo <= top and d_lo <= d_hi
+
+
+def _cuts(r: int, s: int, epsilon: int, L: int | None, window: int) -> tuple:
+    """(ring_cuts, diag_cuts): the gaps lambda cuts in the lattice below the window.
+
+    A gap is named by the level below it: ring cut c separates the rings
+    sigma <= c from sigma > c, diagonal cut c the diagonals d <= c from
+    d > c.  A family cuts the gap its step crosses from its wall (see
+    _walls) where a block of the window on that wall has the step:
+
+    * ring_up cuts ring -L when that ring holds blocks and ring -L+2 lies
+      in the window;
+    * ring_down cuts the gap below its wall when the wall ring is in the
+      window and holds a block with m, m' >= 1;
+    * diag_m_up cuts above and diag_mp_up below its wall diagonal when that
+      diagonal holds a block of the window with m' >= 1 (m >= 1).
+
+    Each is one ring or one diagonal, so the cuts are exactly the gaps
+    crossed by the steps of the window that lambda cuts.
+    """
+    if L is None:
+        return (), ()
+    up, m_up, mp_up, down = _walls(r, s, L)
+    rings, diags = set(), set()
+    if _holds_block(epsilon, up, min(up, window - 2), -window, window):
+        rings.add(up)
+    if _holds_block(epsilon, down, min(down, window), -window, window, 1, 1):
+        rings.add(down - 2)
+    if _holds_block(epsilon, 0, window, m_up, m_up, 0, 1):
+        diags.add(m_up)
+    if _holds_block(epsilon, 0, window, mp_up, mp_up, 1, 0):
+        diags.add(mp_up - 2)
+    return tuple(sorted(rings)), tuple(sorted(diags))
+
+
+def _cell_count(epsilon: int, window: int, ring_cuts: tuple, diag_cuts: tuple) -> int:
+    """Number of cells between the cuts (at most 3 x 3) that hold a block of the window."""
+    sigma_gaps = zip((-1,) + ring_cuts, ring_cuts + (window,))
+    d_gaps = list(zip((-window - 1,) + diag_cuts, diag_cuts + (window,)))
+    return sum(_holds_block(epsilon, s_lo + 1, s_hi, d_lo + 1, d_hi)
+               for s_lo, s_hi in sigma_gaps for d_lo, d_hi in d_gaps)
 
 
 @functools.lru_cache(maxsize=1)
@@ -283,32 +342,16 @@ def _step_table(r: int, s: int, epsilon: int, window: int) -> tuple:
     return m, mp, src, dst, shift
 
 
-def _live_steps(r: int, s: int, epsilon: int, lam: SpectralParam, cutoff: int):
-    """(m, m', source, target): the blocks below the cutoff and the steps lambda keeps.
-
-    A step of _step_table is cut exactly where its shift equals -L for the
-    L of qarith.vanishing_point.
-    """
-    m, mp, src, dst, shift = _step_table(r, s, epsilon, cutoff)
-    L = vanishing_point(lam)
-    if L is not None:
-        live = shift != -L
-        src, dst = src[live], dst[live]
-    return m, mp, src, dst
-
-
 def _strong_components(spec: RepSpec):
     """(m, m', source, target, dead, count, labels) of the scan of spec's window.
 
     The blocks and steps of the window, the mask of the steps lambda
     cuts, the number of strongly connected components of the graph of the
     other (live) steps and each block's component label, read off the
-    cuts without a graph search.  A step of _step_table is dead where its
-    shift equals -L.  A dead step that changes sigma cuts the gap between
-    its two rings, any other dead step the gap between its two diagonals,
-    and a block's label is its cell: (the number of ring cuts below its
-    sigma, the number of diagonal cuts below its d).  The strong
-    components are the non-empty cells:
+    cuts of _cuts without a graph search.  A step of _step_table is dead
+    where its shift equals -L, and a block's label is its cell: (the
+    number of ring cuts below its sigma, the number of diagonal cuts below
+    its d).  The strong components are the non-empty cells:
 
     * degenrep.bracket_shifts makes a ring step's shift depend only on
       its family and source sigma, and a diagonal step's only on its
@@ -327,14 +370,9 @@ def _strong_components(spec: RepSpec):
     m, mp, src, dst, shift = _step_table(spec.r, spec.s, spec.epsilon, spec.cutoff)
     L = vanishing_point(spec.lam)
     dead = np.zeros(shift.shape, dtype=bool) if L is None else shift == -L
-    sigma, d = m + mp, m - mp
-    a, b = src[dead], dst[dead]
-    ring = sigma[a] != sigma[b]
-    # sets, not np.unique: a first np.unique pages in ~0.5 MB of sort code
-    ring_cuts = sorted(set(np.minimum(sigma[a], sigma[b])[ring].tolist()))
-    diag_cuts = sorted(set(np.minimum(d[a], d[b])[~ring].tolist()))
-    cell = (np.searchsorted(ring_cuts, sigma) * (len(diag_cuts) + 1)
-            + np.searchsorted(diag_cuts, d))
+    ring_cuts, diag_cuts = _cuts(spec.r, spec.s, spec.epsilon, L, spec.cutoff)
+    cell = (np.searchsorted(ring_cuts, m + mp) * (len(diag_cuts) + 1)
+            + np.searchsorted(diag_cuts, m - mp))
     # the non-empty cells, numbered in cell order
     occupied = np.bincount(cell) > 0
     labels = np.cumsum(occupied)[cell] - 1
@@ -403,33 +441,55 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
 # constituent prediction
 
 
-def _region_is_closed(region: Region, m: np.ndarray, mp: np.ndarray,
-                      src: np.ndarray, dst: np.ndarray) -> bool:
-    """Whether no live step leaves the region.
+def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
+                      L: int | None, window: int) -> bool:
+    """Whether no live step of the window leaves the region.
 
-    m, m', src, dst are the blocks and live steps of _live_steps on the
-    _scan_window of lambda, which decides closure as the whole lattice
-    would:
+    A ring step changes only sigma and a diagonal step only d, so a step
+    that leaves the region crosses one bound, and each bound is crossed
+    outwards by one family only: ring_up across sigma_max, ring_down
+    across sigma_min, diag_m_up across d_max and diag_mp_up across d_min.
+    The steps of that family that cross the bound leave from the ring or
+    diagonal of the region next to it, and whether they are live depends
+    only on that level: they are cut exactly when it is the family's wall
+    (_walls).  So the region leaks across a bound exactly when that level
+    is not the family's wall and holds a block of the region, inside the
+    window, that has the step: m >= 1 where the step lowers m, m' >= 1
+    where it lowers m', and the target ring in the window for ring_up.
 
-    * every bound of a constituent region is a wall of L or of its mirror
-      r+s-2-L, or such a wall +-2 (each mirror wall is a wall of L
-      shifted by 2);
-    * a ring step changes only sigma and a diagonal step only d, and
-      whether a step is live depends only on its family and on the sigma
-      (ring steps) or d (diagonal steps) of its source, so if a step
-      leaves the region across a bound, so does the step of that family
-      from every block of the region next to that bound;
-    * hence one step across each bound decides closure, and
-      _sufficient_cutoff reaches one: it lies at least 4 past every
-      positive ring wall (at most one ring wall is positive, and the
-      other's magnitude is then at least 2 larger) and past the magnitude
-      of every diagonal wall.
-
-    Steps that leave the window upward keep d and therefore cannot
-    witness a leak of a sigma-unbounded region.
+    predict_constituents asks on the _scan_window of lambda, which decides
+    closure as the whole lattice would: every bound of a constituent
+    region is a wall of L or of its mirror r+s-2-L, or such a wall +-2
+    (each mirror wall is a wall of L shifted by 2), and _sufficient_cutoff
+    lies at least 4 past every positive ring wall (at most one ring wall
+    is positive, and the other's magnitude is then at least 2 larger) and
+    past the magnitude of every diagonal wall, so the window holds a step
+    across each bound.  Steps that leave the window upward keep d and
+    therefore cannot witness a leak of a sigma-unbounded region.
     """
-    inside = region.contains(m, mp)
-    return not (inside[src] & ~inside[dst]).any()
+    up, m_up, mp_up, down = _walls(r, s, L)
+    lo = 0 if region.sigma_min is None else region.sigma_min
+    hi = window if region.sigma_max is None else min(region.sigma_max, window)
+    d_lo = -window if region.d_min is None else region.d_min
+    d_hi = window if region.d_max is None else region.d_max
+    if region.sigma_max is not None:
+        ring = _floor(region.sigma_max, epsilon)
+        if ring != up and _holds_block(epsilon, max(lo, ring), min(ring, window - 2),
+                                       d_lo, d_hi):
+            return False
+    if region.sigma_min is not None:
+        ring = -_floor(-region.sigma_min, epsilon)
+        if ring != down and _holds_block(epsilon, ring, min(ring, hi), d_lo, d_hi, 1, 1):
+            return False
+    if region.d_max is not None:
+        diag = _floor(region.d_max, epsilon)
+        if diag != m_up and _holds_block(epsilon, lo, hi, max(d_lo, diag), diag, 0, 1):
+            return False
+    if region.d_min is not None:
+        diag = -_floor(-region.d_min, epsilon)
+        if diag != mp_up and _holds_block(epsilon, lo, hi, diag, min(diag, d_hi), 1, 0):
+            return False
+    return True
 
 
 def _full_constituent(series: str) -> Constituent:
@@ -567,8 +627,9 @@ def predict_constituents(r: int, s: int, epsilon: int,
             region = region.swapped()
         constituents.append(Constituent(name, region, QUOTIENT, star, finite))
 
-    steps = _live_steps(r, s, epsilon, nlam, _scan_window(r, s, nlam))
-    closed_flags = [_region_is_closed(c.region, *steps) for c in constituents]
+    window = _scan_window(r, s, nlam)
+    closed_flags = [_region_is_closed(c.region, r, s, epsilon, L, window)
+                    for c in constituents]
     if len(constituents) == 2 and all(closed_flags):
         for c in constituents:
             c.realized_on = DIRECT_SUMMAND
@@ -615,7 +676,7 @@ def _sufficient_cutoff(r: int, s: int, lam: SpectralParam) -> int:
     blocks on both of its sides fit under the cutoff; beyond this bound
     the component count is truncation-independent.
     """
-    up, d_up, d_down, down = _walls(r, s, lam)
+    up, d_up, d_down, down = _walls(r, s, vanishing_point(lam))
     if up is None:
         return 0
     return max(abs(up), abs(down), abs(d_up) + 2, abs(d_down) + 2) + 2
@@ -625,8 +686,7 @@ def _scan_window(r: int, s: int, lam: SpectralParam, cutoff: int = 12) -> int:
     """The window cross_check and predict_constituents scan for lambda.
 
     At least cutoff and wide enough to show every wall; cross_check counts
-    components and predict_constituents checks region closure on it, so
-    both read one _step_table.
+    components and predict_constituents checks region closure on it.
     """
     return max(cutoff, _sufficient_cutoff(r, s, lam))
 
@@ -637,10 +697,15 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
 
     The scan window is widened beyond `cutoff` when needed so that every
     wall of the parameter is visible; otherwise a wall lying outside the
-    window would masquerade as irreducibility.
+    window would masquerade as irreducibility.  The components are the
+    non-empty cells between the cuts of _cuts (see _strong_components),
+    counted without building the window's blocks.
     """
+    _validate(r, s, epsilon)
+    if cutoff < epsilon:
+        raise ValueError(f"cutoff {cutoff} is below epsilon {epsilon}: "
+                         "the truncated tower has no blocks")
     irr = classify_irreducible(r, s, epsilon, lam)
     window = _scan_window(r, s, lam, cutoff)
-    *_, n_regions, _ = _strong_components(
-        RepSpec(r, s, epsilon, lam, QParam(2.0), window))
-    return CrossCheck(r, s, epsilon, lam, irr, n_regions)
+    cuts = _cuts(r, s, epsilon, vanishing_point(lam), window)
+    return CrossCheck(r, s, epsilon, lam, irr, _cell_count(epsilon, window, *cuts))

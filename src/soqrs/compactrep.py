@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 from .gtbasis import chain_labels
 from .qarith import QParam
@@ -35,7 +35,7 @@ class GeneratorMatrix:
     """Sparse matrix of one generator on an indexed pattern basis."""
 
     i: int
-    mat: sparse.csc_matrix
+    mat: scipy.sparse.csc_matrix
 
     @property
     def dim(self) -> int:
@@ -78,7 +78,7 @@ def _csc_order(dim: int, rows, cols) -> tuple:
     return order, rows.astype(idx), indptr
 
 
-def assemble(dim: int, rows, cols, vals) -> sparse.csc_matrix:
+def assemble(dim: int, rows, cols, vals) -> scipy.sparse.csc_matrix:
     """The dim x dim csc matrix with entries vals at (rows, cols), in canonical form.
 
     The arrays are scipy's coo_matrix(...).tocsc() byte for byte, built
@@ -87,7 +87,7 @@ def assemble(dim: int, rows, cols, vals) -> sparse.csc_matrix:
     """
     order, indices, indptr = _csc_order(dim, rows, cols)
     data = np.asarray(vals, dtype=np.complex128)[order]
-    return sparse.csc_matrix((data, indices, indptr), shape=(dim, dim))
+    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def d_coeff(m, p: QParam) -> float:

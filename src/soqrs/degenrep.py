@@ -61,7 +61,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 from .compactrep import (
     GeneratorMatrix,
@@ -205,7 +205,7 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-def _frozen(mat: sparse.csc_matrix) -> sparse.csc_matrix:
+def _frozen(mat: scipy.sparse.csc_matrix) -> scipy.sparse.csc_matrix:
     _read_only(mat.data, mat.indices, mat.indptr)
     return mat
 
@@ -413,7 +413,7 @@ def _build(spec: RepSpec, fr: Frame, signs: tuple, values: list, basis_kind: str
     value = np.array(values, dtype=np.complex128)
     _read_only(value)
     dim = fr.space.dim
-    mat = sparse.csc_matrix(_noncompact_arrays(fr, signs, value), shape=(dim, dim))
+    mat = scipy.sparse.csc_matrix(_noncompact_arrays(fr, signs, value), shape=(dim, dim))
     gens = list(fr.compact)
     gens.insert(spec.r - 1, GeneratorMatrix(spec.r + 1, _frozen(mat)))
     return DegenerateRep(spec, fr.space, gens, basis_kind, fr, signs, value)

@@ -212,10 +212,15 @@ def normalize_spectral(lam: SpectralParam):
     A shift by 4*pi*i/h leaves every bracket value unchanged; a shift by
     2*pi*i/h flips the sign of every bracket.  Returns the reduced
     parameter and a tag: IDENTICAL if only full periods were removed,
-    EQUIVALENT_FLIP if an odd number of half periods was involved.
+    EQUIVALENT_FLIP if an odd number of half periods was involved.  A
+    parameter already in range is returned itself (SpectralParam has no
+    mutators).
     """
     lam.require_exact("period normalization")
-    k = lam.im_t // 2
-    reduced = SpectralParam(lam.re, lam.im_t - 2 * k, lam.im_y)
+    t = lam.im_t
+    if 0 <= t.numerator < 2 * t.denominator:  # 0 <= im_t < 2 in int arithmetic
+        return lam, IDENTICAL
+    k = t // 2
+    reduced = SpectralParam(lam.re, t - 2 * k, lam.im_y)
     tag = IDENTICAL if k % 2 == 0 else EQUIVALENT_FLIP
     return reduced, tag

@@ -82,8 +82,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
+import scipy
 
 from .compactrep import GeneratorMatrix, _index_dtype
 from .degenrep import DegenerateRep, Frame, _noncompact_arrays
@@ -177,7 +176,7 @@ class _Csc:
         self.indptr, self.indices, self.data, self.shape = indptr, indices, data, shape
 
     @classmethod
-    def of(cls, mat: sparse.spmatrix) -> _Csc:
+    def of(cls, mat: scipy.sparse.spmatrix) -> _Csc:
         mat = mat.tocsc()
         nnz = mat.nnz
         return cls(mat.indptr, mat.indices[:nnz], mat.data[:nnz], mat.shape)
@@ -205,9 +204,9 @@ class _Csc:
         if other.shape[0] != k:
             raise ValueError(f"inconsistent shapes {self.shape} and {other.shape}")
         idx = _index_dtype(m, k, n, self.nnz, other.nnz)
-        maxnnz = _sparsetools.csr_matmat_maxnnz(n, m, *other._index_arrays(idx),
-                                                *self._index_arrays(idx))
-        return _kernel(_sparsetools.csr_matmat, (m, n), other, self, maxnnz,
+        maxnnz = scipy.sparse._sparsetools.csr_matmat_maxnnz(
+            n, m, *other._index_arrays(idx), *self._index_arrays(idx))
+        return _kernel(scipy.sparse._sparsetools.csr_matmat, (m, n), other, self, maxnnz,
                        _index_dtype(m, k, n, self.nnz, other.nnz, maxnnz))
 
     def _binop(self, other: _Csc, kernel) -> _Csc:
@@ -218,10 +217,10 @@ class _Csc:
                        _index_dtype(*self.shape, maxnnz))
 
     def __add__(self, other: _Csc) -> _Csc:
-        return self._binop(other, _sparsetools.csr_plus_csr)
+        return self._binop(other, scipy.sparse._sparsetools.csr_plus_csr)
 
     def __sub__(self, other: _Csc) -> _Csc:
-        return self._binop(other, _sparsetools.csr_minus_csr)
+        return self._binop(other, scipy.sparse._sparsetools.csr_minus_csr)
 
     def __rmul__(self, x) -> _Csc:
         return _Csc(self.indptr, self.indices, self.data * x, self.shape)
@@ -231,7 +230,8 @@ class _Csc:
         idx = _index_dtype(m, n, self.nnz)
         indptr, indices = np.empty(m + 1, idx), np.empty(self.nnz, idx)
         data = np.empty(self.nnz, self.data.dtype)
-        _sparsetools.csr_tocsc(n, m, *self._index_arrays(idx), self.data, indptr, indices, data)
+        scipy.sparse._sparsetools.csr_tocsc(n, m, *self._index_arrays(idx), self.data,
+                                            indptr, indices, data)
         return _Csc(indptr, indices, data, (n, m))
 
     def adjoint(self) -> _Csc:
@@ -558,7 +558,7 @@ class IntertwinerSolution:
     residual: float
 
 
-def _entries(mat: sparse.csc_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _entries(mat: scipy.sparse.csc_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """mat[rows[k], cols[k]] for every k, read from the CSC arrays.
 
     Each column is scanned for its row over its stored entries, at most

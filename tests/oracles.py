@@ -15,7 +15,9 @@ relation reference forms the full products with scipy and cuts the
 columns afterwards, and the star reference forms each adjoint residual
 with scipy's sparse operators.  The lattice reference decides every
 transition block by block from the exact parameter and searches the
-block graph with plain sets.  The assembly reference for T_{eps,lambda} is the one exception to
+block graph with plain sets; the table reference lists every step of a
+window with the shift of its bracket and reads the components and the
+closure of a region off the steps lambda cuts.  The assembly reference for T_{eps,lambda} is the one exception to
 the no-import rule: it takes its scalars from the package and rebuilds
 every generator block by block on each call, with no frame shared
 between calls.  The dump reference writes `soqrs build` JSON the way it
@@ -504,6 +506,96 @@ def region_is_closed(region, r: int, s: int, epsilon: int, lam, window: int) -> 
             if tm + tmp <= window and not region_contains(region, tm, tmp):
                 return False
     return True
+
+
+# table-based lattice reference: every step of a window, cut where its shift is -L
+
+
+@functools.lru_cache(maxsize=8)
+def lattice_table(r: int, s: int, epsilon: int, window: int) -> tuple:
+    """(sigma, d, src, dst, shift) of the blocks and steps of a window, as numpy arrays.
+
+    The blocks of lattice_blocks and, for each transition of `moves` that
+    stays in the quadrant and in the window, its source, its target and
+    the c of its bracket [lambda + c].  The step is cut exactly where
+    c == -L, for L the integer real part of a lambda whose brackets can
+    vanish (bracket_vanishes).
+    """
+    import numpy as np
+
+    blocks = np.array(lattice_blocks(epsilon, window), dtype=np.int64).reshape(-1, 2)
+    m, mp = blocks[:, 0], blocks[:, 1]
+    sigma, d = m + mp, m - mp
+    # lattice_blocks lists ring epsilon + 2k (epsilon + 2k + 1 blocks) after the rings below it
+    sizes = np.arange(epsilon + 1, window + 2, 2)
+    first = np.cumsum(sizes) - sizes
+    src, dst, shift = [], [], []
+    for (dm, dmp), c in (((1, 1), sigma), ((1, -1), d - s + 2),
+                         ((-1, 1), -d - r + 2), ((-1, -1), -sigma - r - s + 4)):
+        keep = (m + dm >= 0) & (mp + dmp >= 0) & (sigma + dm + dmp <= window)
+        src.append(np.flatnonzero(keep))
+        dst.append(first[(sigma[keep] + dm + dmp - epsilon) // 2] + m[keep] + dm)
+        shift.append(c[keep])
+    return sigma, d, np.concatenate(src), np.concatenate(dst), np.concatenate(shift)
+
+
+@functools.lru_cache(maxsize=1024)
+def vanishing_level(lam):
+    """The L with [lambda + c] == 0 exactly for c == -L, or None (bracket_vanishes)."""
+    if lam.re.denominator != 1 or not bracket_vanishes(lam, -lam.re.numerator):
+        return None
+    return lam.re.numerator
+
+
+@functools.lru_cache(maxsize=4)
+def _table_scan(r: int, s: int, epsilon: int, L, window: int) -> tuple:
+    """(sigma, d, live src, live dst, ring_cuts, diag_cuts) of lattice_table for L.
+
+    A step is cut where its shift is -L.  A cut step that changes sigma
+    cuts the gap between its two rings, any other the gap between its two
+    diagonals; a gap is named by its lower level, and both cut lists are
+    sorted tuples.
+    """
+    import numpy as np
+
+    sigma, d, src, dst, shift = lattice_table(r, s, epsilon, window)
+    dead = np.zeros(shift.shape, dtype=bool) if L is None else shift == -L
+    a, b = src[dead], dst[dead]
+    ring = sigma[a] != sigma[b]
+    return (sigma, d, src[~dead], dst[~dead],
+            tuple(sorted(set(np.minimum(sigma[a], sigma[b])[ring].tolist()))),
+            tuple(sorted(set(np.minimum(d[a], d[b])[~ring].tolist()))))
+
+
+def table_cuts(r: int, s: int, epsilon: int, lam, window: int) -> tuple:
+    """(ring_cuts, diag_cuts): the gaps the steps of lattice_table that lambda cuts cross."""
+    return _table_scan(r, s, epsilon, vanishing_level(lam), window)[4:]
+
+
+def table_component_count(r: int, s: int, epsilon: int, lam, window: int) -> int:
+    """The number of distinct (ring cuts below, diagonal cuts below) over the blocks."""
+    import numpy as np
+
+    sigma, d, _, _, ring_cuts, diag_cuts = _table_scan(r, s, epsilon, vanishing_level(lam),
+                                                       window)
+    cells = zip(np.searchsorted(ring_cuts, sigma).tolist(),
+                np.searchsorted(diag_cuts, d).tolist())
+    return len(set(cells))
+
+
+def table_region_is_closed(region, r: int, s: int, epsilon: int, lam, window: int) -> bool:
+    """No step of lattice_table that lambda keeps leads from the region out of it."""
+    import numpy as np
+
+    sigma, d, src, dst, *_ = _table_scan(r, s, epsilon, vanishing_level(lam), window)
+    inside = np.ones(sigma.shape, dtype=bool)
+    for lo, hi, x in ((region.sigma_min, region.sigma_max, sigma),
+                      (region.d_min, region.d_max, d)):
+        if lo is not None:
+            inside &= x >= lo
+        if hi is not None:
+            inside &= x <= hi
+    return not (inside[src] & ~inside[dst]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import inspect
 import itertools
+import sys
+import time
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +20,11 @@ from soqrs import (
     predict_constituents,
     scan_lattice,
 )
+from soqrs import classify
 from soqrs.classify import (
     QUOTIENT,
     SUBSPACE,
     Region,
-    _live_steps,
     _region_is_closed,
     _scan_window,
     _step_table,
@@ -30,6 +34,7 @@ from soqrs.classify import (
 )
 from soqrs.degenrep import bracket_shifts
 from soqrs.gtbasis import FAMILIES, block_arrays
+from soqrs.qarith import vanishing_point
 
 E = SpectralParam.exact
 Q2 = QParam(2.0)
@@ -220,6 +225,16 @@ def test_cross_check_grid_small():
                 assert cc.agree, (r, s, eps, L)
 
 
+def test_cross_check_refuses_a_cutoff_below_epsilon():
+    """For every lambda, naming the cutoff given rather than the widened window."""
+    for r, s, lam, cutoff in ((3, 4, E(Fraction(1, 2)), -4), (3, 3, E(0), -3),
+                              (4, 4, E(-1000), 0), (4, 4, E(2, 1), -1)):
+        with pytest.raises(ValueError, match=f"cutoff {cutoff} is below epsilon 1"):
+            cross_check(r, s, 1, lam, cutoff=cutoff)
+    assert cross_check(3, 3, 1, E(Fraction(1, 2)), cutoff=1).n_regions == 1
+    assert cross_check(3, 3, 0, E(0), cutoff=0).agree
+
+
 def test_scan_requires_exact():
     from soqrs import InexactSpectralError
 
@@ -317,9 +332,9 @@ def test_region_is_closed_matches_per_block_reference():
             for lam in _lattice_params(r, s):
                 cl = predict_constituents(r, s, eps, lam)
                 window = _scan_window(r, s, cl.lam)
+                L = vanishing_point(cl.lam)
                 for c in cl.constituents:
-                    steps = _live_steps(r, s, eps, cl.lam, window)
-                    assert (_region_is_closed(c.region, *steps)
+                    assert (_region_is_closed(c.region, r, s, eps, L, window)
                             == oracles.region_is_closed(c.region, r, s, eps, cl.lam,
                                                         window)), (r, s, eps, lam, c)
     # every region with bounds from {-2, 1, 4}, on a window the walls cross
@@ -327,25 +342,97 @@ def test_region_is_closed_matches_per_block_reference():
     for r, s in ((3, 4), (4, 4)):
         for eps in (0, 1):
             for lam in [E(L) for L in (-2, 0, 1, 2, 3, 5, 7)] + [E(Fraction(1, 2)), E(2, 1)]:
-                steps = _live_steps(r, s, eps, lam, 9)
+                L = vanishing_point(lam)
                 for region in regions:
-                    assert (_region_is_closed(region, *steps)
+                    assert (_region_is_closed(region, r, s, eps, L, 9)
                             == oracles.region_is_closed(region, r, s, eps, lam, 9)), \
                         (r, s, eps, lam, region)
 
 
 def test_closure_on_the_scan_window_matches_the_reference_window():
-    """Each realized_on flag equals closure on the window reaching far past every wall."""
+    """Each realized_on flag equals closure in the table on a window far past every wall."""
     for r, s in itertools.product(range(3, 9), repeat=2):
         for eps in (0, 1):
             lams = [E(Fraction(k, 2)) for k in range(-60, 61)] + _lattice_params(r, s)
             # grouped by reference window, so each window's table is built once
             for lam in sorted(lams, key=lambda lam: oracles.closure_window(r, s, lam)):
                 cl = predict_constituents(r, s, eps, lam)
-                steps = _live_steps(r, s, eps, cl.lam, oracles.closure_window(r, s, cl.lam))
+                window = oracles.closure_window(r, s, cl.lam)
                 for c in cl.constituents:
                     assert ((c.realized_on != QUOTIENT)
-                            == _region_is_closed(c.region, *steps)), (r, s, eps, lam, c)
+                            == oracles.table_region_is_closed(c.region, r, s, eps, cl.lam,
+                                                              window)), (r, s, eps, lam, c)
+
+
+def _wall_route_mismatches(module, ranks, pad):
+    """Where the wall route of `module` and the table route of oracles disagree.
+
+    For r, s in `ranks`, both epsilon, integer, im_t = 2 and half-integer
+    lambda with real part from -pad to r+s+pad, on the windows epsilon,
+    epsilon+1, 3, 12, the scan window and 38+epsilon: the cuts and the
+    component count of every case, and the closure of every constituent
+    region and its swap.  Each table-route answer depends on lambda only
+    through its vanishing point, so it is computed once per (L, window).
+    """
+    bad = []
+    for r, s in itertools.product(ranks, repeat=2):
+        for eps in (0, 1):
+            cases = {}
+            for L in range(-pad, r + s + pad + 1):
+                for lam in (E(L), E(L, 2), E(Fraction(2 * L + 1, 2))):
+                    cl = module.predict_constituents(r, s, eps, lam)
+                    regions = [rg for c in cl.constituents for rg in (c.region, c.region.swapped())]
+                    for window in {eps, eps + 1, 3, 12, 38 + eps,
+                                   module._scan_window(r, s, lam)}:
+                        cases.setdefault((window, vanishing_point(lam)), (lam, set()))[1] \
+                            .update(regions)
+            # grouped by window, so each window's table is built once
+            for (window, L), (lam, regions) in sorted(cases.items(), key=lambda kv: kv[0][0]):
+                cuts = module._cuts(r, s, eps, L, window)
+                count = module._cell_count(eps, window, *cuts)
+                what = (r, s, eps, L, window)
+                if cuts != oracles.table_cuts(r, s, eps, lam, window):
+                    bad.append(("cuts", what, cuts))
+                if count != oracles.table_component_count(r, s, eps, lam, window):
+                    bad.append(("count", what, count))
+                for region in regions:
+                    closed = module._region_is_closed(region, r, s, eps, L, window)
+                    if closed != oracles.table_region_is_closed(region, r, s, eps, lam, window):
+                        bad.append(("closure", what, region))
+    return bad
+
+
+def test_wall_route_matches_the_table_route():
+    """Cuts, counts and closures from the walls equal those of every step of the window."""
+    assert _wall_route_mismatches(classify, range(3, 10), 60) == []
+
+
+def _mutant(monkeypatch, old: str, new: str) -> types.ModuleType:
+    """soqrs.classify with the one statement `old` replaced by `new`."""
+    source = inspect.getsource(classify)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("soqrs._classify_mutant")
+    module.__package__ = "soqrs"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), classify.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("old, new", [
+    # a cut moved by one ring, or one diagonal
+    ("rings.add(up)", "rings.add(up + 2)"),
+    ("rings.add(down - 2)", "rings.add(down)"),
+    ("diags.add(mp_up - 2)", "diags.add(mp_up)"),
+    # a closure bound off by one level
+    ("ring = _floor(region.sigma_max, epsilon)", "ring = _floor(region.sigma_max - 1, epsilon)"),
+    ("ring = -_floor(-region.sigma_min, epsilon)",
+     "ring = -_floor(-region.sigma_min - 1, epsilon)"),
+    ("diag = _floor(region.d_max, epsilon)", "diag = _floor(region.d_max - 1, epsilon)"),
+    ("diag = -_floor(-region.d_min, epsilon)", "diag = -_floor(-region.d_min - 1, epsilon)"),
+], ids=["ring_up-cut", "ring_down-cut", "diag_mp_up-cut",
+        "sigma_max", "sigma_min", "d_max", "d_min"])
+def test_the_table_route_catches_a_moved_cut_or_bound(monkeypatch, old, new):
+    assert _wall_route_mismatches(_mutant(monkeypatch, old, new), range(3, 6), 6) != []
 
 
 def test_step_table_warm_results_equal_cold_ones():
@@ -377,19 +464,50 @@ def test_step_table_is_read_only():
     assert _step_table.cache_info().currsize == 1
 
 
-def test_large_lambda_prediction_memory():
-    """predict_constituents at lambda = -1000 stays under 150 MB of traced allocation."""
-    _step_table.cache_clear()
+def _far_lambda_reports(lams):
+    """(predict_constituents, cross_check) reports at (4,4,0), time and traced peak."""
     tracemalloc.start()
+    start = time.perf_counter()
     try:
-        cl = predict_constituents(4, 4, 0, E(-1000))
+        reports = [(predict_constituents(4, 4, 0, lam), cross_check(4, 4, 0, lam))
+                   for lam in lams]
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _step_table.cache_clear()
+    return reports, elapsed, peak
+
+
+def _shape(report):
+    """A classification with L written out of its region bounds."""
+    cl, cc = report
+    bounds = lambda rg: tuple(x is not None for x in (rg.sigma_min, rg.sigma_max,
+                                                       rg.d_min, rg.d_max))
+    return ([(c.name, bounds(c.region), c.realized_on, c.star, c.finite_dim)
+             for c in cl.constituents], cl.irreducible, cl.star_series,
+            cc.n_regions, cc.agree)
+
+
+def test_large_lambda_prediction_memory():
+    """At |lambda| = 10^6 the reports have the shape checked against the table at |lambda| = 40."""
+    far = [E(-10**6), E(10**6), E(Fraction(-2 * 10**6 + 1, 2))]
+    reports, elapsed, peak = _far_lambda_reports(far)
+    assert elapsed < 1.0 and peak < 1e6, (elapsed, peak)
+    near, _, _ = _far_lambda_reports([E(-40), E(40), E(Fraction(-79, 2))])
+    for cl, cc in near:
+        window = _scan_window(4, 4, cl.lam)
+        for c in cl.constituents:
+            assert ((c.realized_on != QUOTIENT)
+                    == oracles.table_region_is_closed(c.region, 4, 4, 0, cl.lam, window)), c
+        assert cc.n_regions == oracles.table_component_count(4, 4, 0, cl.lam, window)
+    assert [_shape(a) for a in reports] == [_shape(b) for b in near]
+    cl, cc = reports[0]
     assert [c.realized_on for c in cl.constituents] == [SUBSPACE, QUOTIENT, QUOTIENT,
                                                         QUOTIENT]
-    assert peak < 150e6, peak
+    assert cl.constituents[0].region == Region(sigma_max=10**6)
+    assert cc.n_regions == 4 and cc.agree
+    assert [c.name for c in reports[2][0].constituents] == ["full"]
+    assert reports[2][1].n_regions == 1
 
 
 def test_region_blocks_match_per_block_reference():
@@ -435,7 +553,7 @@ def test_walls_are_where_the_bracket_shifts_vanish():
     hit = set()
     for r, s in itertools.product(range(3, 8), repeat=2):
         for L in range(-8, r + s + 7):
-            walls = _walls(r, s, E(L))
+            walls = _walls(r, s, L)
             for eps in (0, 1):
                 m, mp = block_arrays(eps, 2 * (abs(L) + r + s + 8))
                 sigma, d = m + mp, m - mp

@@ -185,6 +185,16 @@ def test_scan_refuses_an_empty_lambda_list(capsys):
     assert code == 0 and len(json.loads(out)["rows"]) == 1
 
 
+def test_scan_refuses_a_cutoff_below_epsilon(capsys):
+    for lams in (["--lambda-int-min", "0", "--lambda-int-max", "-1",
+                  "--lambda-rationals", "1/2"],
+                 ["--lambda-int-min", "0", "--lambda-int-max", "0"]):
+        code, out, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "1",
+                             *lams, "--cutoff", "-4")
+        assert code == 3 and out == ""
+        assert "cutoff -4 is below epsilon 1" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["build"]) == 3
     assert main(["nonsense"]) == 3
@@ -370,6 +380,29 @@ def test_dump_tables_keep_explicit_and_negative_zeros():
     text = "".join(cli._json_chunks(payload))
     assert text == oracles.dump_text("so3", {"q": 1.0}, 3, basis, gens)
     assert json.loads(text)["generators"][0]["nnz"] == 4
+
+
+def test_classify_and_scan_leave_scipy_sparse_unloaded():
+    """scipy itself is imported with soqrs; scipy.sparse waits for the first matrix."""
+    probe = (
+        "import sys\n"
+        "import soqrs, soqrs.cli\n"
+        "assert 'scipy' in sys.modules and 'scipy.sparse' not in sys.modules\n"
+        "for argv in (['classify', '--r', '4', '--s', '4', '--epsilon', '0',\n"
+        "              '--lambda-re=-2', '--json'],\n"
+        "             ['scan', '--r', '3', '--s', '4', '--epsilon', '1',\n"
+        "              '--lambda-int-min=-2', '--lambda-int-max=4', '--json']):\n"
+        "    assert soqrs.cli.main(argv) == 0\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "soqrs.build_class1(3, 1, soqrs.QParam(2.0))\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_leaves_csgraph_and_linalg_unloaded():

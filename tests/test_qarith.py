@@ -132,6 +132,10 @@ def test_normalize_spectral():
     assert lam.im_t == Fraction(3, 2) and tag == EQUIVALENT_FLIP
     lam, tag = normalize_spectral(E(0, -1))
     assert lam.im_t == 1 and tag == EQUIVALENT_FLIP
+    # a parameter already in [0, 2) comes back as itself
+    for lam in (E(1), E(Fraction(1, 3), 1), E(2, Fraction(7, 4), 3)):
+        assert normalize_spectral(lam) == (lam, IDENTICAL)
+        assert normalize_spectral(lam)[0] is lam
 
 
 def test_spectral_value_and_mirror():
