@@ -1,21 +1,27 @@
 """Command-line front end: build/dump representations, verify, classify, scan.
 
 All reports are JSON with the full run configuration embedded; text output
-is derived from the same data.  Exit codes: 0 success, 2 check failure,
-3 usage or parameter error.
+is derived from the same data.  Exit codes: 0 success, 2 check failure or
+input error (a file unreadable, not JSON or missing a field), 3 usage or
+parameter error.
 
 A `build` dump is the bytes of json.dumps(report, indent=2): a header, the
 basis rows and, per generator, its (row, col, re, im) entries in (col, row)
-order.  The basis and entry tables are written from arrays, one C-encoder
-call per column.
+order.  The basis and entry tables are written from arrays in slices of
+_SLICE_ROWS rows, one C-encoder call per column of a slice, and each piece
+goes to every sink as it is made.  `verify --dump` turns each generator's
+entries into a checked array as the parser closes it, and assembles the
+matrices after the parse.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -142,28 +148,40 @@ class _Table:
         self.columns = columns
 
 
-def _table_json(columns, indent: str) -> str:
+# Rows per piece of a written table: a piece of (row, col, re, im) entries
+# is at most a few hundred kB, whatever the size of the matrix.
+_SLICE_ROWS = 4096
+
+
+def _table_json(columns, indent: str) -> Iterator[str]:
     """json.dumps(list of rows, indent=2) for rows zip(*columns), nested at `indent`.
 
-    Each column is converted and encoded once by the C encoder (json.dumps
+    The text comes in pieces of at most _SLICE_ROWS rows.  Each column of
+    a slice is converted and encoded once by the C encoder (json.dumps
     without indent), which formats numbers with the same repr as the
     pure-Python encoder that indent=2 selects; the tokens are then
     interleaved with the fixed separators of the row and item levels.
     """
     n, k = len(columns[0]), len(columns)
     if n == 0:
-        return "[]"
+        yield "[]"
+        return
     row, item = indent + "  ", indent + "    "
-    flat = [",\n" + item] * (2 * n * k)
-    for j, col in enumerate(columns):
-        # JSON text escapes NUL, so a raw "\0" separates tokens unambiguously
-        flat[2 * j::2 * k] = json.dumps(col.tolist(), separators=("\0", ":"))[1:-1].split("\0")
-    flat[2 * k - 1::2 * k] = [f"\n{row}],\n{row}[\n{item}"] * n
-    flat[-1] = f"\n{row}]\n{indent}]"
-    return f"[\n{row}[\n{item}" + "".join(flat)
+    yield "["
+    for lo in range(0, n, _SLICE_ROWS):
+        rows = min(n - lo, _SLICE_ROWS)
+        flat = [",\n" + item] * (2 * rows * k)
+        for j, col in enumerate(columns):
+            # JSON text escapes NUL, so a raw "\0" separates tokens unambiguously
+            flat[2 * j::2 * k] = json.dumps(col[lo:lo + rows].tolist(),
+                                            separators=("\0", ":"))[1:-1].split("\0")
+        flat[2 * k - 1::2 * k] = [f"\n{row}],\n{row}[\n{item}"] * rows
+        flat[-1] = f"\n{row}]"
+        yield ("," if lo else "") + f"\n{row}[\n{item}" + "".join(flat)
+    yield f"\n{indent}]"
 
 
-def _json_chunks(payload: dict) -> list[str]:
+def _json_chunks(payload: dict) -> Iterator[str]:
     """json.dumps(payload, indent=2) + "\\n" in pieces; each _Table is written by _table_json."""
     tables = []
 
@@ -174,23 +192,24 @@ def _json_chunks(payload: dict) -> list[str]:
         return "\0"
 
     pieces = json.dumps(payload, indent=2, default=hold).split(json.dumps("\0"))
-    chunks = [pieces[0]]
-    for table, piece in zip(tables, pieces[1:]):
-        line = chunks[-1][chunks[-1].rfind("\n") + 1:]
-        chunks += [_table_json(table.columns, line[:len(line) - len(line.lstrip(" "))]),
-                   piece]
-    chunks.append("\n")
-    return chunks
+    yield pieces[0]
+    for table, before, piece in zip(tables, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from _table_json(table.columns, line[:len(line) - len(line.lstrip(" "))])
+        yield piece
+    yield "\n"
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
-    chunks = _json_chunks(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    if args.json or (text is None and not args.out):
-        sys.stdout.writelines(chunks)
-    elif text is not None:
+    """Write the JSON of payload to --out and/or stdout, piece by piece, or print text."""
+    sinks = [sys.stdout] if args.json or (text is None and not args.out) else []
+    with contextlib.ExitStack() as stack:
+        if args.out:
+            sinks.append(stack.enter_context(open(args.out, "w", encoding="utf-8")))
+        for piece in _json_chunks(payload):
+            for sink in sinks:
+                sink.write(piece)
+    if text is not None and not args.json:
         sys.stdout.write(text)
 
 
@@ -210,6 +229,58 @@ def _entry_table(mat) -> _Table:
     """
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
     return _Table(mat.indices, cols, mat.data.real, mat.data.imag)
+
+
+def _entry_array(g: dict, path: str) -> np.ndarray:
+    """The (nnz, 4) float array of generator g's [row, col, re, im] entries.
+
+    Refused with ValueError naming the generator and the entry: an entry
+    that is not four numbers, and a row or col that is not an integer (a
+    float cast would truncate it, and the check would run on a matrix the
+    file does not hold).
+    """
+    entries = g["entries"]
+    where = f"generator {g['i']} of {path}"
+    if not isinstance(entries, list):
+        raise ValueError(f"{where}: the entries are not a list")
+    try:
+        arr = np.array(entries or np.empty((0, 4)))
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (len(entries), 4):
+        k = next((k for k, e in enumerate(entries)
+                  if not (isinstance(e, list) and len(e) == 4
+                          and all(type(x) in (int, float) for x in e))), None)
+        raise ValueError(f"{where}: " + (
+            "an entry holds an integer too large to read" if k is None else
+            f"entry {k} is not [row, col, re, im]: {entries[k]!r}"))
+    arr = arr.astype(float, copy=False)
+    rc = arr[:, :2]
+    # a float holds every integer below 2**53 exactly, every matrix index among them
+    bad = np.flatnonzero(~((rc == np.floor(rc)) & (np.abs(rc) < 2.0 ** 53)).all(axis=1))
+    if bad.size:
+        row, col = rc[bad[0]]
+        raise ValueError(f"{where}: entry ({row:.17g}, {col:.17g}) has a row or col "
+                         "that is not an integer")
+    return arr
+
+
+def _read_dump(path: str) -> dict:
+    """The JSON of a `build` dump, each generator's entries an _entry_array.
+
+    Each generator's entries become an array as soon as the parser closes
+    that generator's object, so the Python lists of at most one generator
+    exist at a time.  Nothing here touches scipy.sparse: the matrices are
+    assembled after the parse, once the dump text is released.
+    """
+    def hook(obj: dict) -> dict:
+        if "entries" in obj:
+            obj["entries"] = _entry_array(obj, path)
+        obj.pop("basis", None)  # the checks rebuild the basis from the config
+        return obj
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_hook=hook)
 
 
 def _build_rep(spec: RepSpec, primed: bool) -> DegenerateRep:
@@ -286,16 +357,18 @@ def cmd_verify(args) -> int:
         texts.append(f"== {name}\n" + _report_rows(report))
 
     if args.dump:
-        with open(args.dump, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_dump(args.dump)
         dim = data["dim"]
         q = data["config"].get("q", args.q)
         qp = QParam(q)
         gens = []
         for g in data["generators"]:
-            rows, cols, re, im = np.array(g["entries"], dtype=float).reshape(-1, 4).T
+            rows, cols, re, im = g["entries"].T
             try:
                 mat = assemble(dim, rows, cols, re + 1j * im)
+                if mat.nnz != g["nnz"]:
+                    raise ValueError(f"the header gives nnz {g['nnz']!r} but the table "
+                                     f"holds {mat.nnz} entries")
             except ValueError as exc:
                 raise ValueError(f"generator {g['i']} of {args.dump}: {exc}") from None
             gens.append(GeneratorMatrix(g["i"], mat))
@@ -482,12 +555,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"soqrs: error: {exc}\n")
         return EXIT_USAGE
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+        # before ValueError, of which the two decode errors are subclasses
+        sys.stderr.write(f"soqrs: input error: {exc}\n")
+        return EXIT_CHECK_FAILED
     except (ValueError, InexactSpectralError) as exc:
         sys.stderr.write(f"soqrs: parameter error: {exc}\n")
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(f"soqrs: input error: {exc}\n")
-        return EXIT_CHECK_FAILED
 
 
 def entry() -> None:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -105,26 +106,56 @@ def test_verify_corrupted_dump_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("corruption", ["repeated entry", "row past dim"])
+@pytest.mark.parametrize("corruption", ["repeated entry", "row past dim", "half-integer row",
+                                        "nnz off by 7", "rows of eight numbers",
+                                        "row as a string"])
 def test_verify_dump_refuses_bad_entries(tmp_path, capsys, corruption):
     dump = tmp_path / "rep.json"
     assert main(["build", "--class1", "--n", "6", "--m", "4", "--q", "0.5",
                  "--out", str(dump)]) == 0
     data = json.loads(dump.read_text())
-    entries = data["generators"][1]["entries"]
+    gen = data["generators"][1]
+    entries = gen["entries"]
     row, col = entries[0][:2]
     if corruption == "repeated entry":
         # COO -> CSC would add the two, and the check would report on a
         # matrix the file does not hold
         entries.append(list(entries[0]))
         what = f"entry ({row}, {col}) is given twice"
-    else:
+    elif corruption == "row past dim":
         entries[0][0] = data["dim"]
         what = f"entry ({data['dim']}, {col}) lies outside the 105 x 105 matrix"
+    elif corruption == "half-integer row":
+        # an int cast would move it back to `row`, and the check would pass
+        entries[0][0] += 0.5
+        what = f"entry ({row}.5, {col}) has a row or col that is not an integer"
+    elif corruption == "nnz off by 7":
+        gen["nnz"] += 7
+        what = f"the header gives nnz {len(entries) + 7} but the table holds {len(entries)}"
+    elif corruption == "rows of eight numbers":
+        # every pair of entries in one row: a reshape to four columns would undo it
+        assert len(entries) % 2 == 0
+        entries[:] = [a + b for a, b in zip(entries[::2], entries[1::2])]
+        what = f"entry 0 is not [row, col, re, im]: {entries[0]!r}"
+    else:
+        # a float conversion would read the string as the number
+        entries[0][0] = str(row)
+        what = f"entry 0 is not [row, col, re, im]: {entries[0]!r}"
     dump.write_text(json.dumps(data))
     code, out, err = run(capsys, "verify", "--dump", str(dump))
     assert code == 3 and out == ""
     assert f"parameter error: generator 3 of {dump}: {what}" in err, err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not UTF-8"])
+def test_verify_malformed_dump_is_an_input_error(tmp_path, capsys, damage):
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--so3", "--l", "2", "--out", str(dump)]) == 0
+    text = dump.read_bytes()
+    dump.write_bytes(text[:len(text) // 2] if damage == "truncated" else b"\xff" + text)
+    code, out, err = run(capsys, "verify", "--dump", str(dump))
+    assert code == 2 and out == ""
+    assert err.startswith("soqrs: input error: "), err
 
 
 def test_classify_reducible_with_ladder(capsys):
@@ -421,3 +452,65 @@ def test_cli_import_leaves_csgraph_and_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _table_payload(n: int):
+    """A dump payload whose basis and one generator's entries are tables of n rows."""
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) + 1j * rng.standard_normal(n)
+    mat = sparse.csc_matrix((vals, np.arange(n), np.arange(n + 1)), shape=(n, n))
+    gens = [GeneratorMatrix(2, mat)]
+    basis = rng.integers(-5, 6, (n, 3))
+    payload = {"kind": "so3", "config": {"q": 2.0}, "dim": n,
+               "basis": cli._Table(*basis.T),
+               "generators": [{"i": g.i, "nnz": g.mat.nnz, "entries": cli._entry_table(g.mat)}
+                              for g in gens]}
+    return payload, oracles.dump_text("so3", {"q": 2.0}, n, basis.tolist(), gens)
+
+
+_S = cli._SLICE_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, _S - 1, _S, _S + 1, 2 * _S + 1])
+def test_streamed_tables_are_byte_identical(tmp_path, capsys, rows):
+    payload, expected = _table_payload(rows)
+    out = tmp_path / "rep.json"
+    # the basis sits at the top level, the entries nested in the generator list
+    cli._emit(argparse.Namespace(out=str(out), json=True), payload)
+    assert capsys.readouterr().out == expected
+    assert out.read_bytes() == expected.encode()
+
+
+def test_streamed_pieces_are_bounded():
+    payload, expected = _table_payload(8 * _S + 3)
+    pieces = list(cli._json_chunks(payload))
+    assert "".join(pieces) == expected
+    # a row of four nested 24-character floats takes under 200 characters
+    assert max(map(len, pieces)) < 200 * _S < len(expected) // 4
+
+
+def test_dump_reader_leaves_scipy_sparse_unloaded(tmp_path):
+    """Every generator's arrays come out of the parse before scipy.sparse is loaded."""
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--degenerate", "--r", "4", "--s", "3", "--epsilon", "1",
+                 "--lambda-re", "1/3", "--cutoff", "5", "--out", str(dump)]) == 0
+    gens = json.loads(dump.read_text())["generators"]
+    probe = (
+        "import json, sys\n"
+        "import soqrs.cli\n"
+        "data = soqrs.cli._read_dump(sys.argv[1])\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "assert 'basis' not in data\n"
+        "print(json.dumps([[g['i'], g['nnz'], g['entries'].tolist()] for g in data['generators']]))\n"
+        "assert soqrs.cli.main(['verify', '--dump', sys.argv[1]]) == 0\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe, str(dump)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[0])
+    assert got == [[g["i"], g["nnz"], [[float(x) for x in e] for e in g["entries"]]]
+                   for g in gens]
