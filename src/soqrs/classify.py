@@ -4,33 +4,39 @@ Everything here is decided exactly on an exact spectral parameter.  The
 four transition brackets of the noncompact generator vanish on at most one
 ring sigma = m+m' or one diagonal d = m-m' each; those cuts determine
 reducibility, the invariant subspaces, and the irreducible constituents.
-The builder's two decisions are read here, not restated: the steps
-between blocks are gtbasis.lattice_steps, and the bracket of each step is
+The builder's two decisions are what is decided on: the steps between
+blocks are gtbasis.lattice_steps, and the bracket of each step is
 [lambda + c] with c from degenrep.bracket_shifts.  A step is cut exactly
 where c == -L, with L = qarith.vanishing_point(lambda) found once per
 lambda in rational arithmetic, which puts each family's cuts on one wall
-(_walls).  predict_constituents and cross_check decide on the walls alone,
-in integer arithmetic and in time independent of |lambda|: _cuts turns the
-walls and a window's extent into the cut gaps, cross_check counts the
-non-empty cells between them, and _region_is_closed tests the one step
-across each bound of a region.  Both read the window of _scan_window: the
-larger of 12 and the smallest window that shows every wall.  Only
-scan_lattice, which reports explicit blocks, builds the step table of its
-window (_step_table: one entry, keyed on (r, s, epsilon, window), as
-degenrep.frame keeps a frame).
+(_walls, which the tests tie to bracket_shifts).  Everything is decided
+on the walls alone, in integer arithmetic and in time independent of
+|lambda| and of the window; blocks are listed only on request, by
+Region.blocks.
 
 Two independent routes are provided and cross-checked:
 
-* closed-form case analysis (classify_irreducible, predict_constituents),
-  which transcribes the reducibility criterion and the constituent tables
-  case by case, with the mirror equivalence lambda -> r+s-2-lambda filling
-  the ranges the tables do not state directly;
+* closed-form case analysis (classify_irreducible, classify_star and
+  the case tables _even_even_cases, _even_odd_cases and _odd_odd_cases,
+  read by predict_constituents), which transcribes the reducibility
+  criterion and the constituent tables case by case, with the mirror
+  equivalence lambda -> r+s-2-lambda filling the ranges the tables do
+  not state directly;
 
-* a lattice scanner (scan_lattice) that builds the directed block graph
-  with an edge for every non-vanishing transition and reports its strongly
-  connected components (the constituent regions: the cells between the
-  rings and diagonals that a vanishing transition cuts, see
-  _strong_components) and forward-closed sets (the invariant subspaces).
+* a lattice scanner (scan_lattice) on the walls: _cuts turns the walls
+  and a window's extent into the cut gaps between rings and diagonals,
+  _cells lists the non-empty cells between them (the strongly connected
+  components of the graph of live steps), and the cells form a DAG with
+  an edge across each bound a cell leaks over (_leaks), whose forward
+  closures are the invariant subspaces.
+
+What they share is the region vocabulary (Region) and the step-liveness
+rule, stated once in _leaks: predict_constituents takes its regions from
+the tables and asks _region_is_closed, which is _leaks finding no bound,
+whether each is a subspace; the scanner asks _leaks for its cells' edges.
+cross_check compares the closed-form verdict with the number of cells.
+predict_constituents and cross_check read the window of _scan_window:
+the larger of 12 and the smallest window that shows every wall.
 
 The supplementary-series parity for r == s (mod 2): the stated rule ties
 epsilon to the parity of (r+s)/2, but solving the positivity recurrences
@@ -52,14 +58,13 @@ a canonical L <= (r+s-2)/2, which the decomposition tables cover.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .degenrep import RepSpec, bracket_shifts
-from .gtbasis import block_arrays, lattice_steps
+from .degenrep import RepSpec
+from .gtbasis import block_arrays
 from .qarith import (
     EQUIVALENT_FLIP,
     SpectralParam,
@@ -316,134 +321,24 @@ def _cuts(r: int, s: int, epsilon: int, L: int | None, window: int) -> tuple:
     return tuple(sorted(rings)), tuple(sorted(diags))
 
 
-def _cell_count(epsilon: int, window: int, ring_cuts: tuple, diag_cuts: tuple) -> int:
-    """Number of cells between the cuts (at most 3 x 3) that hold a block of the window."""
-    sigma_gaps = zip((-1,) + ring_cuts, ring_cuts + (window,))
-    d_gaps = list(zip((-window - 1,) + diag_cuts, diag_cuts + (window,)))
-    return sum(_holds_block(epsilon, s_lo + 1, s_hi, d_lo + 1, d_hi)
-               for s_lo, s_hi in sigma_gaps for d_lo, d_hi in d_gaps)
+def _gaps(cuts: tuple, lo, hi) -> list:
+    """(first, last) level of each run between the cuts, the outer runs from lo and to hi."""
+    return list(zip((lo, *[c + 2 for c in cuts]), (*cuts, hi)))
 
 
-@functools.lru_cache(maxsize=1)
-def _step_table(r: int, s: int, epsilon: int, window: int) -> tuple:
-    """(m, m', source, target, shift): the lambda-independent steps of a window.
+def _cells(epsilon: int, window: int, ring_cuts: tuple, diag_cuts: tuple) -> list:
+    """(i, j) of each cell between the cuts that holds a block of the window, in cell order.
 
-    The blocks of gtbasis.block_arrays, the steps of gtbasis.lattice_steps
-    and, per step, the c of its degenrep.bracket_shifts entry.  One table
-    is cached, keyed on (r, s, epsilon, window), so every lambda scanned on
-    the same window reads it; its arrays are read-only.
+    Cell (i, j), one of at most 3 x 3, holds the blocks with i ring cuts
+    below their sigma and j diagonal cuts below their d.
     """
-    m, mp = block_arrays(epsilon, window)
-    src, family, dst = lattice_steps(epsilon, window)
-    sigma, d = m[src] + mp[src], m[src] - mp[src]
-    shift = np.choose(family, bracket_shifts(r, s, sigma, d))
-    for a in (m, mp, src, dst, shift):
-        a.flags.writeable = False
-    return m, mp, src, dst, shift
+    d_gaps = list(enumerate(_gaps(diag_cuts, -window, window)))
+    return [(i, j) for i, (s_lo, s_hi) in enumerate(_gaps(ring_cuts, 0, window))
+            for j, (d_lo, d_hi) in d_gaps if _holds_block(epsilon, s_lo, s_hi, d_lo, d_hi)]
 
 
-def _strong_components(spec: RepSpec):
-    """(m, m', source, target, dead, count, labels) of the scan of spec's window.
-
-    The blocks and steps of the window, the mask of the steps lambda
-    cuts, the number of strongly connected components of the graph of the
-    other (live) steps and each block's component label, read off the
-    cuts of _cuts without a graph search.  A step of _step_table is dead
-    where its shift equals -L, and a block's label is its cell: (the
-    number of ring cuts below its sigma, the number of diagonal cuts below
-    its d).  The strong components are the non-empty cells:
-
-    * degenrep.bracket_shifts makes a ring step's shift depend only on
-      its family and source sigma, and a diagonal step's only on its
-      family and source d, and only ring steps change sigma and only
-      diagonal steps change d.  So the steps that cross one gap in one
-      direction are all live or all dead, and where the window holds
-      blocks on both sides of a gap it holds steps across it both ways;
-    * a closed path crosses each gap as often one way as the other, so it
-      crosses no cut, and blocks of different cells lie in different
-      components;
-    * in the window a cell is the set of blocks whose sigma and d lie in
-      two intervals, and steps up in sigma to its top ring, then along
-      that ring, join any two of its blocks; these steps cross no cut, so
-      they run both ways.
-    """
-    m, mp, src, dst, shift = _step_table(spec.r, spec.s, spec.epsilon, spec.cutoff)
-    L = vanishing_point(spec.lam)
-    dead = np.zeros(shift.shape, dtype=bool) if L is None else shift == -L
-    ring_cuts, diag_cuts = _cuts(spec.r, spec.s, spec.epsilon, L, spec.cutoff)
-    cell = (np.searchsorted(ring_cuts, m + mp) * (len(diag_cuts) + 1)
-            + np.searchsorted(diag_cuts, m - mp))
-    # the non-empty cells, numbered in cell order
-    occupied = np.bincount(cell) > 0
-    labels = np.cumsum(occupied)[cell] - 1
-    return m, mp, src, dst, dead, int(occupied.sum()), labels
-
-
-@dataclass
-class ScanResult:
-    """Strong components and invariant regions of the transition graph."""
-
-    blocks: list[tuple[int, int]]
-    components: list[frozenset]
-    regions: list[frozenset]
-
-
-def scan_lattice(spec: RepSpec) -> ScanResult:
-    """Severed-edge scan of the block lattice, exact in lambda.
-
-    Takes the directed graph of blocks within the cutoff with an edge per
-    non-vanishing transition, and returns its strongly connected
-    components (the non-empty cells between the cut rings and diagonals,
-    labelled by _strong_components) together with all principal
-    forward-closed block sets (the candidate invariant subspaces), the
-    closures of the components through the live steps between them.
-    Irreducible parameters give a single component whose closure is the
-    whole lattice.
-    """
-    spec.lam.require_exact("lattice scan")
-    m, mp, src, dst, dead, n_comp, labels = _strong_components(spec)
-    src, dst = src[~dead], dst[~dead]
-    blocks = list(zip(m.tolist(), mp.tolist()))
-    comp_blocks: list[set] = [set() for _ in range(n_comp)]
-    for b, lbl in zip(blocks, labels.tolist()):
-        comp_blocks[lbl].add(b)
-    components = sorted(
-        (frozenset(c) for c in comp_blocks), key=lambda c: sorted(c)[0]
-    )
-
-    # forward closure of each component through the condensation DAG
-    comp_adj: dict[int, set[int]] = {i: set() for i in range(n_comp)}
-    lsrc, ldst = labels[src], labels[dst]
-    cross = lsrc != ldst
-    for i, j in set(zip(lsrc[cross].tolist(), ldst[cross].tolist())):
-        comp_adj[i].add(j)
-
-    def descendants(c0: int) -> frozenset:
-        seen = {c0}
-        stack = [c0]
-        while stack:
-            for nxt in comp_adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        out: set = set()
-        for c in seen:
-            out |= comp_blocks[c]
-        return frozenset(out)
-
-    regions = sorted(
-        {descendants(c) for c in range(n_comp)}, key=lambda rg: (len(rg), sorted(rg))
-    )
-    return ScanResult(blocks, components, regions)
-
-
-# ---------------------------------------------------------------------------
-# constituent prediction
-
-
-def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
-                      L: int | None, window: int) -> bool:
-    """Whether no live step of the window leaves the region.
+def _leaks(region: Region, r: int, s: int, epsilon: int, L: int | None, window: int):
+    """The bounds of the region that a live step of the window leaves it across, by name.
 
     A ring step changes only sigma and a diagonal step only d, so a step
     that leaves the region crosses one bound, and each bound is crossed
@@ -456,6 +351,107 @@ def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
     is not the family's wall and holds a block of the region, inside the
     window, that has the step: m >= 1 where the step lowers m, m' >= 1
     where it lowers m', and the target ring in the window for ring_up.
+    """
+    up, m_up, mp_up, down = _walls(r, s, L)
+    lo = 0 if region.sigma_min is None else region.sigma_min
+    hi = window if region.sigma_max is None else min(region.sigma_max, window)
+    d_lo = -window if region.d_min is None else region.d_min
+    d_hi = window if region.d_max is None else region.d_max
+    if region.sigma_max is not None:
+        ring = _floor(region.sigma_max, epsilon)
+        if ring != up and _holds_block(epsilon, max(lo, ring), min(ring, window - 2),
+                                       d_lo, d_hi):
+            yield "sigma_max"
+    if region.sigma_min is not None:
+        ring = -_floor(-region.sigma_min, epsilon)
+        if ring != down and _holds_block(epsilon, ring, min(ring, hi), d_lo, d_hi, 1, 1):
+            yield "sigma_min"
+    if region.d_max is not None:
+        diag = _floor(region.d_max, epsilon)
+        if diag != m_up and _holds_block(epsilon, lo, hi, max(d_lo, diag), diag, 0, 1):
+            yield "d_max"
+    if region.d_min is not None:
+        diag = -_floor(-region.d_min, epsilon)
+        if diag != mp_up and _holds_block(epsilon, lo, hi, diag, min(diag, d_hi), 1, 0):
+            yield "d_min"
+
+
+# The cell a step across each bound lands in, as a move in (i, j) of _cells:
+# a ring step keeps d and a diagonal step keeps sigma.
+_ACROSS = {"sigma_max": (1, 0), "sigma_min": (-1, 0), "d_max": (0, 1), "d_min": (0, -1)}
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """Strong components and invariant regions of the transition graph of a window.
+
+    The window holds the blocks with m+m' <= cutoff.  components are the
+    cells of _cells in cell order; regions[k] is the forward closure of
+    components[k], the components it unites in cell order.  A component's
+    blocks are component.blocks(epsilon, cutoff).
+    """
+
+    epsilon: int
+    cutoff: int
+    components: tuple[Region, ...]
+    regions: tuple[tuple[Region, ...], ...]
+
+
+def scan_lattice(spec: RepSpec) -> ScanResult:
+    """Severed-edge scan of the block lattice, exact in lambda.
+
+    Takes the directed graph of blocks within the cutoff with an edge per
+    non-vanishing transition, and returns its strongly connected
+    components, the non-empty cells between the cut rings and diagonals,
+    together with all principal forward-closed block sets (the candidate
+    invariant subspaces), the closures of the components through the live
+    steps between them.  Irreducible parameters give a single component
+    whose closure is the whole lattice.  Decided on the walls alone, in
+    time independent of |lambda| and of the cutoff:
+
+    * the steps that cross one gap in one direction are all live or all
+      dead: degenrep.bracket_shifts makes a ring step's shift depend only
+      on its family and source sigma, and a diagonal step's only on its
+      family and source d, and only ring steps change sigma and only
+      diagonal steps change d;
+    * so a closed path crosses no cut, and blocks of different cells lie
+      in different components, while steps up in sigma to a cell's top
+      ring, then along that ring, join any two of its blocks, both ways;
+    * the components form a DAG with an edge from a cell across each bound
+      it leaks over (_leaks) into the neighbour on that side (_ACROSS),
+      and a region is the set of cells one cell reaches in it.
+    """
+    spec.lam.require_exact("lattice scan")
+    r, s, epsilon, window = spec.r, spec.s, spec.epsilon, spec.cutoff
+    L = vanishing_point(spec.lam)
+    ring_cuts, diag_cuts = _cuts(r, s, epsilon, L, window)
+    # a cell's Region leaves open the sides past the outer cuts
+    s_gaps, d_gaps = _gaps(ring_cuts, None, None), _gaps(diag_cuts, None, None)
+    cells = {(i, j): Region(*s_gaps[i], *d_gaps[j])
+             for i, j in _cells(epsilon, window, ring_cuts, diag_cuts)}
+    succ = {(i, j): [(i + di, j + dj)
+                     for di, dj in map(_ACROSS.get, _leaks(cell, r, s, epsilon, L, window))]
+            for (i, j), cell in cells.items()}
+
+    def closure(start: tuple) -> tuple:
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return tuple(cell for ij, cell in cells.items() if ij in seen)
+
+    return ScanResult(epsilon, window, tuple(cells.values()), tuple(map(closure, cells)))
+
+
+# ---------------------------------------------------------------------------
+# constituent prediction
+
+
+def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
+                      L: int | None, window: int) -> bool:
+    """Whether no live step of the window leaves the region: it leaks across no bound.
 
     predict_constituents asks on the _scan_window of lambda, which decides
     closure as the whole lattice would: every bound of a constituent
@@ -467,29 +463,7 @@ def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
     across each bound.  Steps that leave the window upward keep d and
     therefore cannot witness a leak of a sigma-unbounded region.
     """
-    up, m_up, mp_up, down = _walls(r, s, L)
-    lo = 0 if region.sigma_min is None else region.sigma_min
-    hi = window if region.sigma_max is None else min(region.sigma_max, window)
-    d_lo = -window if region.d_min is None else region.d_min
-    d_hi = window if region.d_max is None else region.d_max
-    if region.sigma_max is not None:
-        ring = _floor(region.sigma_max, epsilon)
-        if ring != up and _holds_block(epsilon, max(lo, ring), min(ring, window - 2),
-                                       d_lo, d_hi):
-            return False
-    if region.sigma_min is not None:
-        ring = -_floor(-region.sigma_min, epsilon)
-        if ring != down and _holds_block(epsilon, ring, min(ring, hi), d_lo, d_hi, 1, 1):
-            return False
-    if region.d_max is not None:
-        diag = _floor(region.d_max, epsilon)
-        if diag != m_up and _holds_block(epsilon, lo, hi, max(d_lo, diag), diag, 0, 1):
-            return False
-    if region.d_min is not None:
-        diag = -_floor(-region.d_min, epsilon)
-        if diag != mp_up and _holds_block(epsilon, lo, hi, diag, min(diag, d_hi), 1, 0):
-            return False
-    return True
+    return next(_leaks(region, r, s, epsilon, L, window), None) is None
 
 
 def _full_constituent(series: str) -> Constituent:
@@ -698,7 +672,7 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
     The scan window is widened beyond `cutoff` when needed so that every
     wall of the parameter is visible; otherwise a wall lying outside the
     window would masquerade as irreducibility.  The components are the
-    non-empty cells between the cuts of _cuts (see _strong_components),
+    non-empty cells between the cuts of _cuts (see _cells and scan_lattice),
     counted without building the window's blocks.
     """
     _validate(r, s, epsilon)
@@ -708,4 +682,4 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
     irr = classify_irreducible(r, s, epsilon, lam)
     window = _scan_window(r, s, lam, cutoff)
     cuts = _cuts(r, s, epsilon, vanishing_point(lam), window)
-    return CrossCheck(r, s, epsilon, lam, irr, _cell_count(epsilon, window, *cuts))
+    return CrossCheck(r, s, epsilon, lam, irr, len(_cells(epsilon, window, *cuts)))

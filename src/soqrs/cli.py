@@ -23,6 +23,7 @@ import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -235,9 +236,10 @@ def _entry_array(g: dict, path: str) -> np.ndarray:
     """The (nnz, 4) float array of generator g's [row, col, re, im] entries.
 
     Refused with ValueError naming the generator and the entry: an entry
-    that is not four numbers, and a row or col that is not an integer (a
-    float cast would truncate it, and the check would run on a matrix the
-    file does not hold).
+    that is not four numbers (a JSON true or false among numbers, which
+    numpy would read as 1 or 0, included), and a row or col that is not
+    an integer (a float cast would truncate it, and the check would run on
+    a matrix the file does not hold).
     """
     entries = g["entries"]
     where = f"generator {g['i']} of {path}"
@@ -247,7 +249,8 @@ def _entry_array(g: dict, path: str) -> np.ndarray:
         arr = np.array(entries or np.empty((0, 4)))
     except ValueError:  # ragged
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (len(entries), 4):
+    if (arr is None or arr.dtype.kind not in "iuf" or arr.shape != (len(entries), 4)
+            or bool in map(type, chain.from_iterable(entries))):
         k = next((k for k, e in enumerate(entries)
                   if not (isinstance(e, list) and len(e) == 4
                           and all(type(x) in (int, float) for x in e))), None)

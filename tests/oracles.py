@@ -424,8 +424,7 @@ def lattice_blocks(epsilon: int, cutoff: int) -> list:
 def scan_reference(r: int, s: int, epsilon: int, lam, cutoff: int):
     """Strong components and forward closures of the block graph, by search.
 
-    Returns (blocks, components, regions), ordered as scan_lattice orders
-    them: components by their least block, regions by (size, blocks).
+    Returns (components, regions), each a set of block sets.
     """
     blocks = lattice_blocks(epsilon, cutoff)
     inside = set(blocks)
@@ -440,9 +439,7 @@ def scan_reference(r: int, s: int, epsilon: int, lam, cutoff: int):
                     stack.append(t)
         reach[b] = frozenset(seen)
     components = {frozenset(c for c in reach[b] if b in reach[c]) for b in blocks}
-    components = sorted(components, key=lambda c: sorted(c)[0])
-    regions = sorted(set(reach.values()), key=lambda rg: (len(rg), sorted(rg)))
-    return blocks, components, regions
+    return components, set(reach.values())
 
 
 def strong_partition(n: int, edges) -> set:
@@ -565,6 +562,17 @@ def _table_scan(r: int, s: int, epsilon: int, L, window: int) -> tuple:
     return (sigma, d, src[~dead], dst[~dead],
             tuple(sorted(set(np.minimum(sigma[a], sigma[b])[ring].tolist()))),
             tuple(sorted(set(np.minimum(d[a], d[b])[~ring].tolist()))))
+
+
+def table_components(r: int, s: int, epsilon: int, lam, window: int) -> set:
+    """The strong components of the steps of lattice_table that lambda keeps, as block sets.
+
+    Grouped by mutual reachability (strong_partition), not by the cuts.
+    """
+    _, _, src, dst, _, _ = _table_scan(r, s, epsilon, vanishing_level(lam), window)
+    blocks = lattice_blocks(epsilon, window)
+    parts = strong_partition(len(blocks), zip(src.tolist(), dst.tolist()))
+    return {frozenset(blocks[v] for v in part) for part in parts}
 
 
 def table_cuts(r: int, s: int, epsilon: int, lam, window: int) -> tuple:

@@ -135,7 +135,8 @@ def test_criterion_5_decomposition_agreement():
                     (c.region.blocks(eps, cutoff) for c in cl.constituents
                      if c.region.blocks(eps, cutoff)),
                     key=lambda f: sorted(f)[0])
-                got = sorted(scan.components, key=lambda f: sorted(f)[0])
+                got = sorted((c.blocks(eps, cutoff) for c in scan.components),
+                             key=lambda f: sorted(f)[0])
                 assert predicted == got, (r, s, eps, L)
                 tested += 1
     print(f"[criterion 5] PASS decomposition agreement: {tested} reducible "

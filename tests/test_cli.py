@@ -108,7 +108,7 @@ def test_verify_corrupted_dump_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("corruption", ["repeated entry", "row past dim", "half-integer row",
                                         "nnz off by 7", "rows of eight numbers",
-                                        "row as a string"])
+                                        "row as a string", "imaginary part as false"])
 def test_verify_dump_refuses_bad_entries(tmp_path, capsys, corruption):
     dump = tmp_path / "rep.json"
     assert main(["build", "--class1", "--n", "6", "--m", "4", "--q", "0.5",
@@ -136,6 +136,10 @@ def test_verify_dump_refuses_bad_entries(tmp_path, capsys, corruption):
         # every pair of entries in one row: a reshape to four columns would undo it
         assert len(entries) % 2 == 0
         entries[:] = [a + b for a, b in zip(entries[::2], entries[1::2])]
+        what = f"entry 0 is not [row, col, re, im]: {entries[0]!r}"
+    elif corruption == "imaginary part as false":
+        # numpy would read it among numbers as 0.0
+        entries[0][3] = False
         what = f"entry 0 is not [row, col, re, im]: {entries[0]!r}"
     else:
         # a float conversion would read the string as the number
