@@ -30,13 +30,14 @@ Two independent routes are provided and cross-checked:
   an edge across each bound a cell leaks over (_leaks), whose forward
   closures are the invariant subspaces.
 
-What they share is the region vocabulary (Region) and the step-liveness
-rule, stated once in _leaks: predict_constituents takes its regions from
-the tables and asks _region_is_closed, which is _leaks finding no bound,
-whether each is a subspace; the scanner asks _leaks for its cells' edges.
-cross_check compares the closed-form verdict with the number of cells.
-predict_constituents and cross_check read the window of _scan_window:
-the larger of 12 and the smallest window that shows every wall.
+What they share is the region vocabulary (Region) and the step rule,
+stated once in _has_step, which _cuts and _leaks both ask:
+predict_constituents takes its regions from the tables and asks
+_region_is_closed, which is _leaks finding no bound, whether each is a
+subspace; the scanner asks _leaks for its cells' edges.  cross_check
+compares the closed-form verdict with the number of cells.
+predict_constituents and cross_check decide on the window of _window,
+which shows every wall and is worked out from the walls alone.
 
 The supplementary-series parity for r == s (mod 2): the stated rule ties
 epsilon to the parity of (r+s)/2, but solving the positivity recurrences
@@ -64,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 
 from .degenrep import RepSpec
-from .gtbasis import block_arrays
+from .gtbasis import FAMILIES, block_arrays
 from .qarith import (
     EQUIVALENT_FLIP,
     SpectralParam,
@@ -269,6 +270,21 @@ def _wall_dict(r: int, s: int, lam: SpectralParam) -> dict:
     return dict(zip(_FAMILY_NAMES, _walls(r, s, vanishing_point(lam))))
 
 
+def _window(r: int, s: int, L: int | None) -> int:
+    """The window predict_constituents and cross_check decide on, worked out from the walls.
+
+    It shows every wall, and every wall of the mirror (see
+    _region_is_closed): it lies 2 past each ring wall and 4 past each
+    diagonal wall, in magnitude, so it holds each wall's step and blocks on
+    both of its sides, and a wider window changes no count and no closure.
+    With no wall it is 1, since a window of 0 holds no block of odd epsilon.
+    """
+    if L is None:
+        return 1
+    up, m_up, mp_up, down = _walls(r, s, L)
+    return max(abs(up), abs(down), abs(m_up) + 2, abs(mp_up) + 2) + 2
+
+
 def _floor(x: int, epsilon: int) -> int:
     """The largest level <= x of parity epsilon: every block's sigma and d have it."""
     return x - (x - epsilon) % 2
@@ -288,37 +304,49 @@ def _holds_block(epsilon: int, sigma_lo: int, sigma_hi: int, d_lo: int, d_hi: in
     return sigma_lo <= top and d_lo <= d_hi
 
 
+# Per FAMILIES step: the level it moves (0: the ring sigma, 1: the diagonal
+# d), the change of that level, and the Region bound it leaves a region across.
+_MOVES = ((0, 2, "sigma_max"), (1, 2, "d_max"), (1, -2, "d_min"), (0, -2, "sigma_min"))
+
+
+def _has_step(family: int, epsilon: int, window: int, box: tuple, level: int) -> bool:
+    """Whether a block of the window in box, on the level the family moves, has its step.
+
+    box is (sigma_lo, sigma_hi, d_lo, d_hi), closed bounds, and the level a
+    ring sigma or a diagonal d.  The one step rule: a step (dm, dm') of
+    FAMILIES exists where it keeps m, m' >= 0 and its target ring in the
+    window.  So ring_up needs its target ring inside the window, ring_down
+    m, m' >= 1, diag_m_up m' >= 1 and diag_mp_up m >= 1.
+    """
+    dm, dmp = FAMILIES[family]
+    sigma_lo, sigma_hi, d_lo, d_hi = box
+    sigma_hi = min(sigma_hi, window - max(dm + dmp, 0))
+    if _MOVES[family][0]:
+        inside, d_lo, d_hi = d_lo <= level <= d_hi, level, level
+    else:
+        inside, sigma_lo, sigma_hi = sigma_lo <= level <= sigma_hi, level, level
+    return inside and _holds_block(epsilon, sigma_lo, sigma_hi, d_lo, d_hi, dm < 0, dmp < 0)
+
+
 def _cuts(r: int, s: int, epsilon: int, L: int | None, window: int) -> tuple:
     """(ring_cuts, diag_cuts): the gaps lambda cuts in the lattice below the window.
 
     A gap is named by the level below it: ring cut c separates the rings
     sigma <= c from sigma > c, diagonal cut c the diagonals d <= c from
     d > c.  A family cuts the gap its step crosses from its wall (see
-    _walls) where a block of the window on that wall has the step:
-
-    * ring_up cuts ring -L when that ring holds blocks and ring -L+2 lies
-      in the window;
-    * ring_down cuts the gap below its wall when the wall ring is in the
-      window and holds a block with m, m' >= 1;
-    * diag_m_up cuts above and diag_mp_up below its wall diagonal when that
-      diagonal holds a block of the window with m' >= 1 (m >= 1).
-
-    Each is one ring or one diagonal, so the cuts are exactly the gaps
-    crossed by the steps of the window that lambda cuts.
+    _walls) where a block of the window on that wall has the step
+    (_has_step): above the wall for ring_up and diag_m_up, below it for
+    ring_down and diag_mp_up.  Each is one ring or one diagonal, so the
+    cuts are exactly the gaps crossed by the steps of the window that
+    lambda cuts.
     """
-    if L is None:
-        return (), ()
-    up, m_up, mp_up, down = _walls(r, s, L)
-    rings, diags = set(), set()
-    if _holds_block(epsilon, up, min(up, window - 2), -window, window):
-        rings.add(up)
-    if _holds_block(epsilon, down, min(down, window), -window, window, 1, 1):
-        rings.add(down - 2)
-    if _holds_block(epsilon, 0, window, m_up, m_up, 0, 1):
-        diags.add(m_up)
-    if _holds_block(epsilon, 0, window, mp_up, mp_up, 1, 0):
-        diags.add(mp_up - 2)
-    return tuple(sorted(rings)), tuple(sorted(diags))
+    cuts = (set(), set())
+    if L is not None:
+        for family, wall in enumerate(_walls(r, s, L)):
+            axis, move, _ = _MOVES[family]
+            if _has_step(family, epsilon, window, (0, window, -window, window), wall):
+                cuts[axis].add(min(wall, wall + move))
+    return tuple(sorted(cuts[0])), tuple(sorted(cuts[1]))
 
 
 def _gaps(cuts: tuple, lo, hi) -> list:
@@ -342,38 +370,26 @@ def _leaks(region: Region, r: int, s: int, epsilon: int, L: int | None, window: 
 
     A ring step changes only sigma and a diagonal step only d, so a step
     that leaves the region crosses one bound, and each bound is crossed
-    outwards by one family only: ring_up across sigma_max, ring_down
-    across sigma_min, diag_m_up across d_max and diag_mp_up across d_min.
-    The steps of that family that cross the bound leave from the ring or
-    diagonal of the region next to it, and whether they are live depends
-    only on that level: they are cut exactly when it is the family's wall
-    (_walls).  So the region leaks across a bound exactly when that level
-    is not the family's wall and holds a block of the region, inside the
-    window, that has the step: m >= 1 where the step lowers m, m' >= 1
-    where it lowers m', and the target ring in the window for ring_up.
+    outwards by one family only (_MOVES): ring_up across sigma_max,
+    ring_down across sigma_min, diag_m_up across d_max and diag_mp_up
+    across d_min.  The steps of that family that cross the bound leave
+    from the ring or diagonal of the region next to it, and whether they
+    are live depends only on that level: they are cut exactly when it is
+    the family's wall (_walls).  So the region leaks across a bound exactly
+    when that level is not the family's wall and holds a block of the
+    region, inside the window, that has the step (_has_step).
     """
-    up, m_up, mp_up, down = _walls(r, s, L)
-    lo = 0 if region.sigma_min is None else region.sigma_min
-    hi = window if region.sigma_max is None else min(region.sigma_max, window)
-    d_lo = -window if region.d_min is None else region.d_min
-    d_hi = window if region.d_max is None else region.d_max
-    if region.sigma_max is not None:
-        ring = _floor(region.sigma_max, epsilon)
-        if ring != up and _holds_block(epsilon, max(lo, ring), min(ring, window - 2),
-                                       d_lo, d_hi):
-            yield "sigma_max"
-    if region.sigma_min is not None:
-        ring = -_floor(-region.sigma_min, epsilon)
-        if ring != down and _holds_block(epsilon, ring, min(ring, hi), d_lo, d_hi, 1, 1):
-            yield "sigma_min"
-    if region.d_max is not None:
-        diag = _floor(region.d_max, epsilon)
-        if diag != m_up and _holds_block(epsilon, lo, hi, max(d_lo, diag), diag, 0, 1):
-            yield "d_max"
-    if region.d_min is not None:
-        diag = -_floor(-region.d_min, epsilon)
-        if diag != mp_up and _holds_block(epsilon, lo, hi, diag, min(diag, d_hi), 1, 0):
-            yield "d_min"
+    box = (0 if region.sigma_min is None else region.sigma_min,
+           window if region.sigma_max is None else min(region.sigma_max, window),
+           -window if region.d_min is None else region.d_min,
+           window if region.d_max is None else region.d_max)
+    for family, wall in enumerate(_walls(r, s, L)):
+        _, move, name = _MOVES[family]
+        bound = getattr(region, name)
+        if bound is not None:
+            level = _floor(bound, epsilon) if move > 0 else -_floor(-bound, epsilon)
+            if level != wall and _has_step(family, epsilon, window, box, level):
+                yield name
 
 
 # The cell a step across each bound lands in, as a move in (i, j) of _cells:
@@ -453,15 +469,15 @@ def _region_is_closed(region: Region, r: int, s: int, epsilon: int,
                       L: int | None, window: int) -> bool:
     """Whether no live step of the window leaves the region: it leaks across no bound.
 
-    predict_constituents asks on the _scan_window of lambda, which decides
-    closure as the whole lattice would: every bound of a constituent
-    region is a wall of L or of its mirror r+s-2-L, or such a wall +-2
-    (each mirror wall is a wall of L shifted by 2), and _sufficient_cutoff
-    lies at least 4 past every positive ring wall (at most one ring wall
-    is positive, and the other's magnitude is then at least 2 larger) and
-    past the magnitude of every diagonal wall, so the window holds a step
-    across each bound.  Steps that leave the window upward keep d and
-    therefore cannot witness a leak of a sigma-unbounded region.
+    predict_constituents asks on the _window of L, which decides closure
+    as the whole lattice would: every bound of a constituent region is a
+    wall of L or of its mirror r+s-2-L, or such a wall +-2 (each mirror
+    wall is a wall of L shifted by 2), and _window lies at least 4 past
+    every positive ring wall (at most one ring wall is positive, and the
+    other's magnitude is then at least 2 larger) and past the magnitude of
+    every diagonal wall, so the window holds a step across each bound.
+    Steps that leave the window upward keep d and therefore cannot witness
+    a leak of a sigma-unbounded region.
     """
     return next(_leaks(region, r, s, epsilon, L, window), None) is None
 
@@ -470,30 +486,34 @@ def _full_constituent(series: str) -> Constituent:
     return Constituent("full", Region(), SUBSPACE, star=series != NO_SERIES)
 
 
-def _even_even_cases(r, s, eps, L):
-    """Constituents for even r, even s, integer L == eps (mod 2), L <= (r+s-2)/2."""
+def _wedge_cases(r, s, L, sigma_min=None):
+    """T^0 between the wedges T^- and T^+ for L <= (r+s)/2 - 2; the wedges alone one past.
+
+    Even/even and odd/odd ranks share these; T^0 keeps m+m' >= sigma_min
+    when T^F lies below it.
+    """
     half = (r + s) // 2
     star_l0 = (r + s - 4) // 2
-    if L <= 0:
+    if L <= half - 2:
         return [
-            ("T^F", Region(sigma_max=-L), False, True),
-            ("T^0", Region(sigma_min=-L + 2, d_min=L - r + 2, d_max=-L + s - 2),
+            ("T^0", Region(sigma_min=sigma_min, d_min=L - r + 2, d_max=-L + s - 2),
              L == star_l0, False),
             ("T^-", Region(d_min=-L + s), True, False),
             ("T^+", Region(d_max=L - r), True, False),
-        ], None
-    if L <= half - 2:
-        notes = "ladder" if L == half - 2 else None
-        return [
-            ("T^0", Region(d_min=L - r + 2, d_max=-L + s - 2), L == star_l0, False),
-            ("T^-", Region(d_min=-L + s), True, False),
-            ("T^+", Region(d_max=L - r), True, False),
-        ], notes
+        ]
     # L == half - 1, the centre of the mirror
     return [
         ("T^-", Region(d_min=L - r + 2), True, False),
         ("T^+", Region(d_max=-L + s - 2), True, False),
-    ], None
+    ]
+
+
+def _even_even_cases(r, s, eps, L):
+    """Constituents for even r, even s, integer L == eps (mod 2), L <= (r+s-2)/2."""
+    if L <= 0:
+        return [("T^F", Region(sigma_max=-L), False, True),
+                *_wedge_cases(r, s, L, sigma_min=-L + 2)], None
+    return _wedge_cases(r, s, L), "ladder" if L == (r + s) // 2 - 2 else None
 
 
 def _even_odd_cases(r, s, eps, L):
@@ -524,24 +544,12 @@ def _odd_odd_cases(r, s, eps, L):
     L of parity epsilon is reducible only for L <= 0: the open strip
     0 < L < r+s-2 is irreducible.
     """
-    half = (r + s) // 2
-    star_l0 = (r + s - 4) // 2
     if (L - eps) % 2 == 0:
         return [
             ("T^F", Region(sigma_max=-L), False, True),
             ("T^3", Region(sigma_min=-L + 2), False, False),
         ], None
-    if L <= half - 2:
-        return [
-            ("T^0", Region(d_min=L - r + 2, d_max=-L + s - 2), L == star_l0, False),
-            ("T^-", Region(d_min=-L + s), True, False),
-            ("T^+", Region(d_max=L - r), True, False),
-        ], None
-    # L == half - 1, the centre of the mirror
-    return [
-        ("T^-", Region(d_min=L - r + 2), True, False),
-        ("T^+", Region(d_max=s - 2 - L), True, False),
-    ], None
+    return _wedge_cases(r, s, L), None
 
 
 _SWAP_NAMES = {"T^+": "T^-", "T^-": "T^+", "T^1": "T^2", "T^2": "T^1"}
@@ -601,7 +609,7 @@ def predict_constituents(r: int, s: int, epsilon: int,
             region = region.swapped()
         constituents.append(Constituent(name, region, QUOTIENT, star, finite))
 
-    window = _scan_window(r, s, nlam)
+    window = _window(r, s, L)
     closed_flags = [_region_is_closed(c.region, r, s, epsilon, L, window)
                     for c in constituents]
     if len(constituents) == 2 and all(closed_flags):
@@ -643,43 +651,17 @@ class CrossCheck:
         }
 
 
-def _sufficient_cutoff(r: int, s: int, lam: SpectralParam) -> int:
-    """Smallest window making every severed wall of lambda visible.
-
-    A severed ring or diagonal splits the truncated lattice only once
-    blocks on both of its sides fit under the cutoff; beyond this bound
-    the component count is truncation-independent.
-    """
-    up, d_up, d_down, down = _walls(r, s, vanishing_point(lam))
-    if up is None:
-        return 0
-    return max(abs(up), abs(down), abs(d_up) + 2, abs(d_down) + 2) + 2
-
-
-def _scan_window(r: int, s: int, lam: SpectralParam, cutoff: int = 12) -> int:
-    """The window cross_check and predict_constituents scan for lambda.
-
-    At least cutoff and wide enough to show every wall; cross_check counts
-    components and predict_constituents checks region closure on it.
-    """
-    return max(cutoff, _sufficient_cutoff(r, s, lam))
-
-
-def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam,
-                cutoff: int = 12) -> CrossCheck:
+def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam) -> CrossCheck:
     """Compare the closed-form verdict with the scanner's component count.
 
-    The scan window is widened beyond `cutoff` when needed so that every
-    wall of the parameter is visible; otherwise a wall lying outside the
-    window would masquerade as irreducibility.  The components are the
-    non-empty cells between the cuts of _cuts (see _cells and scan_lattice),
-    counted without building the window's blocks.
+    The components are the non-empty cells between the cuts of _cuts (see
+    _cells and scan_lattice) on the _window of lambda, so no wall lies
+    outside the window to masquerade as irreducibility; they are counted
+    without building the window's blocks.
     """
     _validate(r, s, epsilon)
-    if cutoff < epsilon:
-        raise ValueError(f"cutoff {cutoff} is below epsilon {epsilon}: "
-                         "the truncated tower has no blocks")
     irr = classify_irreducible(r, s, epsilon, lam)
-    window = _scan_window(r, s, lam, cutoff)
-    cuts = _cuts(r, s, epsilon, vanishing_point(lam), window)
+    L = vanishing_point(lam)
+    window = _window(r, s, L)
+    cuts = _cuts(r, s, epsilon, L, window)
     return CrossCheck(r, s, epsilon, lam, irr, len(_cells(epsilon, window, *cuts)))

@@ -462,7 +462,7 @@ def cmd_scan(args) -> int:
     rows = []
     disagreements = 0
     for lam in lams:
-        cc = cross_check(args.r, args.s, args.epsilon, lam, cutoff=args.cutoff)
+        cc = cross_check(args.r, args.s, args.epsilon, lam)
         rows.append(cc.to_dict())
         if not cc.agree:
             disagreements += 1
@@ -539,7 +539,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--lambda-int-min", type=int, default=-4)
     ps.add_argument("--lambda-int-max", type=int, default=8)
     ps.add_argument("--lambda-rationals", default="")
-    ps.add_argument("--cutoff", type=int, default=8)
     _add_output(ps)
     ps.set_defaults(func=cmd_scan)
 

@@ -12,7 +12,9 @@ label; on each block edge it is
 
 where E embeds the chains of one top label into the next, K and L depend
 only on the two leading labels of the respective chain, and the factor is
-a scalar of the edge.  In the standard basis the four families are
+a scalar of the edge.  K is the chain factor R of the next rank:
+K_coeff(m, k, r) equals compactrep.R_coeff(m, k, r + 1) bit for bit, and
+L is K of rank s.  In the standard basis the four families are
 
     up/up      +K_m L_{m'}     [lambda + m + m']
     up/down    -K_m L_{m'-1}   [lambda + m - m' - s + 2]
@@ -174,6 +176,10 @@ def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
     so(2) label; the expression is even in k).  K_{-1}, queried when
     lowering from m = 0, is 0 through the [m-k+1] factor, before the
     denominator (which may itself vanish there) is ever evaluated.
+
+    K is R of the next rank: K_coeff(m, k, r, p) == R_coeff(m, k, r + 1, p)
+    bit for bit, the chain factor of so'_q(r+1) at m_r = m, m_{r-1} = k
+    (the same brackets, multiplied in another order).
     """
     return _ratio_sqrt((m - k + 1, m + k + r - 2), (2 * m + r, 2 * m + r - 2), p)
 
@@ -372,8 +378,9 @@ def frame(r: int, s: int, epsilon: int, cutoff: int, qp: QParam) -> Frame:
     # one edge per directed block step, in (source block, family) order
     src, family, dst = space.block_steps
     steps = np.array(FAMILIES)
+    # equal ranks share one tower, and so one pool
     left = _embedding_pool(space.labels[0], r, qp)
-    right = _embedding_pool(space.labels[1], s, qp)
+    right = left if s == r else _embedding_pool(space.labels[1], s, qp)
     edge, rows, cols, ia, ib = _kron_blocks(
         left, 2 * m[src] + (steps[family, 0] < 0),
         right, 2 * mp[src] + (steps[family, 1] < 0),

@@ -142,15 +142,13 @@ class ResidualReport:
         }
 
 
-def _coerce(rep, qp: QParam | None, need_qp: bool = True):
-    """Accept a DegenerateRep or a bare compact generator list."""
+def _coerce(rep, qp: QParam | None = None):
+    """Accept a DegenerateRep or a bare compact generator list, which takes the qp given."""
     if isinstance(rep, DegenerateRep):
         return rep.generators, rep.spec.qp, rep.space, rep.spec.r + 1
     gens = list(rep)
     if not gens or not isinstance(gens[0], GeneratorMatrix):
         raise TypeError("expected a DegenerateRep or a list of GeneratorMatrix")
-    if qp is None and need_qp:
-        raise ValueError("a QParam is required when passing bare generators")
     return gens, qp, None, None
 
 
@@ -490,6 +488,8 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     and I_{r+2} from the frame's record.  Any other input forms every row.
     """
     gens, p, space, noncompact_i = _coerce(rep, qp)
+    if p is None:
+        raise ValueError("a QParam is required when passing bare generators")
     mats = {g.i: _Csc.of(g.mat) for g in gens}
     dim = gens[0].mat.shape[1]
     ncols = dim if space is None else len(space.interior_indices(depth))
@@ -506,7 +506,7 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     return ResidualReport(rows, tol, ncols, dim)
 
 
-def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualReport:
+def check_star(rep, tol: float = 1e-9) -> ResidualReport:
     """Adjoint-condition residuals per generator.
 
     Compact generators must satisfy M* = -M; for a degenerate
@@ -515,7 +515,7 @@ def check_star(rep, tol: float = 1e-9, qp: QParam | None = None) -> ResidualRepo
     points of the structural check) forms only its Hermitian row and
     reads the compact rows from the frame's record, which forms them once.
     """
-    gens, _, space, noncompact_i = _coerce(rep, qp, need_qp=False)
+    gens, _, space, noncompact_i = _coerce(rep)
     record = _compact_record(rep)
     if record is not None and record.star is None:
         record.star = {g.i: _star_row(g, False, space) for g in rep.frame.compact}

@@ -110,7 +110,7 @@ def test_criterion_4_closed_form_scanner_consistency():
             lams += [E(L, t) for L in (-2, 0, 1, r + s - 2, r + s) for t in (2, 4)]
             lams += [E(L, 0, Fraction(1, 3)) for L in (-2, 0, r + s - 2)]
             for lam in lams:
-                cc = cross_check(r, s, eps, lam, cutoff=12)
+                cc = cross_check(r, s, eps, lam)
                 checked += 1
                 if not cc.agree:
                     disagreements.append((r, s, eps, lam))

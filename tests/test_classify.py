@@ -26,9 +26,8 @@ from soqrs.classify import (
     SUBSPACE,
     Region,
     _region_is_closed,
-    _scan_window,
-    _sufficient_cutoff,
     _walls,
+    _window,
 )
 from soqrs.degenrep import bracket_shifts
 from soqrs.gtbasis import FAMILIES, block_arrays, lattice_steps
@@ -229,18 +228,11 @@ def test_cross_check_grid_small():
     for r, s in itertools.product((3, 4), repeat=2):
         for eps in (0, 1):
             for L in range(-4, r + s + 3):
-                cc = cross_check(r, s, eps, E(L), cutoff=12)
+                cc = cross_check(r, s, eps, E(L))
                 assert cc.agree, (r, s, eps, L)
-
-
-def test_cross_check_refuses_a_cutoff_below_epsilon():
-    """For every lambda, naming the cutoff given rather than the widened window."""
-    for r, s, lam, cutoff in ((3, 4, E(Fraction(1, 2)), -4), (3, 3, E(0), -3),
-                              (4, 4, E(-1000), 0), (4, 4, E(2, 1), -1)):
-        with pytest.raises(ValueError, match=f"cutoff {cutoff} is below epsilon 1"):
-            cross_check(r, s, 1, lam, cutoff=cutoff)
-    assert cross_check(3, 3, 1, E(Fraction(1, 2)), cutoff=1).n_regions == 1
-    assert cross_check(3, 3, 0, E(0), cutoff=0).agree
+    # on the smallest windows: 1 with no wall, 5 at (3, 3, lambda = 0)
+    assert cross_check(3, 3, 1, E(Fraction(1, 2))).n_regions == 1
+    assert cross_check(3, 3, 0, E(0)).agree
 
 
 def test_scan_requires_exact():
@@ -294,7 +286,7 @@ def _scan_mismatches(module, ranks, windows):
 
 def _reference_windows(r, s, eps, lam):
     """Every window up to 2 past the walls, every third one for a lambda with no wall."""
-    top = max(6, _sufficient_cutoff(r, s, lam) + 2)
+    top = max(6, _window(r, s, vanishing_point(lam)) + 2)
     return range(eps, top + 1, 1 if lam.is_integer else 3)
 
 
@@ -316,7 +308,7 @@ def test_strong_components_are_the_mutually_reachable_blocks():
     for r, s in itertools.product(range(3, 7), repeat=2):
         for eps in (0, 1):
             for lam in _lattice_params(r, s):
-                for window in (eps, 12, _scan_window(r, s, lam), 38 + eps):
+                for window in (eps, 12, _window(r, s, vanishing_point(lam)), 38 + eps):
                     components, _ = _block_sets(scan_lattice(RepSpec(r, s, eps, lam, Q2, window)))
                     parts = oracles.table_components(r, s, eps, lam, window)
                     assert (len(components), set(components)) == (len(parts), parts), \
@@ -346,9 +338,9 @@ def test_cross_check_counts_the_scanned_components():
     for r, s in itertools.product((3, 4, 5), repeat=2):
         for eps in (0, 1):
             for lam in _lattice_params(r, s):
-                window = max(12, _sufficient_cutoff(r, s, lam))
+                window = _window(r, s, vanishing_point(lam))
                 scan = scan_lattice(RepSpec(r, s, eps, lam, Q2, window))
-                assert (cross_check(r, s, eps, lam, cutoff=12).n_regions
+                assert (cross_check(r, s, eps, lam).n_regions
                         == len(scan.components)), (r, s, eps, lam)
 
 
@@ -363,8 +355,8 @@ def test_region_is_closed_matches_per_block_reference():
         for eps in (0, 1):
             for lam in _lattice_params(r, s):
                 cl = predict_constituents(r, s, eps, lam)
-                window = _scan_window(r, s, cl.lam)
                 L = vanishing_point(cl.lam)
+                window = _window(r, s, L)
                 for c in cl.constituents:
                     assert (_region_is_closed(c.region, r, s, eps, L, window)
                             == oracles.region_is_closed(c.region, r, s, eps, cl.lam,
@@ -381,19 +373,38 @@ def test_region_is_closed_matches_per_block_reference():
                         (r, s, eps, lam, region)
 
 
-def test_closure_on_the_scan_window_matches_the_reference_window():
-    """Each realized_on flag equals closure in the table on a window far past every wall."""
-    for r, s in itertools.product(range(3, 9), repeat=2):
+def _reference_window_mismatches(module, ranks, lam_max):
+    """Where module's realized_on flags or cross_check counts differ on a far window.
+
+    For r, s in `ranks`, both epsilon, lambda in Z/2 from -lam_max to
+    lam_max and the lambdas of _lattice_params: each realized_on flag of
+    predict_constituents against closure in the table, and the cross_check
+    count against the table's, on oracles.closure_window, which lies far
+    past every wall.
+    """
+    bad = []
+    for r, s in itertools.product(ranks, repeat=2):
         for eps in (0, 1):
-            lams = [E(Fraction(k, 2)) for k in range(-60, 61)] + _lattice_params(r, s)
+            lams = [E(Fraction(k, 2)) for k in range(-2 * lam_max, 2 * lam_max + 1)]
+            lams += _lattice_params(r, s)
             # grouped by reference window, so each window's table is built once
             for lam in sorted(lams, key=lambda lam: oracles.closure_window(r, s, lam)):
-                cl = predict_constituents(r, s, eps, lam)
+                cl = module.predict_constituents(r, s, eps, lam)
                 window = oracles.closure_window(r, s, cl.lam)
                 for c in cl.constituents:
-                    assert ((c.realized_on != QUOTIENT)
-                            == oracles.table_region_is_closed(c.region, r, s, eps, cl.lam,
-                                                              window)), (r, s, eps, lam, c)
+                    if ((c.realized_on != QUOTIENT)
+                            != oracles.table_region_is_closed(c.region, r, s, eps, cl.lam,
+                                                              window)):
+                        bad.append(("closure", r, s, eps, lam, c))
+                if (module.cross_check(r, s, eps, lam).n_regions
+                        != oracles.table_component_count(r, s, eps, lam, window)):
+                    bad.append(("count", r, s, eps, lam))
+    return bad
+
+
+def test_closure_on_the_scan_window_matches_the_reference_window():
+    """Each realized_on flag, and each cross_check count, equals the table's far past every wall."""
+    assert _reference_window_mismatches(classify, range(3, 9), 30) == []
 
 
 def _wall_route_mismatches(module, ranks, pad):
@@ -415,7 +426,7 @@ def _wall_route_mismatches(module, ranks, pad):
                     cl = module.predict_constituents(r, s, eps, lam)
                     regions = [rg for c in cl.constituents for rg in (c.region, c.region.swapped())]
                     for window in {eps, eps + 1, 3, 12, 38 + eps,
-                                   module._scan_window(r, s, lam)}:
+                                   module._window(r, s, vanishing_point(lam))}:
                         cases.setdefault((window, vanishing_point(lam)), (lam, set()))[1] \
                             .update(regions)
             # grouped by window, so each window's table is built once
@@ -450,17 +461,24 @@ def _mutant(monkeypatch, old: str, new: str) -> types.ModuleType:
     return module
 
 
+_CUT = "cuts[axis].add(min(wall, wall + move))"
+_LEVEL = "level = _floor(bound, epsilon) if move > 0 else -_floor(-bound, epsilon)"
+
+
 @pytest.mark.parametrize("old, new", [
-    # a cut moved by one ring, or one diagonal
-    ("rings.add(up)", "rings.add(up + 2)"),
-    ("rings.add(down - 2)", "rings.add(down)"),
-    ("diags.add(mp_up - 2)", "diags.add(mp_up)"),
-    # a closure bound off by one level
-    ("ring = _floor(region.sigma_max, epsilon)", "ring = _floor(region.sigma_max - 1, epsilon)"),
-    ("ring = -_floor(-region.sigma_min, epsilon)",
-     "ring = -_floor(-region.sigma_min - 1, epsilon)"),
-    ("diag = _floor(region.d_max, epsilon)", "diag = _floor(region.d_max - 1, epsilon)"),
-    ("diag = -_floor(-region.d_min, epsilon)", "diag = -_floor(-region.d_min - 1, epsilon)"),
+    # the cut of one family (ring_up, ring_down, diag_mp_up) moved by one ring or diagonal
+    (_CUT, "cuts[axis].add(min(wall, wall + move) + 2 * (family == 0))"),
+    (_CUT, "cuts[axis].add(min(wall, wall + move) + 2 * (family == 3))"),
+    (_CUT, "cuts[axis].add(min(wall, wall + move) + 2 * (family == 2))"),
+    # the level next to one closure bound off by one
+    (_LEVEL, "level = _floor(bound - (name == 'sigma_max'), epsilon) if move > 0 "
+             "else -_floor(-bound, epsilon)"),
+    (_LEVEL, "level = _floor(bound, epsilon) if move > 0 "
+             "else -_floor(-bound - (name == 'sigma_min'), epsilon)"),
+    (_LEVEL, "level = _floor(bound - (name == 'd_max'), epsilon) if move > 0 "
+             "else -_floor(-bound, epsilon)"),
+    (_LEVEL, "level = _floor(bound, epsilon) if move > 0 "
+             "else -_floor(-bound - (name == 'd_min'), epsilon)"),
 ], ids=["ring_up-cut", "ring_down-cut", "diag_mp_up-cut",
         "sigma_max", "sigma_min", "d_max", "d_min"])
 def test_the_table_route_catches_a_moved_cut_or_bound(monkeypatch, old, new):
@@ -474,8 +492,14 @@ def test_the_table_route_catches_a_moved_cut_or_bound(monkeypatch, old, new):
     ("(lo, *[c + 2 for c in cuts])", "(lo, *[c + 4 for c in cuts])"),
 ], ids=["reversed-edge", "moved-cell-bound"])
 def test_the_reference_catches_a_reversed_edge_or_a_moved_cell_bound(monkeypatch, old, new):
-    windows = lambda r, s, eps, lam: (6 + eps, _scan_window(r, s, lam))
+    windows = lambda r, s, eps, lam: (6 + eps, _window(r, s, vanishing_point(lam)))
     assert _scan_mismatches(_mutant(monkeypatch, old, new), (3, 4), windows) != []
+
+
+def test_the_reference_window_catches_a_window_shrunk_by_4(monkeypatch):
+    module = _mutant(monkeypatch, "abs(mp_up) + 2) + 2", "abs(mp_up) + 2) - 2")
+    kinds = {bad[0] for bad in _reference_window_mismatches(module, (3, 4), 10)}
+    assert kinds == {"closure", "count"}
 
 
 def _far_lambda_reports(lams):
@@ -509,7 +533,7 @@ def test_large_lambda_prediction_memory():
     assert elapsed < 1.0 and peak < 1e6, (elapsed, peak)
     near, _, _ = _far_lambda_reports([E(-40), E(40), E(Fraction(-79, 2))])
     for cl, cc in near:
-        window = _scan_window(4, 4, cl.lam)
+        window = _window(4, 4, vanishing_point(cl.lam))
         for c in cl.constituents:
             assert ((c.realized_on != QUOTIENT)
                     == oracles.table_region_is_closed(c.region, 4, 4, 0, cl.lam, window)), c
@@ -527,7 +551,7 @@ def test_large_lambda_prediction_memory():
 def test_large_lambda_scan_memory():
     """At lambda = -10^6 the scan is four cells, and T^F's cell is its own closure."""
     lam = E(-10**6)
-    spec = RepSpec(4, 4, 0, lam, Q2, _scan_window(4, 4, lam))
+    spec = RepSpec(4, 4, 0, lam, Q2, _window(4, 4, vanishing_point(lam)))
     tracemalloc.start()
     start = time.perf_counter()
     try:

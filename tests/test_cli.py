@@ -220,16 +220,6 @@ def test_scan_refuses_an_empty_lambda_list(capsys):
     assert code == 0 and len(json.loads(out)["rows"]) == 1
 
 
-def test_scan_refuses_a_cutoff_below_epsilon(capsys):
-    for lams in (["--lambda-int-min", "0", "--lambda-int-max", "-1",
-                  "--lambda-rationals", "1/2"],
-                 ["--lambda-int-min", "0", "--lambda-int-max", "0"]):
-        code, out, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "1",
-                             *lams, "--cutoff", "-4")
-        assert code == 3 and out == ""
-        assert "cutoff -4 is below epsilon 1" in err
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["build"]) == 3
     assert main(["nonsense"]) == 3
@@ -245,6 +235,10 @@ def test_unread_options_are_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "--r", "4", "--s", "4",
                        "--epsilon", "0", "--lambda-re", "2", "--cutoff", "4")
     assert code == 3 and "--cutoff" in err
+    # scan works its window out from the walls
+    code, out, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "1",
+                         "--lambda-int-min", "0", "--lambda-int-max", "0", "--cutoff", "8")
+    assert code == 3 and out == "" and "--cutoff" in err
 
 
 def test_config_nulls_options_a_command_lacks(capsys):
@@ -257,7 +251,7 @@ def test_config_nulls_options_a_command_lacks(capsys):
                        "--lambda-int-min", "0", "--lambda-int-max", "1", "--json")
     assert code == 0
     cfg = json.loads(out)["config"]
-    assert [cfg[k] for k in ("q", "cutoff", "depth", "tol")] == [None, 8, None, None]
+    assert [cfg[k] for k in ("q", "cutoff", "depth", "tol")] == [None] * 4
 
 
 def test_verify_empty_tower_is_usage_error(capsys):

@@ -8,6 +8,7 @@ from soqrs import (
     K_coeff,
     PrimedBasisUndefined,
     QParam,
+    R_coeff,
     RepSpec,
     SpectralParam,
     build_degenerate,
@@ -48,6 +49,17 @@ def test_K_coeff_even_in_k():
         for k in range(-m, m + 1):
             assert K_coeff(m, k, 3, Q2) == pytest.approx(
                 K_coeff(m, -k, 3, Q2), abs=1e-15)
+
+
+def test_K_coeff_is_R_of_the_next_rank():
+    """Bit for bit, at every k the builder reads K with: chains of top m and of top m + 1."""
+    for q in (0.3, 0.5, 1.0, 2.0, 7.0):
+        p = QParam(q)
+        for r in range(3, 9):
+            for m in range(-1, 30):
+                for k in range(-(m + 1) if r == 3 else 0, m + 2):
+                    assert K_coeff(m, k, r, p).hex() == R_coeff(m, k, r + 1, p).hex(), \
+                        (q, r, m, k)
 
 
 def test_origin_column_single_entry():

@@ -47,6 +47,10 @@ def test_so3_relations_pass():
     gens = build_so3(3, Q2)
     report = check_relations(gens, qp=Q2, tol=1e-12)
     assert report.passed, report.max_residual
+    # the relations read q; the star condition does not
+    with pytest.raises(ValueError, match="QParam is required"):
+        check_relations(gens)
+    assert check_star(gens).passed
 
 
 def _rows(report):
