@@ -9,7 +9,6 @@ adjoint conditions, and exact classification of the spectral parameter
 from .qarith import (
     IDENTICAL,
     EQUIVALENT_FLIP,
-    InexactSpectralError,
     QParam,
     SpectralParam,
     normalize_spectral,
@@ -63,7 +62,7 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QParam", "SpectralParam", "InexactSpectralError",
+    "QParam", "SpectralParam",
     "normalize_spectral", "IDENTICAL", "EQUIVALENT_FLIP",
     "TruncatedSpace", "class1_dim",
     "GeneratorMatrix", "d_coeff", "R_coeff", "build_so3", "build_class1",

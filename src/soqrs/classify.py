@@ -197,7 +197,6 @@ def classify_irreducible(r: int, s: int, epsilon: int, lam: SpectralParam) -> bo
     from the stated bound, recorded in the module docstring).
     """
     _validate(r, s, epsilon)
-    lam.require_exact("irreducibility classification")
     nlam, _ = normalize_spectral(lam)
     if not nlam.is_integer:
         return True
@@ -221,7 +220,6 @@ def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
     lambda <-> r+s-2-lambda is applied before windowing.
     """
     _validate(r, s, epsilon)
-    lam.require_exact("star-series classification")
     if not classify_irreducible(r, s, epsilon, lam):
         raise ValueError(
             "star-series tags apply to irreducible parameters; reducible "
@@ -437,7 +435,6 @@ def scan_lattice(spec: RepSpec) -> ScanResult:
       it leaks over (_leaks) into the neighbour on that side (_ACROSS),
       and a region is the set of cells one cell reaches in it.
     """
-    spec.lam.require_exact("lattice scan")
     r, s, epsilon, window = spec.r, spec.s, spec.epsilon, spec.cutoff
     L = vanishing_point(spec.lam)
     ring_cuts, diag_cuts = _cuts(r, s, epsilon, L, window)
@@ -566,7 +563,6 @@ def predict_constituents(r: int, s: int, epsilon: int,
     subspace/quotient realization is recomputed from edge directions.
     """
     _validate(r, s, epsilon)
-    lam.require_exact("constituent prediction")
     nlam, flip = normalize_spectral(lam)
     notes = []
     if flip == EQUIVALENT_FLIP:

@@ -32,7 +32,7 @@ from .classify import cross_check, predict_constituents
 from .degenrep import (DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed,
                        primed_transform)
 from .gtbasis import TruncatedSpace, chain_labels
-from .qarith import InexactSpectralError, QParam, SpectralParam
+from .qarith import QParam, SpectralParam
 from .verify import check_relations, check_star, solve_metric
 
 EXIT_OK = 0
@@ -53,10 +53,10 @@ def _fraction(text: str) -> Fraction:
 
 
 # Options whose value may start with a minus sign: argparse takes "-5/2" or
-# "-0.7+1j" for an option string, since only -N and -N.M look like negative
+# "-1e-3" for an option string, since only -N and -N.M look like negative
 # numbers to it.
 _SIGNED_VALUE_OPTIONS = ("--lambda-re", "--lambda-im-t", "--lambda-im",
-                         "--lambda-float", "--lambda-rationals")
+                         "--lambda-rationals")
 _SIGNED_VALUE = re.compile(r"-[0-9.]")
 
 
@@ -78,11 +78,6 @@ def _add_lambda_args(p: argparse.ArgumentParser) -> None:
                    help="imaginary part of lambda in units pi/h, exact rational")
     p.add_argument("--lambda-im", type=_fraction, default=Fraction(0),
                    help="absolute imaginary part of lambda, exact rational")
-    p.add_argument("--lambda-float", type=complex, default=None,
-                   help="inexact complex lambda, e.g. '0.7+1.3j'")
-    p.add_argument("--snap-lambda", type=int, default=None, metavar="DENOM",
-                   help="snap an inexact lambda to the nearest rational with "
-                        "denominator <= DENOM (opt-in)")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -96,24 +91,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_output(p)
 
 
-def _resolve_lambda(args, exact_required: bool) -> SpectralParam:
-    if args.lambda_float is not None:
-        if args.snap_lambda is not None:
-            v = args.lambda_float
-            return SpectralParam.exact(
-                Fraction(v.real).limit_denominator(args.snap_lambda),
-                0,
-                Fraction(v.imag).limit_denominator(args.snap_lambda),
-            )
-        if exact_required:
-            raise UsageError(
-                "this command needs an exact lambda; pass --lambda-re/"
-                "--lambda-im-t/--lambda-im, or opt in with --snap-lambda"
-            )
-        return SpectralParam.inexact(args.lambda_float)
+def _resolve_lambda(args) -> SpectralParam:
     if args.lambda_re is None:
-        raise UsageError("lambda is required (--lambda-re or --lambda-float)")
-    return SpectralParam.exact(args.lambda_re, args.lambda_im_t, args.lambda_im)
+        raise UsageError("lambda is required (--lambda-re)")
+    return SpectralParam(args.lambda_re, args.lambda_im_t, args.lambda_im)
 
 
 class UsageError(Exception):
@@ -132,13 +113,10 @@ def _config_dict(args, lam: SpectralParam | None = None) -> dict:
         cfg["r"] = args.r
         cfg["s"] = args.s
         cfg["epsilon"] = args.epsilon
-    if lam is not None and lam.is_exact:
+    if lam is not None:
         cfg["lambda_re"] = str(lam.re)
         cfg["lambda_im_t"] = str(lam.im_t)
         cfg["lambda_im"] = str(lam.im_y)
-    elif lam is not None:
-        v = lam.value(QParam(args.q))
-        cfg["lambda_float"] = [v.real, v.imag]
     return cfg
 
 
@@ -321,7 +299,7 @@ def cmd_build(args) -> int:
     elif args.degenerate:
         if args.r is None or args.s is None:
             raise UsageError("--degenerate needs --r and --s")
-        lam = _resolve_lambda(args, exact_required=False)
+        lam = _resolve_lambda(args)
         spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
         rep = _build_rep(spec, args.primed)
         gens = rep.generators
@@ -377,11 +355,14 @@ def cmd_verify(args) -> int:
             gens.append(GeneratorMatrix(g["i"], mat))
         if data["kind"] == "degenerate":
             cfg = data["config"]
-            lam = SpectralParam.exact(
-                Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
-                Fraction(cfg.get("lambda_im", 0)),
-            ) if "lambda_re" in cfg else SpectralParam.inexact(
-                complex(*cfg["lambda_float"]))
+            if "lambda_re" in cfg:
+                lam = SpectralParam(Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
+                                    Fraction(cfg.get("lambda_im", 0)))
+            else:  # older builds wrote lambda as two floats; the check does not read it
+                re_, im = cfg["lambda_float"]
+                if not np.isfinite([re_, im]).all():
+                    raise ValueError(f"{args.dump}: lambda_float {[re_, im]!r} is not finite")
+                lam = SpectralParam(Fraction(re_), 0, Fraction(im))
             spec = RepSpec(cfg["r"], cfg["s"], cfg["epsilon"], lam, qp,
                            cfg["cutoff"])
             space = TruncatedSpace(spec.r, spec.s, spec.epsilon, spec.cutoff)
@@ -391,6 +372,10 @@ def cmd_verify(args) -> int:
         else:
             record("relations(dump)", check_relations(gens, qp=qp, tol=args.tol))
     elif args.compact_suite:
+        for opt, value, least in (("--max-n", args.max_n, 3), ("--max-m", args.max_m, 0)):
+            if value < least:
+                raise UsageError(f"{opt} {value} leaves --compact-suite nothing to check: "
+                                 f"it needs {opt} >= {least}")
         for n in range(3, args.max_n + 1):
             for m in range(0, args.max_m + 1):
                 gens = build_class1(n, m, qp)
@@ -408,7 +393,7 @@ def cmd_verify(args) -> int:
     elif args.degenerate:
         if args.r is None or args.s is None:
             raise UsageError("--degenerate needs --r and --s")
-        lam = _resolve_lambda(args, exact_required=False)
+        lam = _resolve_lambda(args)
         spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
         rep = _build_rep(spec, args.primed)
         record("relations", check_relations(rep, depth=args.depth, tol=args.tol))
@@ -430,7 +415,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    lam = _resolve_lambda(args, exact_required=True)
+    lam = _resolve_lambda(args)
     cl = predict_constituents(args.r, args.s, args.epsilon, lam)
     payload = {"config": _config_dict(args, lam), **cl.to_dict()}
     lines = [
@@ -561,7 +546,7 @@ def main(argv=None) -> int:
         # before ValueError, of which the two decode errors are subclasses
         sys.stderr.write(f"soqrs: input error: {exc}\n")
         return EXIT_CHECK_FAILED
-    except (ValueError, InexactSpectralError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"soqrs: parameter error: {exc}\n")
         return EXIT_USAGE
 

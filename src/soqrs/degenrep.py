@@ -117,17 +117,9 @@ class RepSpec:
 
     def to_dict(self) -> dict:
         lam = self.lam
-        d = {"r": self.r, "s": self.s, "epsilon": self.epsilon}
-        if lam.is_exact:
-            d["lambda_re"] = str(lam.re)
-            d["lambda_im_t"] = str(lam.im_t)
-            d["lambda_im"] = str(lam.im_y)
-        else:
-            v = lam.value(self.qp)
-            d["lambda_float"] = [v.real, v.imag]
-        d["q"] = self.qp.q
-        d["cutoff"] = self.cutoff
-        return d
+        return {"r": self.r, "s": self.s, "epsilon": self.epsilon,
+                "lambda_re": str(lam.re), "lambda_im_t": str(lam.im_t),
+                "lambda_im": str(lam.im_y), "q": self.qp.q, "cutoff": self.cutoff}
 
 
 @dataclass
@@ -469,16 +461,10 @@ class PrimedTransform:
 
 def _checked_sqrt_factor(spec: RepSpec, sign: int, offset: int, block) -> complex:
     """Principal sqrt of [sign*lambda + offset], refusing exact zeros."""
-    lam = spec.lam
     # [sign*lambda + offset] = 0 exactly where offset == -sign*L
-    if lam.is_exact and vanishing_point(lam) == -sign * offset:
-        name = f"[{'-' if sign < 0 else ''}lambda{offset:+d}]"
-        raise PrimedBasisUndefined(name, block)
-    v = spec.qp.qnum(sign * spec.lambda_value + offset)
-    if not lam.is_exact and abs(v) < 1e-12:
-        name = f"[{'-' if sign < 0 else ''}lambda{offset:+d}]"
-        raise PrimedBasisUndefined(name, block)
-    return cmath.sqrt(v)
+    if vanishing_point(spec.lam) == -sign * offset:
+        raise PrimedBasisUndefined(f"[{'-' if sign < 0 else ''}lambda{offset:+d}]", block)
+    return cmath.sqrt(spec.qp.qnum(sign * spec.lambda_value + offset))
 
 
 def primed_transform(spec: RepSpec) -> PrimedTransform:

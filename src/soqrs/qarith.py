@@ -17,8 +17,9 @@ of [.]) and an absolute rational remainder:
 
 [z] vanishes exactly when z is an even multiple of 2*pi*i/h shifted by a
 vanishing real part, which in these coordinates reads: re == 0, im_y == 0
-and im_t an even integer.  A plain complex value can be carried instead
-("inexact" mode); exact decision procedures reject it.
+and im_t an even integer.  A float needs no other representation: it is
+an exact binary fraction, so SpectralParam(Fraction(z.real), 0,
+Fraction(z.imag)).value(q) == z for every finite complex z.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from numbers import Rational
 
 IDENTICAL = "identical"
 EQUIVALENT_FLIP = "equivalent_flip"
-
-
-class InexactSpectralError(ValueError):
-    """Raised when an exact decision is requested for an inexact parameter."""
 
 
 class QParam:
@@ -102,47 +99,25 @@ def _as_fraction(x) -> Fraction:
 class SpectralParam:
     """Spectral parameter lambda of a degenerate-series representation.
 
-    Exact mode stores lambda = re + i*(im_t * pi/h + im_y) with re, im_t,
-    im_y rational.  Inexact mode stores a bare complex value and is refused
-    by the exact classification operations.
+    It stores lambda = re + i*(im_t * pi/h + im_y) with re, im_t, im_y
+    rational, so every decision on it is exact.  A float value z is the
+    parameter SpectralParam(Fraction(z.real), 0, Fraction(z.imag)).
     """
 
-    __slots__ = ("re", "im_t", "im_y", "_inexact")
+    __slots__ = ("re", "im_t", "im_y")
 
-    def __init__(self, re, im_t=0, im_y=0, _inexact=None):
-        if _inexact is not None:
-            self.re = None
-            self.im_t = None
-            self.im_y = None
-            self._inexact = complex(_inexact)
-        else:
-            self.re = _as_fraction(re)
-            self.im_t = _as_fraction(im_t)
-            self.im_y = _as_fraction(im_y)
-            self._inexact = None
+    def __init__(self, re, im_t=0, im_y=0):
+        self.re = _as_fraction(re)
+        self.im_t = _as_fraction(im_t)
+        self.im_y = _as_fraction(im_y)
 
     @classmethod
     def exact(cls, re, im_t=0, im_y=0) -> "SpectralParam":
+        """The constructor under its older name, which callers still use."""
         return cls(re, im_t, im_y)
-
-    @classmethod
-    def inexact(cls, value) -> "SpectralParam":
-        return cls(0, _inexact=complex(value))
-
-    @property
-    def is_exact(self) -> bool:
-        return self._inexact is None
-
-    def require_exact(self, what: str = "this operation") -> None:
-        if not self.is_exact:
-            raise InexactSpectralError(
-                f"{what} needs an exact spectral parameter; "
-                f"got inexact value {self._inexact}"
-            )
 
     @property
     def is_real(self) -> bool:
-        self.require_exact("realness test")
         return self.im_t == 0 and self.im_y == 0
 
     @property
@@ -151,8 +126,6 @@ class SpectralParam:
 
     def value(self, p: QParam) -> complex:
         """Numeric value of lambda for the given deformation."""
-        if not self.is_exact:
-            return self._inexact
         im = float(self.im_y)
         if self.im_t != 0:
             if p.is_classical:
@@ -162,26 +135,17 @@ class SpectralParam:
 
     def mirrored(self, rs_sum: int) -> "SpectralParam":
         """The equivalent parameter r+s-2-lambda."""
-        self.require_exact("mirror")
         return SpectralParam(rs_sum - 2 - self.re, -self.im_t, -self.im_y)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectralParam):
             return NotImplemented
-        if self.is_exact != other.is_exact:
-            return False
-        if not self.is_exact:
-            return self._inexact == other._inexact
         return (self.re, self.im_t, self.im_y) == (other.re, other.im_t, other.im_y)
 
     def __hash__(self) -> int:
-        if not self.is_exact:
-            return hash(("SpectralParam", self._inexact))
         return hash(("SpectralParam", self.re, self.im_t, self.im_y))
 
     def __repr__(self) -> str:
-        if not self.is_exact:
-            return f"SpectralParam.inexact({self._inexact!r})"
         parts = [str(self.re)]
         if self.im_t:
             parts.append(f"({self.im_t})*pi/h*i")
@@ -197,7 +161,6 @@ def vanishing_point(lam: SpectralParam) -> int | None:
     c == L.  None when no such bracket can vanish: im_y != 0, im_t not an
     even integer, or re not an integer.
     """
-    lam.require_exact("vanishing test")
     t = lam.im_t
     if lam.im_y != 0 or t.denominator != 1 or t.numerator % 2 != 0:
         return None
@@ -216,7 +179,6 @@ def normalize_spectral(lam: SpectralParam):
     parameter already in range is returned itself (SpectralParam has no
     mutators).
     """
-    lam.require_exact("period normalization")
     t = lam.im_t
     if 0 <= t.numerator < 2 * t.denominator:  # 0 <= im_t < 2 in int arithmetic
         return lam, IDENTICAL

@@ -143,8 +143,10 @@ class ResidualReport:
 
 
 def _coerce(rep, qp: QParam | None = None):
-    """Accept a DegenerateRep or a bare compact generator list, which takes the qp given."""
+    """Accept a DegenerateRep, which brings its own q, or a bare compact generator list."""
     if isinstance(rep, DegenerateRep):
+        if qp is not None:
+            raise ValueError("a DegenerateRep brings its own q: pass no qp with it")
         return rep.generators, rep.spec.qp, rep.space, rep.spec.r + 1
     gens = list(rep)
     if not gens or not isinstance(gens[0], GeneratorMatrix):

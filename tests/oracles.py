@@ -17,7 +17,9 @@ with scipy's sparse operators.  The lattice reference decides every
 transition block by block from the exact parameter and searches the
 block graph with plain sets; the table reference lists every step of a
 window with the shift of its bracket and reads the components and the
-closure of a region off the steps lambda cuts.  The assembly reference for T_{eps,lambda} is the one exception to
+closure of a region off the steps lambda cuts.  The primed-refusal
+reference evaluates every factor of the primed transform in floating
+point and names the first one that is numerically zero.  The assembly reference for T_{eps,lambda} is the one exception to
 the no-import rule: it takes its scalars from the package and rebuilds
 every generator block by block on each call, with no frame shared
 between calls.  The dump reference writes `soqrs build` JSON the way it
@@ -385,6 +387,35 @@ def q_degenerate_noncompact_entries(r, s, lam, q, patterns, top_ring) -> dict:
 
 # ---------------------------------------------------------------------------
 # per-block lattice reference
+
+
+def primed_zero_factor(r: int, s: int, epsilon: int, z: complex, q: float, cutoff: int):
+    """(factor, block) of the first primed-transform factor [sign*z + c] with |.| < 1e-12.
+
+    The factors of block (m, m') come in the order of the PrimedTransform
+    formula, with m0 = (m+m'-eps)/2 and i = |m-m'-eps|/2: per t = 1..m0
+    the pair [-z+eps+r+s+2t-4], [z+eps+2t-2]; then per t = 1..i the pair
+    [-z+eps+r+2t-2], [z+eps-s+2t] when m - m' >= eps, else the pair
+    [z+eps-s-2t+2], [-z+eps+r-2t].  Blocks are walked ring by ring, m
+    ascending.  None when no factor is that small.  The numeric witness
+    for primed_transform's exact refusal.
+    """
+    br = q_bracket(q)
+    for block in lattice_blocks(epsilon, cutoff):
+        m, mp = block
+        m0, i = (m + mp - epsilon) // 2, abs(m - mp - epsilon) // 2
+        factors = [f for t in range(1, m0 + 1)
+                   for f in ((-1, epsilon + r + s + 2 * t - 4), (1, epsilon + 2 * t - 2))]
+        if m - mp >= epsilon:
+            factors += [f for t in range(1, i + 1)
+                        for f in ((-1, epsilon + r + 2 * t - 2), (1, epsilon - s + 2 * t))]
+        else:
+            factors += [f for t in range(1, i + 1)
+                        for f in ((1, epsilon - s - 2 * t + 2), (-1, epsilon + r - 2 * t))]
+        for sign, c in factors:
+            if abs(br(sign * z + c)) < 1e-12:
+                return f"[{'-' if sign < 0 else ''}lambda{c:+d}]", block
+    return None
 
 
 def bracket_vanishes(lam, c: int, sign: int = 1) -> bool:

@@ -210,7 +210,7 @@ def test_criterion_8_star_series_metrics():
         assert ms.status == FOUND, (r, s, eps, ms.status)
         assert min(ms.weights.values()) > 0
     # off-series controls
-    for lam in [SpectralParam.inexact(0.7 + 1.3j),
+    for lam in [E(Fraction(0.7), 0, Fraction(1.3)),
                 E(2, 0, Fraction(3, 5))]:
         ms = solve_metric(build_degenerate(RepSpec(4, 4, 0, lam, q, 8)))
         assert ms.status == NONE, (lam, ms.status)

@@ -235,14 +235,6 @@ def test_cross_check_grid_small():
     assert cross_check(3, 3, 0, E(0)).agree
 
 
-def test_scan_requires_exact():
-    from soqrs import InexactSpectralError
-
-    spec = RepSpec(3, 3, 0, SpectralParam.inexact(0.5), Q2, 6)
-    with pytest.raises(InexactSpectralError):
-        scan_lattice(spec)
-
-
 def _lattice_params(r, s):
     """Integer, quarter, period-shifted, strange and im_y != 0 parameters."""
     lams = [E(L) for L in range(-4, r + s + 3)]

@@ -92,6 +92,14 @@ def test_verify_compact_suite(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("option,value", [("--max-n", "2"), ("--max-m", "-1")])
+def test_verify_empty_compact_suite_is_usage_error(capsys, option, value):
+    # a suite of no checks would PASS while checking nothing
+    code, out, err = run(capsys, "verify", "--compact-suite", option, value, "--json")
+    assert code == 3 and out == ""
+    assert f"{option} {value} leaves --compact-suite nothing to check" in err
+
+
 def test_verify_corrupted_dump_fails(tmp_path, capsys):
     dump = tmp_path / "rep.json"
     assert main(["build", "--degenerate", "--r", "3", "--s", "3",
@@ -183,22 +191,6 @@ def test_classify_odd_odd_strip_is_irreducible(capsys):
         assert [c["name"] for c in data["constituents"]] == ["full"]
 
 
-def test_classify_requires_exact_lambda(capsys):
-    code, _, err = run(capsys, "classify", "--r", "4", "--s", "4",
-                       "--epsilon", "0", "--lambda-float", "0.7")
-    assert code == 3
-    assert "exact" in err
-
-
-def test_classify_snap_lambda(capsys):
-    code, out, _ = run(capsys, "classify", "--r", "4", "--s", "4",
-                       "--epsilon", "0", "--lambda-float", "0.5",
-                       "--snap-lambda", "100", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["config"]["lambda_re"] == "1/2"
-
-
 def test_scan_grid(capsys):
     code, out, _ = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "0",
                        "--lambda-int-min", "-4", "--lambda-int-max", "8",
@@ -239,6 +231,19 @@ def test_unread_options_are_usage_errors(capsys):
     code, out, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "1",
                          "--lambda-int-min", "0", "--lambda-int-max", "0", "--cutoff", "8")
     assert code == 3 and out == "" and "--cutoff" in err
+
+
+def test_lambda_is_exact_text_only(capsys):
+    for extra in (["--lambda-float", "0.7"], ["--lambda-re", "1/2", "--snap-lambda", "100"]):
+        code, out, err = run(capsys, "classify", "--r", "4", "--s", "4", "--epsilon", "0",
+                             *extra)
+        assert code == 3 and out == "" and extra[-2] in err
+    # decimal and exponent text is read exactly
+    code, out, _ = run(capsys, "classify", "--r", "4", "--s", "4", "--epsilon", "0",
+                       "--lambda-re", "0.7", "--lambda-im", "-13e-1", "--json")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert (cfg["lambda_re"], cfg["lambda_im"]) == ("7/10", "-13/10")
 
 
 def test_config_nulls_options_a_command_lacks(capsys):
@@ -328,9 +333,22 @@ def test_verify_reads_old_and_new_dumps(tmp_path, capsys):
     old = tmp_path / "old.json"
     data["config"].update(depth=3, tol=1e-9)  # what dumps recorded before
     old.write_text(json.dumps(data))
-    for path in (dump, old):
+    # older builds also wrote lambda as "lambda_float": [re, im]
+    for key in ("lambda_re", "lambda_im_t", "lambda_im"):
+        del data["config"][key]
+    data["config"]["lambda_float"] = [0.7, 1.3]
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(data))
+    checks = []
+    for path in (dump, old, older):
         code, out, _ = run(capsys, "verify", "--dump", str(path), "--json")
         assert code == 0 and json.loads(out)["passed"] is True
+        checks.append(json.loads(out)["checks"])
+    assert checks[0] == checks[1] == checks[2]
+    data["config"]["lambda_float"] = [float("inf"), 0.0]
+    older.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--dump", str(older))
+    assert code == 3 and out == "" and "is not finite" in err
 
 
 def test_reports_name_the_walls(capsys):
@@ -359,9 +377,8 @@ def _reference_dump(data: dict) -> str:
         gens = build_class1(cfg["n"], cfg["m"], q)
         basis = oracles.chain_basis(cfg["n"], cfg["m"])
     else:
-        lam = (SpectralParam.exact(Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
-                                   Fraction(cfg["lambda_im"]))
-               if "lambda_re" in cfg else SpectralParam.inexact(complex(*cfg["lambda_float"])))
+        lam = SpectralParam.exact(Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
+                                  Fraction(cfg["lambda_im"]))
         spec = RepSpec(cfg["r"], cfg["s"], cfg["epsilon"], lam, q, cfg["cutoff"])
         primed = cfg["basis_kind"] == "primed"
         rep = build_degenerate_primed(spec) if primed else build_degenerate(spec)
@@ -378,7 +395,7 @@ def _reference_dump(data: dict) -> str:
     ["--degenerate", "--r", "3", "--s", "3", "--epsilon", "0", "--lambda-re", "1",
      "--cutoff", "0"],  # dim 1, every generator empty
     ["--degenerate", "--r", "3", "--s", "4", "--epsilon", "1", "--cutoff", "5",
-     "--lambda-float", "0.7+1.3j", "--q", "1e-3"],  # exponent floats, -0.0
+     "--lambda-re", "0.7", "--lambda-im", "1.3", "--q", "1e-3"],  # exponent floats, -0.0
     ["--degenerate", "--r", "4", "--s", "4", "--epsilon", "0", "--cutoff", "6",
      "--lambda-re", "3", "--lambda-im", "1", "--primed"],
     ["--degenerate", "--r", "5", "--s", "3", "--epsilon", "0", "--cutoff", "4",

@@ -20,6 +20,7 @@ from soqrs import (
 from oracles import (
     block_slices,
     cl_degenerate_noncompact,
+    primed_zero_factor,
     q_degenerate_noncompact_entries,
     space_basis,
 )
@@ -202,20 +203,18 @@ def test_primed_transform_undefined_at_resonance():
     with pytest.raises(PrimedBasisUndefined) as exc:
         primed_transform(spec)
     assert "lambda" in str(exc.value)
-    # the exact refusal names the factor the numeric one finds, for
-    # vanishing [lambda + c] and [-lambda + c] factors alike
+    # the exact refusal names the factor and block that a numeric walk of
+    # the factors finds first, for [lambda + c] and [-lambda + c] alike
     factors = set()
     for re in range(-8, 9):
-        found = []
-        for lam in (E(re), SpectralParam.inexact(complex(re))):
-            try:
-                primed_transform(RepSpec(3, 4, 1, lam, Q2, 6))
-                found.append(None)
-            except PrimedBasisUndefined as refused:
-                found.append((refused.factor, refused.block))
-        assert found[0] == found[1], re
-        if found[0] is not None:
-            factors.add(found[0][0].startswith("[-lambda"))
+        try:
+            primed_transform(RepSpec(3, 4, 1, E(re), Q2, 6))
+            found = None
+        except PrimedBasisUndefined as refused:
+            found = (refused.factor, refused.block)
+        assert found == primed_zero_factor(3, 4, 1, complex(re), Q2.q, 6), re
+        if found is not None:
+            factors.add(found[0].startswith("[-lambda"))
     assert factors == {False, True}
 
 

@@ -6,7 +6,6 @@ import pytest
 from soqrs import (
     EQUIVALENT_FLIP,
     IDENTICAL,
-    InexactSpectralError,
     QParam,
     SpectralParam,
     normalize_spectral,
@@ -116,11 +115,6 @@ def test_vanishing_point_matches_bracket_vanishes():
                 assert bracket_vanishes(lam, c, sign) == expected, (re, t, y, c, sign)
 
 
-def test_vanishing_rejects_inexact():
-    with pytest.raises(InexactSpectralError):
-        vanishing_point(SpectralParam.inexact(0.5 + 1j))
-
-
 def test_normalize_spectral():
     lam, tag = normalize_spectral(E(1, 4))
     assert (lam.re, lam.im_t) == (1, 0) and tag == IDENTICAL
@@ -156,8 +150,11 @@ def test_spectral_value_classical_restriction():
     assert E(1, 0, Fraction(1, 2)).value(QParam(1.0)) == 1 + 0.5j
 
 
-def test_spectral_param_exactness_flag():
-    assert E(1).is_exact
-    assert not SpectralParam.inexact(1 + 2j).is_exact
-    with pytest.raises(InexactSpectralError):
-        SpectralParam.inexact(1j).require_exact()
+def test_float_lambda_is_an_exact_parameter():
+    # a float is an exact binary fraction: the parameter of its parts gives it back
+    for z in (5e-324 + 1e-300j, 1.5e308 - 1e300j, -2.5 + 0.001j, 1 / 3 + 1j / 3,
+              0.7 + 1.3j, -0.0 - 3.0j):
+        lam = E(Fraction(z.real), 0, Fraction(z.imag))
+        for q in (0.5, 1.0, 2.0):
+            assert lam.value(QParam(q)) == z, (z, q)
+

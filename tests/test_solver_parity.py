@@ -52,7 +52,7 @@ RANKS = [(3, 3), (3, 4), (4, 3), (4, 4), (3, 5), (5, 4)]
 
 
 def _lambdas(r: int, s: int) -> list:
-    """Exact, principal and Im-lambda points, edge-severing integers, an inexact one."""
+    """Exact, principal and Im-lambda points, edge-severing integers, a float one."""
     return [
         E(Fraction(1, 3)),
         E(Fraction(r + s - 2, 2), 0, Fraction(3, 4)),
@@ -60,14 +60,8 @@ def _lambdas(r: int, s: int) -> list:
         E(-2, 0, Fraction(1, 3)),
         E(-2),
         E(1),
-        SpectralParam.inexact(0.7 + 0.4j),
+        E(Fraction(0.7), 0, Fraction(0.4)),
     ]
-
-
-def _mirror(lam, r: int, s: int, qp: QParam):
-    if lam.is_exact:
-        return lam.mirrored(r + s)
-    return SpectralParam.inexact(r + s - 2 - lam.value(qp))
 
 
 def _metric(ms) -> str:
@@ -97,7 +91,7 @@ def test_solvers_match_sparse_product_references(q):
         frame.cache_clear()
         for lam in _lambdas(r, s):
             spec = RepSpec(r, s, eps, lam, qp, cutoff)
-            mirror = RepSpec(r, s, eps, _mirror(lam, r, s, qp), qp, cutoff)
+            mirror = RepSpec(r, s, eps, lam.mirrored(r + s), qp, cutoff)
             for rep, rep_mirror in _pairs(spec, mirror):
                 for x in (rep, rep_mirror):
                     want = _metric(solve_metric_reference(x))
@@ -123,12 +117,12 @@ def _stripped(rep):
 def test_frame_path_equals_full_path(q):
     # every report and intertwiner of a frame-built rep equals, by repr,
     # that of the same rep stripped of its provenance; lambda = -2 drops
-    # edges, and the inexact lambda has no exact vanishing
+    # edges, and the float lambda 0.7+0.4i has no vanishing
     qp = QParam(q)
     for (r, s), eps in itertools.product(RANKS, (0, 1)):
         for lam in _lambdas(r, s):
             spec = RepSpec(r, s, eps, lam, qp, 5)
-            mirror = RepSpec(r, s, eps, _mirror(lam, r, s, qp), qp, 5)
+            mirror = RepSpec(r, s, eps, lam.mirrored(r + s), qp, 5)
             for rep, rep_mirror in _pairs(spec, mirror):
                 assert _frame_record(rep) is not None and _frame_record(rep_mirror) is not None
                 bare, bare_mirror = _stripped(rep), _stripped(rep_mirror)

@@ -43,6 +43,16 @@ E = SpectralParam.exact
 Q2 = QParam(2.0)
 
 
+def test_check_relations_takes_a_qp_only_with_bare_generators():
+    # a rep brings its own q: a second one would be ignored, so it is refused
+    rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 4))
+    with pytest.raises(ValueError, match="brings its own q"):
+        check_relations(rep, qp=QParam(7.0))
+    with pytest.raises(ValueError, match="a QParam is required"):
+        check_relations(rep.generators)
+    assert check_relations(rep.generators, qp=Q2).dim == rep.dim
+
+
 def test_so3_relations_pass():
     gens = build_so3(3, Q2)
     report = check_relations(gens, qp=Q2, tol=1e-12)
@@ -193,7 +203,7 @@ def test_solve_metric_supplementary_nonconstant():
 
 
 def test_solve_metric_off_series():
-    spec = RepSpec(4, 4, 0, SpectralParam.inexact(0.7 + 1.3j), Q2, 8)
+    spec = RepSpec(4, 4, 0, E(Fraction(0.7), 0, Fraction(1.3)), Q2, 8)
     assert solve_metric(build_degenerate(spec)).status == NONE
     spec = RepSpec(4, 4, 0, E(Fraction(7, 10)), Q2, 8)
     assert solve_metric(build_degenerate(spec)).status == INDEFINITE
