@@ -85,6 +85,14 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the JSON report to a file")
 
 
+def _add_targets(p: argparse.ArgumentParser):
+    """The group of target options, of which a command takes exactly one."""
+    group = p.add_mutually_exclusive_group(required=True)
+    for flag in ("--so3", "--class1", "--degenerate"):
+        group.add_argument(flag, action="store_true")
+    return group
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=2.0, help="deformation q > 0")
     p.add_argument("--cutoff", type=int, default=8)
@@ -296,7 +304,7 @@ def cmd_build(args) -> int:
             "dim": gens[0].dim,
             "basis": _chain_table(args.n, Fraction(args.m)),
         }
-    elif args.degenerate:
+    else:  # --degenerate
         if args.r is None or args.s is None:
             raise UsageError("--degenerate needs --r and --s")
         lam = _resolve_lambda(args)
@@ -309,8 +317,6 @@ def cmd_build(args) -> int:
             "dim": rep.dim,
             "basis": _Table(*rep.space.basis_array().T),
         }
-    else:
-        raise UsageError("pick one of --so3, --class1, --degenerate")
     payload["generators"] = [{"i": g.i, "nnz": g.mat.nnz, "entries": _entry_table(g.mat)}
                              for g in gens]
     _emit(args, payload)
@@ -337,7 +343,7 @@ def cmd_verify(args) -> int:
         checks.append({"name": name, **report.to_dict()})
         texts.append(f"== {name}\n" + _report_rows(report))
 
-    if args.dump:
+    if args.dump is not None:
         data = _read_dump(args.dump)
         dim = data["dim"]
         q = data["config"].get("q", args.q)
@@ -390,7 +396,7 @@ def cmd_verify(args) -> int:
         gens = build_class1(args.n, args.m, qp)
         record("relations", check_relations(gens, qp=qp, tol=args.tol))
         record("star", check_star(gens, tol=args.tol))
-    elif args.degenerate:
+    else:  # --degenerate
         if args.r is None or args.s is None:
             raise UsageError("--degenerate needs --r and --s")
         lam = _resolve_lambda(args)
@@ -404,9 +410,6 @@ def cmd_verify(args) -> int:
             checks.append({"name": "metric", **ms.to_dict()})
             reason = "" if ms.reason is None else f"reason: {ms.reason}\n"
             texts.append(f"== metric\nstatus={ms.status}\n{reason}")
-    else:
-        raise UsageError("pick a target: --so3/--class1/--degenerate/"
-                         "--compact-suite/--dump FILE")
 
     ok = all(c.get("passed", c.get("status") == "found") for c in checks)
     payload = {"config": _config_dict(args), "checks": checks, "passed": ok}
@@ -472,9 +475,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("build", parents=[], help="build and dump matrices")
-    pb.add_argument("--so3", action="store_true")
-    pb.add_argument("--class1", action="store_true")
-    pb.add_argument("--degenerate", action="store_true")
+    _add_targets(pb)
     pb.add_argument("--primed", action="store_true")
     pb.add_argument("--l", default="1")
     pb.add_argument("--n", type=int, default=4)
@@ -487,16 +488,14 @@ def _build_parser() -> _Parser:
     pb.set_defaults(func=cmd_build)
 
     pv = sub.add_parser("verify", help="run relation/star/metric checks")
-    pv.add_argument("--so3", action="store_true")
-    pv.add_argument("--class1", action="store_true")
-    pv.add_argument("--degenerate", action="store_true")
+    targets = _add_targets(pv)
+    targets.add_argument("--compact-suite", action="store_true")
+    targets.add_argument("--dump", default=None, help="verify a dumped matrix file")
     pv.add_argument("--primed", action="store_true")
     pv.add_argument("--star", action="store_true")
     pv.add_argument("--metric", action="store_true")
-    pv.add_argument("--compact-suite", action="store_true")
     pv.add_argument("--max-n", type=int, default=5)
     pv.add_argument("--max-m", type=int, default=3)
-    pv.add_argument("--dump", default=None, help="verify a dumped matrix file")
     pv.add_argument("--l", default="1")
     pv.add_argument("--n", type=int, default=4)
     pv.add_argument("--m", type=int, default=1)

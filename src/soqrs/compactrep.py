@@ -10,11 +10,16 @@ chain basis and have at most two nonzero entries per column.
 
 The matrices are assembled from an integer array of chain labels, one
 row per chain: brackets are looked up in a per-call table of
-QParam.qnum values, and target chains are found by searchsorted, so no
-Python runs per chain.  The labels may hold the chains of several top
-labels at once; no generator changes the top label.  `assemble` makes
-the canonical CSC arrays of each matrix with one sort of its
-coordinates, with no scipy COO matrix in between.
+QParam.qnum values, and target chains are found by one searchsorted on
+mixed-radix chain keys (_chain_keys, _raise), so no Python runs per
+chain.  The labels may hold the chains of several top labels at once;
+no generator changes the top label.  `assemble` makes the canonical CSC
+arrays of each matrix with one sort of its coordinates, with no scipy
+COO matrix in between.
+
+The chain factor R of so'_q(n) is written once, in _chain_factor: the
+ladders of class1_arrays read it per chain, R_coeff at one entry, and
+degenrep at the next rank as the noncompact K and L factors.
 """
 
 from __future__ import annotations
@@ -113,53 +118,44 @@ def _range_error(what: str, p: QParam) -> ValueError:
     return ValueError(f"{what} is out of floating-point range at q={p.q}")
 
 
-def _bracket_product(args, p: QParam) -> float:
-    """Product of q-numbers of real arguments; exact-zero args short-circuit."""
-    v = 1.0
-    for a in args:
-        if a == 0:
-            return 0.0
-        v *= p.qnum(a)
-    return v
+def _chain_factor(m1, m2, n: int, q, p: QParam) -> np.ndarray:
+    """The chain factor R(m_{n-1}) of so'_q(n) per entry, m1 = m_{n-1} and m2 = m_{n-2}.
 
-
-def _ratio_sqrt(num_args, den_args, p: QParam) -> float:
-    """sqrt([a1][a2] / [b1][b2]) with the numerator wall short-circuit.
-
-    Vanishing numerator brackets return 0 before the denominator is
-    evaluated, which is what keeps the chain walls exact (the denominator
-    may itself vanish there).  A nonzero numerator whose ratio under- or
-    overflows (a zero or non-finite radicand) raises the range ValueError
-    of QParam.qnum; a negative radicand is an ArithmeticError.
+    R = ([m1+m2+n-3][m1-m2+1] / [2m1+n-3][2m1+n-1])^{1/2}, with the brackets
+    read from q: a _Table of p.qnum values, or any callable from int arrays
+    to such floats.  A zero numerator argument (a chain wall) gives 0
+    before any bracket of its entry is read, so a denominator that vanishes
+    there is never divided by; a nonzero integer argument has |[x]| >= 1,
+    so no other numerator is 0.  A zero or non-finite radicand (the ratio
+    under- or overflows) raises the range ValueError naming the rank and
+    the first such entry; a negative one is an ArithmeticError.
     """
-    num = _bracket_product(num_args, p)
-    if num == 0.0:
-        return 0.0
-    den = 1.0
-    for a in den_args:
-        den *= p.qnum(a)
-    radicand = num / den
-    if radicand == 0.0 or not math.isfinite(radicand):
-        raise _range_error(f"bracket ratio {num_args}/{den_args}", p)
-    if radicand < 0.0:
-        raise ArithmeticError(
-            f"negative radicand {radicand} for bracket ratio "
-            f"{num_args}/{den_args}; inadmissible pattern slipped through"
-        )
-    return math.sqrt(radicand)
+    a, b = m1 + m2 + n - 3, m1 - m2 + 1
+    live = np.flatnonzero((a != 0) & (b != 0))
+    m = m1[live]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        radicand = (q(a[live]) * q(b[live])) / (q(2 * m + n - 3) * q(2 * m + n - 1))
+    in_range = (radicand > 0) & (radicand < np.inf)
+    if not in_range.all():
+        bad = ~in_range & ~(radicand < 0)  # 0, inf or nan: refused before a negative one
+        j = np.argmax(bad) if bad.any() else np.argmax(~in_range)
+        at = f"R of so'_q({n}) at ({m1[live[j]]}, {m2[live[j]]})"
+        if bad[j]:
+            raise _range_error(at, p)
+        raise ArithmeticError(f"negative radicand {radicand[j]} for {at}; "
+                              "inadmissible pattern slipped through")
+    out = np.zeros(len(m1))
+    out[live] = np.sqrt(radicand)
+    return out
 
 
 def R_coeff(m1: int, m2: int, n: int, p: QParam) -> float:
-    """Chain factor R(m_{n-1}) for so'_q(n), n >= 4.
-
-    R(m1) = ([m1+m2+n-3][m1-m2+1] / [2m1+n-3][2m1+n-1])^{1/2} with
-    m2 = m_{n-2}.  Vanishing numerator brackets (the chain walls) return 0.
-    """
+    """Chain factor R(m_{n-1}) for so'_q(n), n >= 4: _chain_factor at m_{n-1} = m1, m_{n-2} = m2."""
     if n < 4:
         raise ValueError("R_coeff applies to n >= 4; so'_q(3) uses d_coeff")
-    return _ratio_sqrt(
-        (m1 + m2 + n - 3, m1 - m2 + 1), (2 * m1 + n - 3, 2 * m1 + n - 1), p
-    )
+    # one entry reads four brackets: qnum itself is lighter than a table
+    return float(_chain_factor(np.array([m1]), np.array([m2]), n,
+                               lambda x: np.array([p.qnum(v) for v in x.tolist()]), p)[0])
 
 
 class _Table:
@@ -180,6 +176,30 @@ class _Table:
         return self.values[i]
 
 
+def _chain_keys(labels: np.ndarray) -> tuple:
+    """(keys, place): mixed-radix keys of the chains, ascending with them, and label places.
+
+    Raising label c of a chain adds place[c] to its key, and every digit
+    has room for one more, so _raise finds each raised chain by one
+    searchsorted.
+    """
+    lo = labels.min(axis=0) - 1
+    radix = [int(x) for x in labels.max(axis=0) - lo + 2]
+    place = [math.prod(radix[c + 1:]) for c in range(labels.shape[1])]
+    if place[0] * radix[0] >= 2 ** 63:
+        raise ValueError(f"chain keys of {labels.shape} labels overflow int64")
+    return (labels - lo) @ np.array(place, dtype=np.int64), place
+
+
+def _raise(keys: np.ndarray, place: list, c: int, vals: np.ndarray) -> tuple:
+    """(src, dst): the rows where vals is nonzero, and the rows of those chains with label c raised.
+
+    Every raised chain must be among the keyed ones.
+    """
+    src = np.flatnonzero(vals)
+    return src, np.searchsorted(keys, keys[src] + place[c])
+
+
 def class1_arrays(labels: np.ndarray, p: QParam, half: int = 0) -> list:
     """COO arrays (rows, cols, vals) of generators 2..n on an array of chains.
 
@@ -188,11 +208,12 @@ def class1_arrays(labels: np.ndarray, p: QParam, half: int = 0) -> list:
     Generator 2 is the diagonal i[m_2].  Generator 3 raises m_2 inside the
     so'_q(3) block of top l = m_3 with d(m) ([l-m][l+m+1])^{1/2}, and
     generator k >= 4 raises m_{k-1} with ([m_k+m_{k-1}+k-2][m_k-m_{k-1}])^{1/2}
-    R(m_{k-1}).  Each of these is E - E^T for its raising part E: the
-    lowering coefficient of a chain is minus the raising one of its lower
-    neighbour.  On admissible chains every raising bracket has a
-    nonnegative argument, and only the upper wall [m_k - m_{k-1}] = [0]
-    vanishes, so no term leaves the chain set.
+    times the chain factor R(m_{k-1}) of so'_q(k) (_chain_factor).  Each of
+    these is E - E^T for its raising part E: the lowering coefficient of a
+    chain is minus the raising one of its lower neighbour.  On admissible
+    chains every raising bracket has a nonnegative argument, and only the
+    upper wall [m_k - m_{k-1}] = [0] vanishes, so no term leaves the chain
+    set.
     """
     width = labels.shape[1]
     n = width + 1
@@ -202,42 +223,30 @@ def class1_arrays(labels: np.ndarray, p: QParam, half: int = 0) -> list:
     lo2, hi2 = int(m2.min()), int(m2.max())
     qm = _Table(lambda x: p.qnum(x + shift), lo2, hi2) if half else q
     d = _Table(lambda x: d_coeff(x + shift, p), lo2, hi2)
-
-    # mixed-radix keys ascend with the chains; raising column c adds
-    # place[c], so target rows come from one searchsorted
-    lo = labels.min(axis=0) - 1
-    radix = [int(x) for x in labels.max(axis=0) - lo + 2]
-    place = [math.prod(radix[c + 1:]) for c in range(width)]
-    if place[0] * radix[0] >= 2 ** 63:
-        raise ValueError(f"chain keys of {labels.shape} labels overflow int64")
-    keys = (labels - lo) @ np.array(place, dtype=np.int64)
+    keys, place = _chain_keys(labels)
 
     def ladder(c, outer, factor):
         """E - E^T, E raising label c by outer^{1/2} factor; zeros not stored."""
         vals = np.sqrt(outer) * factor
         if not np.isfinite(vals).all():
             raise _range_error(f"generator {n - c + 1} of so'_q({n}) on {len(labels)} chains", p)
-        src = np.flatnonzero(vals)
-        dst = np.searchsorted(keys, keys[src] + place[c])
+        src, dst = _raise(keys, place, c, vals)
         vals = vals[src]
         return (np.concatenate((dst, src)), np.concatenate((src, dst)),
                 np.concatenate((vals, -vals)))
 
     diag = qm(m2)
     nonzero = np.flatnonzero(diag)
-    # bracket products may leave the float range: ladder and the R
-    # radicand check refuse them instead of storing inf, nan or 0
+    # bracket products may leave the float range: ladder and _chain_factor
+    # refuse them instead of storing inf, nan or 0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         gens = [(nonzero, nonzero, 1j * diag[nonzero]),
                 ladder(width - 1, q(m3 - m2) * q(m3 + m2 + 1 + half), d(m2))]
         for k in range(4, n + 1):
             c = n - k + 1  # column of m_{k-1}
-            mk, mk1, mk2 = labels[:, c - 1], labels[:, c], labels[:, c + 1]
-            num = q(mk1 + mk2 + k - 3) * q(mk1 - mk2 + 1)
-            radicand = num / (q(2 * mk1 + k - 3) * q(2 * mk1 + k - 1))
-            if np.any((radicand == 0) & (num != 0)):
-                raise _range_error(f"R of so'_q({k}) on {len(labels)} chains", p)
-            gens.append(ladder(c, q(mk + mk1 + k - 2) * q(mk - mk1), np.sqrt(radicand)))
+            mk, mk1 = labels[:, c - 1], labels[:, c]
+            gens.append(ladder(c, q(mk + mk1 + k - 2) * q(mk - mk1),
+                               _chain_factor(mk1, labels[:, c + 1], k, q, p)))
     return gens
 
 

@@ -12,9 +12,10 @@ label; on each block edge it is
 
 where E embeds the chains of one top label into the next, K and L depend
 only on the two leading labels of the respective chain, and the factor is
-a scalar of the edge.  K is the chain factor R of the next rank:
-K_coeff(m, k, r) equals compactrep.R_coeff(m, k, r + 1) bit for bit, and
-L is K of rank s.  In the standard basis the four families are
+a scalar of the edge.  K is the chain factor R of the next rank,
+R of so'_q(r+1) at (m, k) for the left chain (r, m, k, ...), and L is the
+same of rank s: both come from compactrep._chain_factor, and K_coeff is
+R_coeff(m, k, r + 1).  In the standard basis the four families are
 
     up/up      +K_m L_{m'}     [lambda + m + m']
     up/down    -K_m L_{m'-1}   [lambda + m - m' - s + 2]
@@ -31,9 +32,10 @@ Only the edge scalar depends on lambda.  Everything else is a Frame of
 noncompact sparsity pattern in CSC order with the K L product and the
 edge of every entry, plus the family, sigma = m+m' and d = m-m' of every
 edge.  Both Kronecker forms are assembled once per frame, for all blocks
-at once, from one class1_arrays call and one table of K (or L) values
-per tower; every matrix, and the pattern's order, comes from one sort of
-its coordinates (compactrep._csc_order).  A build then evaluates one
+at once, from one class1_arrays call and one raising pass of K (or L)
+per tower, whose transpose is the lowering; every matrix, and the
+pattern's order, comes from one sort of its coordinates
+(compactrep._csc_order).  A build then evaluates one
 sign and one bracket (or square-root pair) per edge, and
 _noncompact_arrays drops the edges whose scalar is exactly 0 and forms
 the noncompact data as (kl * sign) * scalar.  The rep keeps its frame,
@@ -67,9 +69,11 @@ import scipy
 
 from .compactrep import (
     GeneratorMatrix,
+    R_coeff,
+    _chain_factor,
+    _chain_keys,
     _csc_order,
-    _range_error,
-    _ratio_sqrt,
+    _raise,
     _Table,
     assemble,
     class1_arrays,
@@ -161,19 +165,15 @@ class DegenerateRep:
 
 
 def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
-    """Transition factor ([m-k+1][m+k+r-2] / [2m+r][2m+r-2])^{1/2}.
+    """Transition factor K_m of the left chain (r, m, k), and L of the right chain (s, m', k').
 
-    K for the left chain (r, m, k) and L for the right chain (s, m', k').
-    k is the second label of the chain (for r = 3 the possibly negative
-    so(2) label; the expression is even in k).  K_{-1}, queried when
-    lowering from m = 0, is 0 through the [m-k+1] factor, before the
-    denominator (which may itself vanish there) is ever evaluated.
-
-    K is R of the next rank: K_coeff(m, k, r, p) == R_coeff(m, k, r + 1, p)
-    bit for bit, the chain factor of so'_q(r+1) at m_r = m, m_{r-1} = k
-    (the same brackets, multiplied in another order).
+    K is the chain factor R of the next rank: R of so'_q(r+1) at
+    m_r = m, m_{r-1} = k.  k is the second label of the chain (for r = 3
+    the possibly negative so(2) label; the factor is even in k).  K_{-1},
+    queried when lowering from m = 0, is 0 through its [m-k+1] factor,
+    before the denominator (which may itself vanish there) is read.
     """
-    return _ratio_sqrt((m - k + 1, m + k + r - 2), (2 * m + r, 2 * m + r - 2), p)
+    return R_coeff(m, k, r + 1, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,63 +273,33 @@ def _class1_pools(space: TruncatedSpace, p: QParam) -> dict:
     return out
 
 
-def _k_factors(m: np.ndarray, k: np.ndarray, n: int, q: _Table, p: QParam) -> np.ndarray:
-    """K_coeff(m, k, n, p) per entry, from the table q of p.qnum values.
-
-    _ratio_sqrt's arithmetic in its order: a zero numerator argument gives
-    0 before any q-number of the entry is read, an under- or overflowing
-    ratio raises its range ValueError and a negative one ArithmeticError.
-    A nonzero integer argument has |[x]| >= 1, so no other numerator is 0.
-    """
-    a, b = m - k + 1, m + k + n - 2
-    factor = np.zeros(len(m))
-    live = np.flatnonzero((a != 0) & (b != 0))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        radicand = ((q(a[live]) * q(b[live]))
-                    / (q(2 * m[live] + n) * q(2 * m[live] + n - 2)))
-    bad = (radicand == 0) | ~np.isfinite(radicand)
-    if bad.any():
-        i = live[np.argmax(bad)]
-        num_args, den_args = (int(a[i]), int(b[i])), (int(2 * m[i] + n), int(2 * m[i] + n - 2))
-        raise _range_error(f"bracket ratio {num_args}/{den_args}", p)
-    if (radicand < 0).any():
-        raise ArithmeticError(f"negative radicand for K of so'_q({n})")
-    factor[live] = np.sqrt(radicand)
-    return factor
-
-
 def _embedding_pool(labels: list, n: int, p: QParam) -> _Pool:
     """E diag K of one tower: factor 2*top + (step == -1) maps top into top+step.
 
     Rows are positions among the target chains, columns among the source
     chains, both in descending order, and only chains whose K factor is
-    nonzero appear.  Inner labels are kept, so a chain is found among the
-    target chains by a mixed-radix key of its top and inner labels; the
-    chains of the highest top label span every inner label of the tower.
-    K comes from one table of q-numbers: its arguments lie in [0, 2m + n]
-    for the largest m = len(labels) - 2 it is read at.
+    nonzero appear.  One raising pass evaluates K once per chain below the
+    highest top: K_top at the chain's second label, the chain factor of
+    so'_q(n+1), and the target is the chain of top+1 with the same inner
+    labels (_raise on column 0).  Lowering from top+1 reads the same K_top,
+    so the lowering factor 2*(top+1) + 1 is the transpose of the raising
+    factor 2*top; the chains whose lowering K vanishes at the wall are the
+    ones no raising reaches.  K comes from one table of q-numbers: its
+    arguments lie in [0, 2m + n] for the largest m = len(labels) - 2.
     """
     chains = np.concatenate(labels)
-    top, k = chains[:, 0], chains[:, 1]
-    inner = chains[:, 1:]
-    lo = inner.min(axis=0)
-    radix = inner.max(axis=0) - lo + 1
-    place = np.concatenate((np.cumprod(radix[::-1])[::-1][1:], [1]))
-    per_top = int(np.prod(radix))
-    keys = top * per_top + (inner - lo) @ place  # ascending with the chains
+    top = chains[:, 0]
+    keys, place = _chain_keys(chains)
     last = np.cumsum([len(a) for a in labels]) - 1
+    below = len(chains) - len(labels[-1])  # the chains of every top but the highest
     q = _Table(p.qnum, 0, 2 * len(labels) + n - 4)
-    parts = []
-    for step in (1, -1):
-        src = np.flatnonzero((top + step >= 0) & (top + step < len(labels)))
-        m = top[src] if step == 1 else top[src] - 1
-        factor = _k_factors(m, k[src], n, q, p)
-        src, factor = src[factor != 0], factor[factor != 0]
-        dst = np.searchsorted(keys, keys[src] + step * per_top)
-        parts.append((2 * top[src] + (step == -1), last[top[src] + step] - dst,
-                      last[top[src]] - src, factor))
-    fid, rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return _by_factor(fid, 2 * len(labels), rows, cols, vals)
+    factor = _chain_factor(top[:below], chains[:below, 1], n + 1, q, p)
+    src, dst = _raise(keys, place, 0, factor)
+    t = top[src]
+    rows, cols, vals = last[t + 1] - dst, last[t] - src, factor[src]
+    return _by_factor(np.concatenate((2 * t, 2 * t + 3)), 2 * len(labels),
+                      np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                      np.concatenate((vals, vals)))
 
 
 @functools.lru_cache(maxsize=1)

@@ -231,6 +231,11 @@ def test_unread_options_are_usage_errors(capsys):
     code, out, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "1",
                          "--lambda-int-min", "0", "--lambda-int-max", "0", "--cutoff", "8")
     assert code == 3 and out == "" and "--cutoff" in err
+    # a command builds one target: a second one is refused, not dropped
+    for args in (("build", "--so3", "--degenerate"),
+                 ("verify", "--compact-suite", "--degenerate")):
+        code, out, err = run(capsys, *args, "--r", "3", "--s", "3", "--lambda-re", "1")
+        assert code == 3 and out == "" and "--degenerate: not allowed with" in err
 
 
 def test_lambda_is_exact_text_only(capsys):

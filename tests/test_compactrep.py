@@ -20,20 +20,27 @@ from oracles import class1_chains, cl_compact_matrices, cl_R, coo_to_csc, q_comp
 
 
 def test_out_of_range_q_is_refused():
-    from soqrs.compactrep import _ratio_sqrt
+    from soqrs.degenrep import frame
 
     with pytest.raises(ValueError, match="out of floating-point range at q=50"):
         build_class1(3, 200, QParam(50.0))
     with pytest.raises(ValueError, match="out of floating-point range at q=50"):
         d_coeff(400, QParam(50.0))
-    with pytest.raises(ValueError, match="out of floating-point range at q=1000000"):
-        build_class1(5, 35, QParam(1e6))  # R's denominator overflows first
+    # R's denominator overflows first; the error names the rank and the entry
+    with pytest.raises(ValueError, match=r"^R of so'_q\(4\) at \(26, -26\) is out of "
+                                         r"floating-point range at q=1000000"):
+        build_class1(5, 35, QParam(1e6))
+    # the frame's K is the same chain factor, of the rank above the left chain's
+    with pytest.raises(ValueError, match=r"^R of so'_q\(4\) at \(26, -26\) is out of "
+                                         r"floating-point range at q=1000000"):
+        frame(3, 3, 0, 40, QParam(1e6))
     # the denominator overflows, so the ratio underflows to 0
-    with pytest.raises(ValueError, match=r"\(27, 27\)/\(55, 53\).*range at q=1000000"):
-        _ratio_sqrt((27, 27), (55, 53), QParam(1e6))
+    with pytest.raises(ValueError, match=r"^R of so'_q\(5\) at \(27, 27\) is out of "
+                                         r"floating-point range at q=1000000"):
+        R_coeff(27, 27, 5, QParam(1e6))
     # a truly negative radicand still is an inadmissible pattern
-    with pytest.raises(ArithmeticError, match="negative radicand"):
-        _ratio_sqrt((1, 1), (-1, 2), QParam(2.0))
+    with pytest.raises(ArithmeticError, match=r"negative radicand .* R of so'_q\(4\) at \(-2, -3\)"):
+        R_coeff(-2, -3, 4, QParam(2.0))
     # so'_q(3) at top 25 stays in range at q = 1e6 and still builds
     assert all(np.isfinite(g.mat.data).all() for g in build_class1(3, 25, QParam(1e6)))
 

@@ -8,7 +8,6 @@ from soqrs import (
     K_coeff,
     PrimedBasisUndefined,
     QParam,
-    R_coeff,
     RepSpec,
     SpectralParam,
     build_degenerate,
@@ -17,10 +16,13 @@ from soqrs import (
     check_star,
     primed_transform,
 )
+from soqrs.degenrep import frame
+from soqrs.gtbasis import FAMILIES
 from oracles import (
     block_slices,
     cl_degenerate_noncompact,
     primed_zero_factor,
+    q_KL,
     q_degenerate_noncompact_entries,
     space_basis,
 )
@@ -52,15 +54,29 @@ def test_K_coeff_even_in_k():
                 K_coeff(m, -k, 3, Q2), abs=1e-15)
 
 
-def test_K_coeff_is_R_of_the_next_rank():
-    """Bit for bit, at every k the builder reads K with: chains of top m and of top m + 1."""
+def test_frame_kl_is_the_oracle_K_times_L_bit_for_bit():
+    """Every kl of a frame is q_KL(m, k, r) * q_KL(m', k', s) of the oracle, byte for byte.
+
+    The oracle reads K_m of the left chain (m, k, ...) when its top rises
+    and K_{m-1} when it falls, L likewise on the right; the entry's edge
+    family is the pair of those top steps, and no inner label moves.
+    """
     for q in (0.3, 0.5, 1.0, 2.0, 7.0):
         p = QParam(q)
-        for r in range(3, 9):
-            for m in range(-1, 30):
-                for k in range(-(m + 1) if r == 3 else 0, m + 2):
-                    assert K_coeff(m, k, r, p).hex() == R_coeff(m, k, r + 1, p).hex(), \
-                        (q, r, m, k)
+        for r, s in [(3, 3), (3, 5), (5, 4)]:
+            for eps in (0, 1):
+                fr = frame(r, s, eps, 5, p)
+                basis = space_basis(fr.space)
+                cols = np.repeat(np.arange(fr.space.dim), np.diff(fr.indptr))
+                families = np.array(FAMILIES)[fr.family[fr.edge]].tolist()
+                want = []
+                for row, col, family in zip(fr.indices.tolist(), cols.tolist(), families):
+                    (a, b), (a2, b2) = basis[col], basis[row]
+                    steps = [a2[0] - a[0], b2[0] - b[0]]
+                    assert steps == family and (a2[1:], b2[1:]) == (a[1:], b[1:])
+                    want.append(q_KL(a[0] - (steps[0] < 0), a[1], r, p.qnum)
+                                * q_KL(b[0] - (steps[1] < 0), b[1], s, p.qnum))
+                assert np.array(want).tobytes() == fr.kl.tobytes(), (q, r, s, eps)
 
 
 def test_origin_column_single_entry():
