@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 from collections.abc import Iterator
@@ -335,6 +336,11 @@ def _report_rows(report) -> str:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol {args.tol} must be finite and positive: every residual "
+                         f"is compared with it")
+    if args.depth < 0:
+        raise UsageError(f"--depth {args.depth} must be at least 0")
     qp = QParam(args.q)
     checks = []
     texts = []

@@ -21,24 +21,35 @@ likewise block-scalar diagonal.
 Every residual is formed on bare CSC arrays (indptr, indices, data,
 shape) by the compiled kernels of scipy.sparse._sparsetools that
 scipy's own operators call on CSC operands: csr_matmat for a product,
-formed as B^T A^T; csr_plus_csr and csr_minus_csr for a sum; csr_tocsc
-for a transpose.  The kernels, their operands and the order of the
-operations are those of the sparse-matrix expressions, so every
-residual is bit for bit the one scipy's operators give, without a
-sparse-matrix object per intermediate.  A column prefix is a view of
-the arrays, and a row prefix that keeps every stored entry is a new
-shape.
+formed as B^T A^T and sized by csr_matmat_maxnnz; csr_plus_csr and
+csr_minus_csr for a sum; csr_tocsc for a transpose.  The arrays are
+normalised once, when a matrix is read from a generator (_Csc.of):
+indices and indptr are int32 unless a size needs int64, and the data is
+complex128, cut to the stored entries.  Each operation is then one
+direct kernel call on those arrays, with no operand cast and no dtype
+decided per call, and its output holds complex128 data and int32
+indices unless a size or an int64 operand needs int64.  The kernels,
+their operands and the order of the operations are those of the
+sparse-matrix expressions, so every residual is bit for bit the one
+scipy's operators give, without a sparse-matrix object per
+intermediate.  A column prefix is a view of the arrays, and a row prefix
+that keeps every stored entry is a new shape.
 
 Every reported number is read from the CSC arrays: the largest residual
 entry by an argmax over the stored data, whose column comes from the
-column pointers.  The metric and intertwiner solvers walk the space's
-block-edge table (gtbasis.BlockEdges) breadth-first over int block ids,
-read the edge amplitudes of a rep from its CSC arrays, and form their
-residuals A^H C - C A and S T_A - T_B S by scaling stored entries, with
-one kernel subtraction per residual for the union of the two patterns.
-The entrywise complex products are written in real arithmetic, as
-scipy's sparse kernels form them, so every reported residual equals the
-one of the sparse products bit for bit.
+column pointers.  The metric and intertwiner solvers read the edge
+amplitudes of a rep with one csr_sample_values call, do the per-edge
+bookkeeping as arrays (zero tests, ratios, forward and backward steps),
+walk the space's block-edge table (gtbasis.BlockEdges) breadth first
+over int block ids, repeat the block values into the diagonal, and form
+their residuals A^H C - C A and S T_A - T_B S by scaling stored entries,
+with one kernel subtraction per residual for the union of the two
+patterns.  Entrywise complex products and the intertwiner's quotients
+are written in real arithmetic, as scipy's sparse kernels and Python's
+complex numbers form them (_times, _quotient): numpy's own complex
+multiply and divide differ from them in the last bit.  So every reported
+residual and solution equals, bit for bit, the one of the sparse
+products and the per-edge scalar recurrences.
 
 Only the noncompact generator depends on lambda, and only through one
 scalar per block edge: a rep built by degenrep records its Frame, its
@@ -78,6 +89,7 @@ its frame's record was formed goes unseen.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -154,19 +166,33 @@ def _coerce(rep, qp: QParam | None = None):
     return gens, qp, None, None
 
 
-def _pruned(buf: np.ndarray, n: int) -> np.ndarray:
-    """buf[:n], copied when it uses less than half of buf, as scipy prunes."""
-    return buf[:n].copy() if n < buf.size // 2 else buf[:n]
+def _check_limits(tol: float, depth: int = 0) -> None:
+    """Refuse a tol that is not finite and positive, and a negative depth.
+
+    Every report compares its residuals with tol, so an infinite tol passes
+    anything and a NaN or nonpositive one fails everything.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth!r}")
 
 
 class _Csc:
     """A CSC matrix as bare arrays, with the few operations the checks need.
 
-    `A @ B`, `A + B`, `A - B` and `A.transpose()` each make one call of
-    the compiled kernel that scipy's operator makes on CSC operands, with
-    the same operands in the same order; `x * A` scales the data as scipy
-    does.  Output buffers are pruned as scipy prunes them.  Column and row
-    prefixes share the arrays.
+    The arrays are normalised once, when the matrix is made (`of`,
+    `normalised`): indices and indptr of the _index_dtype of its sizes,
+    int32 unless a size needs int64, and complex128 data, both exactly
+    nnz long.  Every operation then makes one direct call of the compiled
+    kernel that scipy's operator makes on CSC operands, with the same
+    operands in the same order and no cast of them: `A @ B` (sized first
+    by csr_matmat_maxnnz, as scipy sizes it), `A + B`, `A - B` and
+    `A.transpose()`.  Outputs are written as complex128, with int32
+    indices unless a size of the operation or an operand's indices need
+    int64, and their buffers are pruned as scipy prunes them.  `x * A`
+    scales the data as scipy does.  Column and row prefixes share the
+    arrays, and so their index dtype.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape")
@@ -177,13 +203,22 @@ class _Csc:
 
     @classmethod
     def of(cls, mat: scipy.sparse.spmatrix) -> _Csc:
-        mat = mat.tocsc()
-        nnz = mat.nnz
-        return cls(mat.indptr, mat.indices[:nnz], mat.data[:nnz], mat.shape)
+        """The normalised CSC arrays of a scipy sparse matrix."""
+        if mat.format != "csc":
+            mat = mat.tocsc()
+        return cls.normalised(mat.indptr, mat.indices, mat.data, mat.shape)
+
+    @classmethod
+    def normalised(cls, indptr, indices, data, shape) -> _Csc:
+        """The matrix of these CSC arrays, cut to the stored entries and normalised."""
+        nnz = int(indptr[-1])
+        idx = _index_dtype(*shape, nnz)
+        return cls(indptr.astype(idx, copy=False), indices[:nnz].astype(idx, copy=False),
+                   data[:nnz].astype(np.complex128, copy=False), shape)
 
     @property
     def nnz(self) -> int:
-        return int(self.indptr[-1])
+        return self.indices.size
 
     def cols(self, n: int) -> _Csc:
         """The first n columns."""
@@ -195,26 +230,20 @@ class _Csc:
         """The first n rows, where every stored entry lies in the first n rows."""
         return _Csc(self.indptr, self.indices, self.data, (n, self.shape[1]))
 
-    def _index_arrays(self, dtype) -> tuple:
-        return np.asarray(self.indptr, dtype=dtype), np.asarray(self.indices, dtype=dtype)
-
     def __matmul__(self, other: _Csc) -> _Csc:
         # the CSC arrays of A B are the CSR arrays of B^T A^T
         (m, k), n = self.shape, other.shape[1]
         if other.shape[0] != k:
             raise ValueError(f"inconsistent shapes {self.shape} and {other.shape}")
-        idx = _index_dtype(m, k, n, self.nnz, other.nnz)
-        maxnnz = scipy.sparse._sparsetools.csr_matmat_maxnnz(
-            n, m, *other._index_arrays(idx), *self._index_arrays(idx))
-        return _kernel(scipy.sparse._sparsetools.csr_matmat, (m, n), other, self, maxnnz,
-                       _index_dtype(m, k, n, self.nnz, other.nnz, maxnnz))
+        kernels = scipy.sparse._sparsetools
+        maxnnz = kernels.csr_matmat_maxnnz(n, m, other.indptr, other.indices,
+                                           self.indptr, self.indices)
+        return _kernel(kernels.csr_matmat, (m, n), other, self, maxnnz)
 
     def _binop(self, other: _Csc, kernel) -> _Csc:
         if other.shape != self.shape:
             raise ValueError(f"inconsistent shapes {self.shape} and {other.shape}")
-        maxnnz = self.nnz + other.nnz
-        return _kernel(kernel, self.shape, self, other, maxnnz,
-                       _index_dtype(*self.shape, maxnnz))
+        return _kernel(kernel, self.shape, self, other, self.nnz + other.nnz)
 
     def __add__(self, other: _Csc) -> _Csc:
         return self._binop(other, scipy.sparse._sparsetools.csr_plus_csr)
@@ -226,11 +255,11 @@ class _Csc:
         return _Csc(self.indptr, self.indices, self.data * x, self.shape)
 
     def transpose(self) -> _Csc:
-        m, n = self.shape
-        idx = _index_dtype(m, n, self.nnz)
-        indptr, indices = np.empty(m + 1, idx), np.empty(self.nnz, idx)
-        data = np.empty(self.nnz, self.data.dtype)
-        scipy.sparse._sparsetools.csr_tocsc(n, m, *self._index_arrays(idx), self.data,
+        (m, n), nnz = self.shape, self.nnz
+        idx = self.indptr.dtype
+        indptr, indices = np.empty(m + 1, idx), np.empty(nnz, idx)
+        data = np.empty(nnz, np.complex128)
+        scipy.sparse._sparsetools.csr_tocsc(n, m, self.indptr, self.indices, self.data,
                                             indptr, indices, data)
         return _Csc(indptr, indices, data, (n, m))
 
@@ -238,20 +267,28 @@ class _Csc:
         return _Csc(self.indptr, self.indices, self.data.conjugate(), self.shape).transpose()
 
 
-def _kernel(kernel, shape, first: _Csc, second: _Csc, maxnnz: int, idx) -> _Csc:
+def _kernel(kernel, shape, first: _Csc, second: _Csc, maxnnz: int) -> _Csc:
     """The CSC matrix of `shape` that kernel(major, minor, first, second, out) writes.
 
-    The output buffers hold maxnnz entries with idx indices and are pruned.
+    The output buffers hold maxnnz entries and are cut to the nnz written,
+    copied when that is less than half of them, as scipy prunes.  The
+    operands' sizes, which bound the output's shape, fixed their index
+    dtypes when they were made: the output's is int64 when an operand
+    holds int64 indices (the kernel then widens every index array) or
+    maxnnz needs it.
     """
     m, n = shape
-    dtype = np.result_type(first.data, second.data)
+    wide = first.indptr.itemsize + second.indptr.itemsize > 8
+    idx = np.int64 if wide else _index_dtype(maxnnz)
     indptr, indices = np.empty(n + 1, idx), np.empty(maxnnz, idx)
-    data = np.empty(maxnnz, dtype)
-    kernel(n, m, *first._index_arrays(idx), first.data.astype(dtype, copy=False),
-           *second._index_arrays(idx), second.data.astype(dtype, copy=False),
-           indptr, indices, data)
+    data = np.empty(maxnnz, np.complex128)
+    kernel(n, m, first.indptr, first.indices, first.data,
+           second.indptr, second.indices, second.data, indptr, indices, data)
     nnz = int(indptr[-1])
-    return _Csc(indptr, _pruned(indices, nnz), _pruned(data, nnz), shape)
+    indices, data = indices[:nnz], data[:nnz]
+    if nnz < maxnnz // 2:
+        indices, data = indices.copy(), data.copy()
+    return _Csc(indptr, indices, data, shape)
 
 
 def _column_max(mat: _Csc, space):
@@ -263,10 +300,10 @@ def _column_max(mat: _Csc, space):
     the array abs the argmax compares.  The pattern is the label row
     space.pattern(col); without a space the column index stands in.
     """
-    if mat.nnz == 0:
+    if mat.indices.size == 0:
         return 0.0, None
-    k = int(np.argmax(np.abs(mat.data)))
-    col = int(np.searchsorted(mat.indptr, k, side="right")) - 1
+    k = int(np.abs(mat.data).argmax())
+    col = int(mat.indptr.searchsorted(k, side="right")) - 1
     worst = space.pattern(col) if space is not None else col
     return float(abs(mat.data[k])), worst
 
@@ -295,7 +332,9 @@ class _Relations:
     reported entry is summed in the same order as from the full products.
     squares[i][n] keeps mats[i] @ mats[i] on its first n columns; the
     squares passed in are shared with other checks, the rest are this
-    object's own.
+    object's own.  Column j of M M depends on column j of the right factor
+    alone, and csr_matmat forms it from that column alone, so a square on
+    n columns is the first n columns of one formed on more, bit for bit.
     """
 
     def __init__(self, mats: dict, ncols: int, a: float, squares: dict | None = None):
@@ -305,11 +344,16 @@ class _Relations:
         self.squares = {i: {} for i in mats} | (squares or {})
 
     def square(self, i: int, n: int) -> _Csc:
-        """mats[i] @ mats[i] on its first n columns, formed once per (i, n)."""
+        """mats[i] @ mats[i] on its first n columns, cut from the narrowest
+        square formed on at least n columns, or formed."""
         memo = self.squares[i]
         if n not in memo:
-            M = self.mats[i]
-            memo[n] = M @ (M if n == self.dim else M.cols(n))
+            wider = [w for w in memo if w > n]
+            if wider:
+                memo[n] = memo[min(wider)].cols(n)
+            else:
+                M = self.mats[i]
+                memo[n] = M @ (M if n == self.dim else M.cols(n))
         return memo[n]
 
     def square_times(self, i: int, right: _Csc) -> _Csc:
@@ -383,7 +427,7 @@ class _FrameRecord:
         if key not in self.relations:
             space = fr.space
             compact = _Relations(mats, ncols, a, self.squares)
-            unit = _Csc(fr.indptr, fr.indices, fr.kl, (space.dim, space.dim))
+            unit = _Csc.normalised(fr.indptr, fr.indices, fr.kl, (space.dim, space.dim))
             far = _Relations({**mats, noncompact_i: unit}, ncols, a)
             rows = {}
             for name, kind, i, j in terms:
@@ -489,6 +533,7 @@ def check_relations(rep, *, depth: int = 3, tol: float = 1e-9,
     cubic[r+1,r+2]a/b, and reads the other rows and the squares of I_r
     and I_{r+2} from the frame's record.  Any other input forms every row.
     """
+    _check_limits(tol, depth)
     gens, p, space, noncompact_i = _coerce(rep, qp)
     if p is None:
         raise ValueError("a QParam is required when passing bare generators")
@@ -517,6 +562,7 @@ def check_star(rep, tol: float = 1e-9) -> ResidualReport:
     points of the structural check) forms only its Hermitian row and
     reads the compact rows from the frame's record, which forms them once.
     """
+    _check_limits(tol)
     gens, _, space, noncompact_i = _coerce(rep)
     record = _compact_record(rep)
     if record is not None and record.star is None:
@@ -560,21 +606,20 @@ class IntertwinerSolution:
     residual: float
 
 
-def _entries(mat: scipy.sparse.csc_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """mat[rows[k], cols[k]] for every k, read from the CSC arrays.
+def _entries(mat: _Csc, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """mat[rows[k], cols[k]] for every k, by one call of csr_sample_values.
 
-    Each column is scanned for its row over its stored entries, at most
-    one per family in a noncompact generator, and the hits are read with
-    one gather of the data.  An absent entry reads 0.0,
-    and adding 0.0 reads a -0.0 part as 0.0, as a scalar lookup does.
+    The kernel reads the CSC arrays as the CSR arrays of the transpose, so
+    it samples (cols[k], rows[k]).  As a scalar lookup does, it reads an
+    absent entry as 0 and sums repeated ones, and adding 0.0 reads a -0.0
+    part as 0.0.
     """
-    if mat.nnz == 0:
-        return np.zeros(len(rows), dtype=np.complex128)
-    start, end = mat.indptr[cols], mat.indptr[cols + 1]
-    slot = start[:, None] + np.arange(max((end - start).max(initial=0), 1))
-    hit = (slot < end[:, None]) & (mat.indices[np.minimum(slot, mat.nnz - 1)] == rows[:, None])
-    pos = slot[np.arange(len(rows)), hit.argmax(axis=1)]
-    return np.where(hit.any(axis=1), mat.data[np.minimum(pos, mat.nnz - 1)], 0) + 0.0
+    idx = mat.indptr.dtype
+    out = np.empty(rows.size, dtype=np.complex128)
+    scipy.sparse._sparsetools.csr_sample_values(
+        mat.shape[1], mat.shape[0], mat.indptr, mat.indices, mat.data, rows.size,
+        cols.astype(idx, copy=False), rows.astype(idx, copy=False), out)
+    return out + 0.0
 
 
 def _moduli(fwd: np.ndarray, other: np.ndarray):
@@ -589,42 +634,79 @@ def _moduli(fwd: np.ndarray, other: np.ndarray):
     return abs_f, abs_o, scale, 1e-13 * max(scale, 1.0)
 
 
-def _propagate(edges: BlockEdges, forward: list, backward: list, tol: float):
+def _steps(solved: np.ndarray, ratio: np.ndarray, inverse: np.ndarray) -> tuple:
+    """(forward, backward) steps per edge as lists of Python complex numbers.
+
+    ratio and inverse on the solved edges, in edge order, and 0 on the rest.
+    """
+    forward, backward = np.zeros((2, solved.size), dtype=np.complex128)
+    forward[solved], backward[solved] = ratio, inverse
+    return forward.tolist(), backward.tolist()
+
+
+def _propagate(edges: BlockEdges, forward: list, backward: list, usable: list, tol: float):
     """Block values from the base block along the usable edges, breadth first.
 
     forward[k] is the step value(dst) / value(src) along edge k and
-    backward[k] the step back; None marks an edge with no constraint.
-    Returns (value per block id, None where unreached; ids in discovery
-    order; the first broken edge or None).  An edge breaks when it
-    proposes the value 0 for a block, or, walked again, a value off by a
-    relative mismatch over tol; it is reported as (edge, block, mismatch),
-    with mismatch 1.0 for a proposed 0.
+    backward[k] the step back; usable[k] is False for an edge with no
+    constraint.  Returns (value per block id, None where unreached; ids
+    in discovery order; the first broken edge or None).  An edge breaks
+    when it proposes the value 0 for a block, or, walked again, a value
+    off by a relative mismatch over tol; it is reported as (edge, block,
+    mismatch), with mismatch 1.0 for a proposed 0.
     """
-    values = [None] * len(edges.adjacency)
+    adjacency = edges.adjacency
+    values = [None] * len(adjacency)
     values[0] = complex(1.0)
     order = [0]
     broken = None
     for cur in order:
-        for k, other, backwards in edges.adjacency[cur]:
-            r = backward[k] if backwards else forward[k]
-            if r is None:
+        value = values[cur]
+        for k, other, backwards in adjacency[cur]:
+            if not usable[k]:
                 continue
-            proposed = values[cur] * r
-            if values[other] is None:
+            proposed = value * (backward[k] if backwards else forward[k])
+            known = values[other]
+            if known is None:
                 values[other] = proposed
                 order.append(other)
                 if proposed == 0.0 and broken is None:
                     broken = (k, other, 1.0)
             else:
-                scale = max(abs(values[other]), abs(proposed), 1e-300)
-                mismatch = abs(values[other] - proposed) / scale
+                scale = max(abs(known), abs(proposed), 1e-300)
+                mismatch = abs(known - proposed) / scale
                 if mismatch > tol and broken is None:
                     broken = (k, other, mismatch)
     return values, order, broken
 
 
+def _quotient(a, b: np.ndarray) -> np.ndarray:
+    """a / b entrywise, divided as Python divides complex numbers.
+
+    Smith's algorithm as CPython writes it: both parts are scaled by the
+    larger part of b and divided by the denominator, where numpy's
+    quotient multiplies by its inverse and so differs in the last bit.
+    The ratio of the smaller part to the larger is formed once, so
+    neither branch divides by the smaller part.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    big_re = np.abs(b.real) >= np.abs(b.imag)
+    big, small = np.where(big_re, b.real, b.imag), np.where(big_re, b.imag, b.real)
+    ratio = small / big
+    denom = big + small * ratio
+    out = np.empty(b.shape, dtype=np.complex128)
+    out.real = np.where(big_re, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+    out.imag = np.where(big_re, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return out
+
+
 def _times(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """s * g entrywise, as (s.re g.re - s.im g.im) + i (s.re g.im + s.im g.re)."""
+    """s * g entrywise, as (s.re g.re - s.im g.im) + i (s.re g.im + s.im g.re).
+
+    The real arithmetic is the product's as scipy's sparse kernels and
+    Python's complex numbers form it; numpy's complex multiply, which may
+    fuse the multiply and add, differs from it in the last bit.
+    """
     out = np.empty(g.shape, dtype=np.complex128)
     out.real = s.real * g.real - s.imag * g.imag
     out.imag = s.real * g.imag + s.imag * g.real
@@ -632,12 +714,12 @@ def _times(s: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(data: np.ndarray) -> float:
-    return float(np.max(np.abs(data))) if data.size else 0.0
+    return float(np.abs(data).max()) if data.size else 0.0
 
 
 def _columns(mat: _Csc) -> np.ndarray:
     """The column of every stored entry."""
-    return np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    return np.arange(mat.shape[1]).repeat(mat.indptr[1:] - mat.indptr[:-1])
 
 
 def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
@@ -651,9 +733,10 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     inherently non-real; `reason` names the edge, block or residual
     behind any status but `found`.
     """
+    _check_limits(tol)
     space = rep.space
     edges = space.block_edges
-    A = rep.noncompact.mat
+    A = _Csc.of(rep.noncompact.mat)
     n = edges.src.size
     amp = _entries(A, np.concatenate((edges.col_dst, edges.col_src)),
                    np.concatenate((edges.col_src, edges.col_dst)))
@@ -663,13 +746,10 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     # no invertible solution and steps to 0
     zero_f, zero_b = abs_f <= ztol, abs_b <= ztol
     one_sided, solved = zero_f ^ zero_b, ~(zero_f | zero_b)
-    forward, backward = [None] * n, [None] * n
-    for k in np.flatnonzero(one_sided).tolist():
-        forward[k] = backward[k] = 0.0
     ratio = np.conj(back[solved]) / fwd[solved]
-    for k, r, inv in zip(np.flatnonzero(solved).tolist(), ratio, 1.0 / ratio):
-        forward[k], backward[k] = r, inv
-    values, order, broken = _propagate(edges, forward, backward, tol)
+    forward, backward = _steps(solved, ratio, 1.0 / ratio)
+    values, order, broken = _propagate(edges, forward, backward,
+                                       (one_sided | solved).tolist(), tol)
     blocks = space.blocks
     connected = len(order) == len(blocks)
 
@@ -688,7 +768,7 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
                       f"{mismatch:.3e} > {tol:g}")
         return MetricSolution(NONE, None, None, connected, reason)
     vals = np.array([v for v in values if v is not None])
-    imag, size = np.max(np.abs(vals.imag)), np.max(np.abs(vals))
+    imag, size = np.abs(vals.imag).max(), np.abs(vals).max()
     if imag > tol * size:
         return MetricSolution(NONE, None, None, connected,
                               f"weights are not real: max |Im c| = {imag:.3e} "
@@ -698,13 +778,13 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
                               f"disconnected: {len(order)} of {len(blocks)} blocks "
                               f"reached from {blocks[0]}")
     weights = {blocks[b]: float(values[b].real) for b in order}
-    diag = space.block_diagonal(weights)
+    # connected: vals holds every block's value, in block order
+    diag = vals.real.repeat(space.offsets[1:] - space.offsets[:-1])
     # A^H C - C A entrywise: C scales A^H by columns and A by rows, and the
     # row of an entry of A is the column of its entry of A^H.  Both terms are
     # formed transposed, as scipy subtracts them in CSR: A's CSC arrays with
     # the data conjugated and scaled are those of (A^H C)^T, and (C A)^T is
     # one transpose of C A
-    A = _Csc.of(A)
     w = diag[A.indices]
     adjoint_c_t = _Csc(A.indptr, A.indices, np.conj(A.data) * w, A.shape[::-1])
     c_a_t = _Csc(A.indptr, A.indices, w * A.data, A.shape).transpose()
@@ -732,32 +812,28 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     the structural check) and its record finds the generator
     block-diagonal.
     """
+    _check_limits(tol)
     sa, sb = repA.spec, repB.spec
     if (sa.r, sa.s, sa.epsilon, sa.cutoff, sa.qp) != (sb.r, sb.s, sb.epsilon, sb.cutoff, sb.qp):
         raise ValueError("intertwiner requires matching (r, s, epsilon, q, cutoff)")
     space = repA.space
     edges = space.block_edges
-    a_fwd = _entries(repA.noncompact.mat, edges.col_dst, edges.col_src)
-    b_fwd = _entries(repB.noncompact.mat, edges.col_dst, edges.col_src)
+    a_fwd = _entries(_Csc.of(repA.noncompact.mat), edges.col_dst, edges.col_src)
+    b_fwd = _entries(_Csc.of(repB.noncompact.mat), edges.col_dst, edges.col_src)
     abs_a, abs_b, scale, ztol = _moduli(a_fwd, b_fwd)
-    # s_dst / s_src = b_fwd / a_fwd, divided as Python complex numbers
+    # s_dst / s_src = b_fwd / a_fwd; an edge with one side zero steps to 0
+    # and one with both sides zero is no constraint
     zero_a, zero_b = abs_a <= ztol, abs_b <= ztol
-    forward, backward = [], []
-    for a, b, za, zb in zip(a_fwd.tolist(), b_fwd.tolist(), zero_a.tolist(), zero_b.tolist()):
-        if za and zb:
-            r = inv = None
-        elif za or zb:
-            r = inv = 0.0
-        else:
-            r = b / a
-            inv = 1.0 / r
-        forward.append(r)
-        backward.append(inv)
-    values, order, broken = _propagate(edges, forward, backward, tol)
+    solved = ~(zero_a | zero_b)
+    ratio = _quotient(b_fwd[solved], a_fwd[solved])
+    forward, backward = _steps(solved, ratio, _quotient(1.0, ratio))
+    values, order, broken = _propagate(edges, forward, backward,
+                                       (~(zero_a & zero_b)).tolist(), tol)
     if broken is not None or len(order) < len(space.blocks):
         return None
     block_values = {space.blocks[b]: values[b] for b in order}
-    diag = space.block_diagonal(block_values)
+    # every block is reached: values holds them all, in block order
+    diag = np.array(values).repeat(space.offsets[1:] - space.offsets[:-1])
     # S T - T S is exactly 0 for a block-scalar S and a block-diagonal T
     record = _compact_record(repA)
     block_diagonal = {}

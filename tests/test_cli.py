@@ -114,6 +114,27 @@ def test_verify_corrupted_dump_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_refuses_a_bad_tol_or_depth(tmp_path, capsys):
+    # an infinite --tol would pass this corrupted dump; a NaN or
+    # nonpositive one would fail every row: each is refused before reading
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--degenerate", "--r", "3", "--s", "3", "--epsilon", "0",
+                 "--lambda-re", "1/3", "--cutoff", "6", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    data = json.loads(dump.read_text())
+    data["generators"][2]["entries"][0][2] += 0.5
+    dump.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--dump", str(dump))
+    assert code == 2 and "FAIL  overall" in out
+    for tol in ("inf", "nan", "-1", "0"):
+        code, out, err = run(capsys, "verify", "--dump", str(dump), f"--tol={tol}")
+        assert code == 3 and out == "" and f"--tol {float(tol)} must be finite and positive" in err
+    code, out, err = run(capsys, "verify", "--dump", str(dump), "--depth=-1")
+    assert code == 3 and out == "" and "--depth -1 must be at least 0" in err
+    code, out, err = run(capsys, "verify", "--so3", "--l", "1", "--tol=inf")
+    assert code == 3 and out == "" and "--tol inf" in err
+
+
 @pytest.mark.parametrize("corruption", ["repeated entry", "row past dim", "half-integer row",
                                         "nnz off by 7", "rows of eight numbers",
                                         "row as a string", "imaginary part as false"])

@@ -35,6 +35,7 @@ from soqrs import (
     solve_metric,
 )
 from soqrs.degenrep import frame
+from soqrs import compactrep
 from soqrs.compactrep import _index_dtype
 from soqrs.verify import _Csc, _frame_record
 from oracles import (
@@ -317,6 +318,52 @@ def test_int64_indices_give_the_same_rows():
         assert repr(check_star(wide).to_dict()) == repr(check_star(rep).to_dict())
         assert _metric(solve_metric(wide)) == _metric(solve_metric(rep))
         assert _intertwiner(solve_intertwiner(wide, rep)) == _intertwiner(solve_intertwiner(rep, rep))
+
+
+KERNELS = ("csr_matmat_maxnnz", "csr_matmat", "csr_plus_csr", "csr_minus_csr", "csr_tocsc",
+           "csr_sample_values")
+
+
+def test_int64_route_gives_the_int32_reports(monkeypatch):
+    # with the int32 limit patched low, every operand and output of every
+    # kernel call holds int64 indices, and every report equals, by repr,
+    # the one of the int32 route: a standard tower and its primed rep, cold
+    # and then warm from the frame's record, a mirror-pair intertwiner, and
+    # a bare class-1 list
+    qp = QParam(0.5)
+    spec = RepSpec(4, 3, 1, E(Fraction(5, 2), 0, Fraction(3, 4)), qp, 6)
+    mirror = RepSpec(4, 3, 1, spec.lam.mirrored(7), qp, 6)
+
+    def reps():
+        frame.cache_clear()
+        return ([build_degenerate(spec), build_degenerate_primed(spec)],
+                build_degenerate(mirror), build_class1(5, 2, qp))
+
+    def reports(towers, rep_mirror, gens) -> str:
+        out = []
+        for rep in towers:
+            for _ in range(2):
+                out += [check_relations(rep, depth=depth).to_dict() for depth in (0, 3)]
+                out.append(check_star(rep).to_dict())
+            out.append(_metric(solve_metric(rep)))
+        out.append(_intertwiner(solve_intertwiner(towers[0], rep_mirror)))
+        out += [check_relations(gens, qp=qp).to_dict(), check_star(gens).to_dict()]
+        return repr(out)
+
+    narrow = reports(*reps())
+    wide = reps()  # built on int32 indices; verify widens what it reads
+    widths = []
+    for name in KERNELS:
+        def counted(*args, kernel=getattr(sparse._sparsetools, name)):
+            widths.extend(a.dtype for a in args
+                          if isinstance(a, np.ndarray) and a.dtype.kind == "i")
+            return kernel(*args)
+        monkeypatch.setattr(sparse._sparsetools, name, counted)
+    monkeypatch.setattr(compactrep, "_INT32_MAX", -1)
+    assert _index_dtype(1) is np.int64
+    assert reports(*wide) == narrow
+    assert _frame_record(wide[0][0]) is not None  # the warm checks read the record
+    assert len(widths) > 1000 and set(widths) == {np.dtype(np.int64)}
 
 
 def test_check_star_matches_sparse_operator_reference():

@@ -478,6 +478,47 @@ def test_warm_checks_equal_cold_ones(monkeypatch):
             assert warm == cold[k, depth], (k, depth)
 
 
+def test_warm_check_cuts_a_narrower_square_from_a_wider_one(monkeypatch):
+    # at depth 3 the junction rows ask for the square of the noncompact
+    # generator on the interior columns and again on the fewer columns a
+    # compact generator reaches: the second is cut from the first, so a
+    # warm check makes 17 products, not 18, with the same report
+    frame.cache_clear()
+    reps = [build_degenerate(RepSpec(4, 4, 0, E(lam_re, 0, Fraction(5, 8)), Q2, 6))
+            for lam_re in (3, Fraction(1, 3))]
+    check_relations(reps[0])
+    calls = []
+    matmat = sparse._sparsetools.csr_matmat
+    monkeypatch.setattr(sparse._sparsetools, "csr_matmat",
+                        lambda *args: calls.append(1) or matmat(*args))
+    warm = check_relations(reps[1])
+    assert len(calls) == 17
+    monkeypatch.undo()
+    assert repr(warm.to_dict()) == repr(check_relations(_stripped(reps[1])).to_dict())
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_checks_and_solvers_refuse_a_tol_that_is_not_finite_and_positive(tol):
+    # an infinite tol passes any residual and a NaN or nonpositive one
+    # fails every row, so each is refused before any work
+    rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 4))
+    gens = build_class1(4, 1, Q2)
+    calls = [lambda: check_relations(rep, tol=tol), lambda: check_relations(gens, qp=Q2, tol=tol),
+             lambda: check_star(rep, tol=tol), lambda: check_star(gens, tol=tol),
+             lambda: solve_metric(rep, tol=tol), lambda: solve_intertwiner(rep, rep, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            call()
+
+
+def test_check_relations_refuses_a_negative_depth():
+    rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 4))
+    for target, kwargs in ((rep, {}), (build_class1(4, 1, Q2), {"qp": Q2})):
+        with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+            check_relations(target, depth=-1, **kwargs)
+    assert check_relations(rep, depth=0).columns == rep.dim
+
+
 def test_compact_generator_made_writeable_is_recomputed():
     frame.cache_clear()
     rep = _tower(3, "standard")
