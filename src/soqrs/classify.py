@@ -65,7 +65,7 @@ from fractions import Fraction
 import numpy as np
 
 from .degenrep import RepSpec
-from .gtbasis import FAMILIES, block_arrays
+from .gtbasis import FAMILIES, block_arrays, check_tower
 from .qarith import (
     EQUIVALENT_FLIP,
     SpectralParam,
@@ -180,13 +180,6 @@ class Classification:
         }
 
 
-def _validate(r: int, s: int, epsilon: int) -> None:
-    if r <= 2 or s <= 2:
-        raise ValueError(f"ranks must exceed 2, got r={r}, s={s}")
-    if epsilon not in (0, 1):
-        raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-
-
 def classify_irreducible(r: int, s: int, epsilon: int, lam: SpectralParam) -> bool:
     """Closed-form irreducibility of T_{eps,lambda}.
 
@@ -196,7 +189,7 @@ def classify_irreducible(r: int, s: int, epsilon: int, lam: SpectralParam) -> bo
     of parity epsilon on the open strip 0 < lambda < r+s-2 (a departure
     from the stated bound, recorded in the module docstring).
     """
-    _validate(r, s, epsilon)
+    check_tower(r, s, epsilon)
     nlam, _ = normalize_spectral(lam)
     if not nlam.is_integer:
         return True
@@ -219,7 +212,7 @@ def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
     for mixed parity with either epsilon.  The mirror equivalence
     lambda <-> r+s-2-lambda is applied before windowing.
     """
-    _validate(r, s, epsilon)
+    check_tower(r, s, epsilon)
     if not classify_irreducible(r, s, epsilon, lam):
         raise ValueError(
             "star-series tags apply to irreducible parameters; reducible "
@@ -562,7 +555,7 @@ def predict_constituents(r: int, s: int, epsilon: int,
     lambda -> r+s-2-lambda; constituent regions are mirror-invariant, while
     subspace/quotient realization is recomputed from edge directions.
     """
-    _validate(r, s, epsilon)
+    check_tower(r, s, epsilon)
     nlam, flip = normalize_spectral(lam)
     notes = []
     if flip == EQUIVALENT_FLIP:
@@ -655,7 +648,7 @@ def cross_check(r: int, s: int, epsilon: int, lam: SpectralParam) -> CrossCheck:
     outside the window to masquerade as irreducibility; they are counted
     without building the window's blocks.
     """
-    _validate(r, s, epsilon)
+    check_tower(r, s, epsilon)
     irr = classify_irreducible(r, s, epsilon, lam)
     L = vanishing_point(lam)
     window = _window(r, s, L)

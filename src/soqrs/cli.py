@@ -94,7 +94,16 @@ def _add_targets(p: argparse.ArgumentParser):
     return group
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_target_options(p: argparse.ArgumentParser) -> None:
+    """The options `build` and `verify` share: the parameters of a target, q, cutoff, output."""
+    p.add_argument("--primed", action="store_true")
+    p.add_argument("--l", default="1")
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
+    _add_lambda_args(p)
     p.add_argument("--q", type=float, default=2.0, help="deformation q > 0")
     p.add_argument("--cutoff", type=int, default=8)
     _add_output(p)
@@ -273,53 +282,42 @@ def _read_dump(path: str) -> dict:
         return json.load(fh, object_hook=hook)
 
 
-def _build_rep(spec: RepSpec, primed: bool) -> DegenerateRep:
-    """The rep in the standard or the primed basis.
+def _target(args, qp: QParam) -> tuple:
+    """(kind, config, generators, rep) of the --so3, --class1 or --degenerate target.
 
-    A primed basis is built only where it exists: primed_transform raises
+    rep is the DegenerateRep of --degenerate and None otherwise.  A primed
+    basis is built only where it exists: primed_transform raises
     PrimedBasisUndefined, a parameter error, naming the vanishing factor
     and its block.
     """
-    if not primed:
-        return build_degenerate(spec)
-    primed_transform(spec)
-    return build_degenerate_primed(spec)
+    if args.so3:
+        lf = Fraction(args.l)
+        return "so3", {**_config_dict(args), "l": str(lf)}, build_so3(lf, qp), None
+    if args.class1:
+        return ("class1", {**_config_dict(args), "n": args.n, "m": args.m},
+                build_class1(args.n, args.m, qp), None)
+    if args.r is None or args.s is None:
+        raise UsageError("--degenerate needs --r and --s")
+    lam = _resolve_lambda(args)
+    spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
+    if args.primed:
+        primed_transform(spec)
+    rep = (build_degenerate_primed if args.primed else build_degenerate)(spec)
+    return ("degenerate", {**_config_dict(args, lam), "basis_kind": rep.basis_kind},
+            rep.generators, rep)
 
 
 def cmd_build(args) -> int:
-    qp = QParam(args.q)
-    if args.so3:
-        lf = Fraction(args.l)
-        gens = build_so3(lf, qp)
-        payload = {
-            "kind": "so3",
-            "config": {**_config_dict(args), "l": str(lf)},
-            "dim": gens[0].dim,
-            "basis": _chain_table(3, lf),
-        }
-    elif args.class1:
-        gens = build_class1(args.n, args.m, qp)
-        payload = {
-            "kind": "class1",
-            "config": {**_config_dict(args), "n": args.n, "m": args.m},
-            "dim": gens[0].dim,
-            "basis": _chain_table(args.n, Fraction(args.m)),
-        }
-    else:  # --degenerate
-        if args.r is None or args.s is None:
-            raise UsageError("--degenerate needs --r and --s")
-        lam = _resolve_lambda(args)
-        spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
-        rep = _build_rep(spec, args.primed)
-        gens = rep.generators
-        payload = {
-            "kind": "degenerate",
-            "config": {**_config_dict(args, lam), "basis_kind": rep.basis_kind},
-            "dim": rep.dim,
-            "basis": _Table(*rep.space.basis_array().T),
-        }
-    payload["generators"] = [{"i": g.i, "nnz": g.mat.nnz, "entries": _entry_table(g.mat)}
-                             for g in gens]
+    kind, config, gens, rep = _target(args, QParam(args.q))
+    if rep is not None:
+        basis = _Table(*rep.space.basis_array().T)
+    elif args.so3:
+        basis = _chain_table(3, Fraction(args.l))
+    else:
+        basis = _chain_table(args.n, Fraction(args.m))
+    payload = {"kind": kind, "config": config, "dim": gens[0].dim, "basis": basis,
+               "generators": [{"i": g.i, "nnz": g.mat.nnz, "entries": _entry_table(g.mat)}
+                              for g in gens]}
     _emit(args, payload)
     return EXIT_OK
 
@@ -327,7 +325,7 @@ def cmd_build(args) -> int:
 def _report_rows(report) -> str:
     lines = []
     for row in report.rows:
-        status = "PASS" if row.residual < report.tol else "FAIL"
+        status = "PASS" if report.row_passed(row) else "FAIL"
         lines.append(f"{status}  {row.relation:24s} residual={row.residual:.3e}")
     lines.append(f"{'PASS' if report.passed else 'FAIL'}  overall "
                  f"max={report.max_residual:.3e} tol={report.tol:.1e} "
@@ -394,28 +392,20 @@ def cmd_verify(args) -> int:
                 record(f"relations(n={n},m={m})",
                        check_relations(gens, qp=qp, tol=args.tol))
                 record(f"star(n={n},m={m})", check_star(gens, tol=args.tol))
-    elif args.so3:
-        gens = build_so3(Fraction(args.l), qp)
-        record("relations", check_relations(gens, qp=qp, tol=args.tol))
-        record("star", check_star(gens, tol=args.tol))
-    elif args.class1:
-        gens = build_class1(args.n, args.m, qp)
-        record("relations", check_relations(gens, qp=qp, tol=args.tol))
-        record("star", check_star(gens, tol=args.tol))
-    else:  # --degenerate
-        if args.r is None or args.s is None:
-            raise UsageError("--degenerate needs --r and --s")
-        lam = _resolve_lambda(args)
-        spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
-        rep = _build_rep(spec, args.primed)
-        record("relations", check_relations(rep, depth=args.depth, tol=args.tol))
-        if args.star:
-            record("star", check_star(rep, tol=args.tol))
-        if args.metric:
-            ms = solve_metric(rep)
-            checks.append({"name": "metric", **ms.to_dict()})
-            reason = "" if ms.reason is None else f"reason: {ms.reason}\n"
-            texts.append(f"== metric\nstatus={ms.status}\n{reason}")
+    else:
+        _, _, gens, rep = _target(args, qp)
+        if rep is None:
+            record("relations", check_relations(gens, qp=qp, tol=args.tol))
+            record("star", check_star(gens, tol=args.tol))
+        else:
+            record("relations", check_relations(rep, depth=args.depth, tol=args.tol))
+            if args.star:
+                record("star", check_star(rep, tol=args.tol))
+            if args.metric:
+                ms = solve_metric(rep)
+                checks.append({"name": "metric", **ms.to_dict()})
+                reason = "" if ms.reason is None else f"reason: {ms.reason}\n"
+                texts.append(f"== metric\nstatus={ms.status}\n{reason}")
 
     ok = all(c.get("passed", c.get("status") == "found") for c in checks)
     payload = {"config": _config_dict(args), "checks": checks, "passed": ok}
@@ -480,38 +470,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="soqrs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("build", parents=[], help="build and dump matrices")
+    pb = sub.add_parser("build", help="build and dump matrices")
     _add_targets(pb)
-    pb.add_argument("--primed", action="store_true")
-    pb.add_argument("--l", default="1")
-    pb.add_argument("--n", type=int, default=4)
-    pb.add_argument("--m", type=int, default=1)
-    pb.add_argument("--r", type=int, default=None)
-    pb.add_argument("--s", type=int, default=None)
-    pb.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
-    _add_lambda_args(pb)
-    _add_common(pb)
+    _add_target_options(pb)
     pb.set_defaults(func=cmd_build)
 
     pv = sub.add_parser("verify", help="run relation/star/metric checks")
     targets = _add_targets(pv)
     targets.add_argument("--compact-suite", action="store_true")
     targets.add_argument("--dump", default=None, help="verify a dumped matrix file")
-    pv.add_argument("--primed", action="store_true")
+    _add_target_options(pv)
     pv.add_argument("--star", action="store_true")
     pv.add_argument("--metric", action="store_true")
     pv.add_argument("--max-n", type=int, default=5)
     pv.add_argument("--max-m", type=int, default=3)
-    pv.add_argument("--l", default="1")
-    pv.add_argument("--n", type=int, default=4)
-    pv.add_argument("--m", type=int, default=1)
-    pv.add_argument("--r", type=int, default=None)
-    pv.add_argument("--s", type=int, default=None)
-    pv.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
     pv.add_argument("--depth", type=int, default=3, help="interior depth")
     pv.add_argument("--tol", type=float, default=1e-9)
-    _add_lambda_args(pv)
-    _add_common(pv)
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("classify", help="classify an exact parameter")

@@ -78,7 +78,7 @@ from .compactrep import (
     assemble,
     class1_arrays,
 )
-from .gtbasis import FAMILIES, TruncatedSpace, enumerate_blocks
+from .gtbasis import FAMILIES, TruncatedSpace, check_tower, enumerate_blocks
 from .qarith import QParam, SpectralParam, vanishing_point
 
 
@@ -105,15 +105,7 @@ class RepSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.r <= 2 or self.s <= 2:
-            raise ValueError(f"ranks must exceed 2, got r={self.r}, s={self.s}")
-        if self.epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        if self.cutoff < self.epsilon:
-            raise ValueError(
-                f"cutoff {self.cutoff} is below epsilon {self.epsilon}: "
-                "the truncated tower has no blocks"
-            )
+        check_tower(self.r, self.s, self.epsilon, self.cutoff)
 
     @property
     def lambda_value(self) -> complex:

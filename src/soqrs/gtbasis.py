@@ -51,6 +51,21 @@ def chain_labels(n: int, top) -> list[np.ndarray]:
     return [a.astype(np.int64) for a in labels]
 
 
+def check_tower(r: int, s: int, epsilon: int, cutoff: int | None = None) -> None:
+    """Refuse a tower the degenerate series does not define, with ValueError.
+
+    The rules of every tower: ranks r, s > 2, epsilon 0 or 1 and, when a
+    cutoff is given, a cutoff of at least epsilon, so that a block fits.
+    """
+    if r <= 2 or s <= 2:
+        raise ValueError(f"ranks must exceed 2, got r={r}, s={s}")
+    if epsilon not in (0, 1):
+        raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
+    if cutoff is not None and cutoff < epsilon:
+        raise ValueError(f"cutoff {cutoff} is below epsilon {epsilon}: "
+                         "the truncated tower has no blocks")
+
+
 def enumerate_blocks(epsilon: int, cutoff: int) -> list[tuple[int, int]]:
     """Blocks (m, m') with m + m' <= cutoff and m + m' == epsilon (mod 2).
 
@@ -142,14 +157,7 @@ class TruncatedSpace:
     """
 
     def __init__(self, r: int, s: int, epsilon: int, cutoff: int):
-        if r <= 2 or s <= 2:
-            raise ValueError(f"ranks r, s must exceed 2, got r={r}, s={s}")
-        if epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-        if cutoff < epsilon:
-            raise ValueError(
-                f"cutoff {cutoff} is below epsilon {epsilon}: no block fits"
-            )
+        check_tower(r, s, epsilon, cutoff)
         self.r = int(r)
         self.s = int(s)
         self.epsilon = int(epsilon)
@@ -225,11 +233,6 @@ class TruncatedSpace:
         for arr in (table.src, table.dst, table.col_src, table.col_dst):
             arr.flags.writeable = False
         return table
-
-    def block_diagonal(self, values: dict) -> np.ndarray:
-        """Diagonal of the block-scalar operator equal to values[b] on block b."""
-        return np.repeat(np.array([values[b] for b in self.blocks]),
-                         np.diff(self.offsets))
 
     def basis_array(self) -> np.ndarray:
         """Every basis vector as a row (left entries, right entries), in column order.

@@ -132,16 +132,24 @@ class ResidualReport:
     columns: int
     dim: int
 
+    def row_passed(self, row: RelationResidual) -> bool:
+        """The pass rule of one row: its residual is below tol, so a NaN one fails."""
+        return row.residual < self.tol
+
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.rows), default=0.0)
+        """The worst row's residual, 0.0 without rows."""
+        worst = self.worst_row()
+        return 0.0 if worst is None else worst.residual
 
     @property
     def passed(self) -> bool:
-        return self.max_residual < self.tol
+        return all(map(self.row_passed, self.rows))
 
     def worst_row(self) -> RelationResidual | None:
-        return max(self.rows, key=lambda r: r.residual, default=None)
+        """The first NaN row, else the first largest one; max alone skips a NaN."""
+        return max(self.rows, key=lambda r: (math.isnan(r.residual), r.residual),
+                   default=None)
 
     def to_dict(self) -> dict:
         return {
@@ -579,12 +587,16 @@ def check_star(rep, tol: float = 1e-9) -> ResidualReport:
 
 @dataclass
 class MetricSolution:
-    """Outcome of solve_metric; `reason` says why the status is not `found`."""
+    """Outcome of solve_metric; `reason` says why the status is not `found`.
+
+    connected is None when a non-finite amplitude stops the solver before
+    it walks the block lattice.
+    """
 
     status: str
     weights: dict | None = None
     residual: float | None = None
-    connected: bool = True
+    connected: bool | None = True
     reason: str | None = None
 
     def to_dict(self) -> dict:
@@ -731,15 +743,28 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     all-positive solution, `indefinite` when a consistent real solution
     needs sign changes, `none` when the recurrences are inconsistent or
     inherently non-real; `reason` names the edge, block or residual
-    behind any status but `found`.
+    behind any status but `found`, a non-finite amplitude or residual
+    among them.
     """
     _check_limits(tol)
     space = rep.space
     edges = space.block_edges
+    blocks = space.blocks
+
+    def block_pair(k):
+        return f"{blocks[edges.src[k]]}-{blocks[edges.dst[k]]}"
+
     A = _Csc.of(rep.noncompact.mat)
     n = edges.src.size
     amp = _entries(A, np.concatenate((edges.col_dst, edges.col_src)),
                    np.concatenate((edges.col_src, edges.col_dst)))
+    bad = np.flatnonzero(~np.isfinite(amp))
+    if bad.size:
+        k = int(bad[0])
+        return MetricSolution(NONE, None, None, None,
+                              f"edge {block_pair(k % n)}: amplitude "
+                              f"{'A[dst,src]' if k < n else 'A[src,dst]'} = {amp[k]} "
+                              f"is not finite")
     fwd, back = amp[:n], amp[n:]
     abs_f, abs_b, scale, ztol = _moduli(fwd, back)
     # c_dst / c_src = conj(back) / fwd; an edge with one side zero admits
@@ -750,12 +775,7 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     forward, backward = _steps(solved, ratio, 1.0 / ratio)
     values, order, broken = _propagate(edges, forward, backward,
                                        (one_sided | solved).tolist(), tol)
-    blocks = space.blocks
     connected = len(order) == len(blocks)
-
-    def block_pair(k):
-        return f"{blocks[edges.src[k]]}-{blocks[edges.dst[k]]}"
-
     if broken is not None:
         k, other, mismatch = broken
         # a one-sided edge may close a cycle, so check the edge, not the walk
@@ -789,6 +809,9 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     adjoint_c_t = _Csc(A.indptr, A.indices, np.conj(A.data) * w, A.shape[::-1])
     c_a_t = _Csc(A.indptr, A.indices, w * A.data, A.shape).transpose()
     residual = _max_abs((adjoint_c_t - c_a_t).data)
+    if not math.isfinite(residual):
+        return MetricSolution(NONE, weights, residual, connected,
+                              f"weighted adjoint residual {residual} is not finite")
     rel = residual / max(scale * max(abs(v) for v in weights.values()), 1e-300)
     if rel > tol:
         return MetricSolution(NONE, weights, residual, connected,
@@ -806,7 +829,8 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     """Block-scalar diagonal S with S T_A(X) = T_B(X) S for all generators.
 
     Returns None when the linear conditions are inconsistent or require a
-    non-invertible S.  The diagonal is normalized to 1 on the base block.
+    non-invertible S, or when an edge amplitude or a residual is not
+    finite.  The diagonal is normalized to 1 on the base block.
     A compact generator adds no residual and is skipped when both reps
     hold the same frame's own compact generators (the first two points of
     the structural check) and its record finds the generator
@@ -820,6 +844,8 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     edges = space.block_edges
     a_fwd = _entries(_Csc.of(repA.noncompact.mat), edges.col_dst, edges.col_src)
     b_fwd = _entries(_Csc.of(repB.noncompact.mat), edges.col_dst, edges.col_src)
+    if not (np.isfinite(a_fwd).all() and np.isfinite(b_fwd).all()):
+        return None
     abs_a, abs_b, scale, ztol = _moduli(a_fwd, b_fwd)
     # s_dst / s_src = b_fwd / a_fwd; an edge with one side zero steps to 0
     # and one with both sides zero is no constraint
@@ -846,7 +872,10 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
         A, B = _Csc.of(ga.mat), _Csc.of(gb.mat)
         s_a = _Csc(A.indptr, A.indices, _times(diag[A.indices], A.data), A.shape)  # S T_A
         b_s = _Csc(B.indptr, B.indices, _times(diag[_columns(B)], B.data), B.shape)  # T_B S
-        residual = max(residual, _max_abs((s_a - b_s).data))
+        part = _max_abs((s_a - b_s).data)
+        if not math.isfinite(part):  # max(residual, nan) would keep residual
+            return None
+        residual = max(residual, part)
     rel_scale = scale * max(abs(v) for v in block_values.values())
     if residual > tol * max(rel_scale, 1.0):
         return None

@@ -135,6 +135,14 @@ def block_slices(space) -> dict:
     return out
 
 
+def block_diagonal(space, values: dict):
+    """Diagonal of the block-scalar operator equal to values[b] on block b."""
+    import numpy as np
+
+    return np.concatenate([np.full(cols.stop - cols.start, values[b])
+                           for b, cols in block_slices(space).items()])
+
+
 # ---------------------------------------------------------------------------
 # classical (q = 1) matrix elements
 
@@ -948,7 +956,7 @@ def solve_metric_reference(rep, tol: float = 1e-8):
     if not connected:
         return MetricSolution(NONE, None, None, False)
     weights = {b: float(v.real) for b, v in values.items()}
-    C = sparse.diags(rep.space.block_diagonal(weights)).tocsc()
+    C = sparse.diags(block_diagonal(rep.space, weights)).tocsc()
     res_mat = (A.conjugate().transpose() @ C - C @ A).tocoo()
     residual = float(np.max(np.abs(res_mat.data))) if res_mat.nnz else 0.0
     rel = residual / max(scale * max(abs(w) for w in weights.values()), 1e-300)
@@ -987,7 +995,7 @@ def solve_intertwiner_reference(repA, repB, tol: float = 1e-8):
     values, mismatch, connected = _bfs_block_solution(space, edges, ratio)
     if any(v == 0.0 for v in values.values()) or mismatch > tol or not connected:
         return None
-    diag = space.block_diagonal(values)
+    diag = block_diagonal(space, values)
     S = sparse.diags(diag).tocsc()
     residual = 0.0
     for ga, gb in zip(repA.generators, repB.generators):
@@ -1005,7 +1013,7 @@ def conjugate_rep(rep, block_values: dict):
     from scipy import sparse
     from soqrs import DegenerateRep, GeneratorMatrix
 
-    diag = rep.space.block_diagonal(block_values)
+    diag = block_diagonal(rep.space, block_values)
     D = sparse.diags(diag).tocsc()
     Dinv = sparse.diags(1.0 / diag).tocsc()
     gens = [GeneratorMatrix(g.i, (D @ g.mat @ Dinv).tocsc()) for g in rep.generators]

@@ -259,6 +259,44 @@ def test_unread_options_are_usage_errors(capsys):
         assert code == 3 and out == "" and "--degenerate: not allowed with" in err
 
 
+# the options build and verify register once, by their argparse dest
+SHARED_OPTIONS = {"primed", "l", "n", "m", "r", "s", "epsilon", "lambda_re", "lambda_im_t",
+                  "lambda_im", "q", "cutoff", "json", "out"}
+
+
+def test_build_and_verify_read_their_shared_options_alike(capsys):
+    parser = cli._build_parser()
+    shared = ["--primed", "--l", "7/2", "--n", "6", "--m", "5", "--r", "3", "--s", "5",
+              "--epsilon", "1", "--lambda-re", "-5/2", "--lambda-im-t", "1/3",
+              "--lambda-im", "0.7", "--q", "1.5", "--cutoff", "9", "--json", "--out", "x.json"]
+    for argv in (shared, []):
+        build, verify = (vars(parser.parse_args(cli._attach_signed_values(
+            [command, "--degenerate", *argv]))) for command in ("build", "verify"))
+        assert set(build) - {"command", "func", "so3", "class1", "degenerate"} == SHARED_OPTIONS
+        assert {k: build[k] for k in SHARED_OPTIONS} == {k: verify[k] for k in SHARED_OPTIONS}
+    assert build["lambda_re"] is None and build["cutoff"] == 8  # the defaults
+    for bad in (["--n", "x"], ["--epsilon", "2"], ["--cutoff", "1.5"], ["--q", "two"],
+                ["--lambda-re", "1/0"], ["--r", "3.0"], ["--out"]):
+        (code_b, out_b, err_b), (code_v, out_v, err_v) = (
+            run(capsys, command, "--degenerate", *bad) for command in ("build", "verify"))
+        assert code_b == code_v == 3 and out_b == out_v == "" and bad[0] in err_b
+        assert err_b.replace("soqrs build:", "soqrs verify:") == err_v
+
+
+def test_verify_dump_with_a_nan_entry_fails(tmp_path, capsys):
+    # a NaN row after a finite one once left the overall verdict PASS
+    dump = tmp_path / "class1.json"
+    assert main(["build", "--class1", "--n", "4", "--m", "2", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    data = json.loads(dump.read_text())
+    next(g for g in data["generators"] if g["i"] == 4)["entries"][0][2] = float("nan")
+    dump.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--dump", str(dump))
+    assert code == 2
+    assert "FAIL  cubic[3,4]b              residual=nan" in out
+    assert "FAIL  overall max=nan" in out
+
+
 def test_lambda_is_exact_text_only(capsys):
     for extra in (["--lambda-float", "0.7"], ["--lambda-re", "1/2", "--snap-lambda", "100"]):
         code, out, err = run(capsys, "classify", "--r", "4", "--s", "4", "--epsilon", "0",

@@ -19,6 +19,7 @@ from soqrs import (
 from soqrs.degenrep import frame
 from soqrs.gtbasis import FAMILIES
 from oracles import (
+    block_diagonal,
     block_slices,
     cl_degenerate_noncompact,
     primed_zero_factor,
@@ -238,7 +239,7 @@ def test_primed_equals_conjugated_standard():
     spec = RepSpec(3, 3, 0, E(Fraction(2, 5)), Q2, 6)
     rep_std = build_degenerate(spec)
     rep_pr = build_degenerate_primed(spec)
-    D = rep_std.space.block_diagonal(primed_transform(spec).coefficients)
+    D = block_diagonal(rep_std.space, primed_transform(spec).coefficients)
     A = rep_std.noncompact.mat.toarray()
     conj = np.diag(D) @ A @ np.diag(1.0 / D)
     assert np.max(np.abs(conj - rep_pr.noncompact.mat.toarray())) < 1e-9

@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soqrs import TruncatedSpace, class1_dim
+from soqrs import QParam, RepSpec, SpectralParam, TruncatedSpace, class1_dim
+from soqrs.classify import classify_irreducible
 from soqrs.gtbasis import (
     FAMILIES,
     block_arrays,
     block_index,
     chain_labels,
+    check_tower,
     enumerate_blocks,
     lattice_steps,
 )
@@ -92,6 +94,25 @@ def test_build_space_rejects_small_ranks():
         TruncatedSpace(3, 1, 0, 4)
     with pytest.raises(ValueError, match="below epsilon"):
         TruncatedSpace(3, 3, 1, 0)  # no block of odd m+m' fits
+
+
+@pytest.mark.parametrize("r, s, epsilon, cutoff, message", [
+    (2, 3, 0, 4, "ranks must exceed 2, got r=2, s=3"),
+    (3, 3, 2, 4, "epsilon must be 0 or 1, got 2"),
+    (3, 3, 1, 0, "cutoff 0 is below epsilon 1: the truncated tower has no blocks"),
+])
+def test_tower_rules_are_stated_once(r, s, epsilon, cutoff, message):
+    # the space, the spec and the closed-form rules refuse a tower alike
+    refusals = [lambda: check_tower(r, s, epsilon, cutoff),
+                lambda: TruncatedSpace(r, s, epsilon, cutoff),
+                lambda: RepSpec(r, s, epsilon, SpectralParam(1), QParam(2.0), cutoff)]
+    if cutoff >= epsilon:  # classify takes no cutoff
+        refusals += [lambda: check_tower(r, s, epsilon),
+                     lambda: classify_irreducible(r, s, epsilon, SpectralParam(1))]
+    for refuse in refusals:
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert str(exc.value) == message
 
 
 def test_block_completeness():

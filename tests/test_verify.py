@@ -31,6 +31,7 @@ from soqrs import (
     solve_metric,
 )
 from soqrs.degenrep import frame
+from soqrs.verify import RelationResidual, ResidualReport
 from oracles import (
     basis_rows,
     block_edges,
@@ -379,6 +380,62 @@ def test_metric_reason_residual_over_tolerance():
     ms = solve_metric(bad)
     assert ms.status == NONE and ms.weights is not None
     assert ms.reason.startswith("weighted adjoint residual "), ms.reason
+
+
+def test_solvers_refuse_a_nan_entry():
+    # one NaN entry off the block-edge amplitudes, in a checked column: every
+    # comparison with NaN is False, so each verdict must ask for a finite value
+    rep = build_degenerate_primed(RepSpec(3, 3, 0, E(2, 0, Fraction(1, 3)), Q2, 6))
+    assert solve_metric(rep).status == FOUND and solve_intertwiner(rep, rep) is not None
+    edges, A = rep.space.block_edges, rep.noncompact.mat
+    amplitudes = {(int(a), int(b)) for k in range(edges.src.size)
+                  for a, b in ((edges.col_dst[k], edges.col_src[k]),
+                               (edges.col_src[k], edges.col_dst[k]))}
+    row, col = next((int(A.indices[k]), col)
+                    for col in range(len(rep.space.interior_indices(3)))
+                    for k in range(A.indptr[col], A.indptr[col + 1])
+                    if (int(A.indices[k]), col) not in amplitudes and A.data[k] != 0)
+    bad = _with_entry_scaled(rep, row, col, math.nan)
+    ms = solve_metric(bad)
+    assert ms.status == NONE and math.isnan(ms.residual)
+    assert ms.reason == "weighted adjoint residual nan is not finite"
+    assert solve_intertwiner(bad, bad) is None
+    report = check_relations(bad)
+    assert not report.passed and math.isnan(report.max_residual)
+    assert not check_star(bad).passed
+
+
+def test_solvers_refuse_nan_amplitudes():
+    rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 4))
+    A = rep.noncompact.mat.copy()
+    A.data = np.full_like(A.data, np.nan)
+    bad = DegenerateRep(rep.spec, rep.space,
+                        [GeneratorMatrix(g.i, A) if g.i == rep.spec.r + 1 else g
+                         for g in rep.generators], rep.basis_kind)
+    ms = solve_metric(bad)
+    assert (ms.status, ms.weights, ms.residual, ms.connected) == (NONE, None, None, None)
+    assert ms.reason == "edge (0, 0)-(1, 1): amplitude A[dst,src] = (nan+0j) is not finite"
+    for pair in ((bad, bad), (rep, bad), (bad, rep)):
+        assert solve_intertwiner(*pair) is None
+
+
+def test_a_nan_row_fails_its_report():
+    # Python's max keeps a finite value over a NaN that follows it
+    for rows in (["finite", "nan", "large"], ["nan", "finite", "large"]):
+        value = {"finite": 1e-16, "nan": math.nan, "large": 1e-12}
+        report = ResidualReport([RelationResidual(n, value[n]) for n in rows], 1e-9, 4, 4)
+        assert [report.row_passed(r) for r in report.rows] == [n != "nan" for n in rows]
+        assert not report.passed and math.isnan(report.max_residual)
+        assert report.worst_row().relation == "nan"
+        assert report.to_dict()["passed"] is False
+    assert ResidualReport([], 1e-9, 0, 0).passed
+    gens = build_class1(4, 2, Q2)
+    A = gens[2].mat.copy()
+    A.data[0] = math.nan
+    report = check_relations(gens[:2] + [GeneratorMatrix(4, A)], qp=Q2)
+    failed = [r.relation for r in report.rows if not report.row_passed(r)]
+    assert failed == ["cubic[3,4]a", "cubic[3,4]b"]
+    assert not report.passed and math.isnan(report.max_residual)
 
 
 def test_metric_reason_first_nonpositive_weight():
