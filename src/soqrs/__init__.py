@@ -19,14 +19,12 @@ from .gtbasis import (
 )
 from .compactrep import (
     GeneratorMatrix,
-    R_coeff,
     build_class1,
     build_so3,
     d_coeff,
 )
 from .degenrep import (
     DegenerateRep,
-    K_coeff,
     PrimedBasisUndefined,
     PrimedTransform,
     RepSpec,
@@ -65,8 +63,8 @@ __all__ = [
     "QParam", "SpectralParam",
     "normalize_spectral", "IDENTICAL", "EQUIVALENT_FLIP",
     "TruncatedSpace", "class1_dim",
-    "GeneratorMatrix", "d_coeff", "R_coeff", "build_so3", "build_class1",
-    "RepSpec", "DegenerateRep", "K_coeff", "build_degenerate",
+    "GeneratorMatrix", "d_coeff", "build_so3", "build_class1",
+    "RepSpec", "DegenerateRep", "build_degenerate",
     "build_degenerate_primed", "primed_transform", "PrimedTransform",
     "PrimedBasisUndefined",
     "check_relations", "check_star", "solve_metric", "solve_intertwiner",

@@ -2,8 +2,8 @@
 
 All reports are JSON with the full run configuration embedded; text output
 is derived from the same data.  Exit codes: 0 success, 2 check failure or
-input error (a file unreadable, not JSON or missing a field), 3 usage or
-parameter error.
+input error (a file unreadable, not JSON, missing a field or holding one
+of the wrong JSON type), 3 usage or parameter error.
 
 A `build` dump is the bytes of json.dumps(report, indent=2): a header, the
 basis rows and, per generator, its (row, col, re, im) entries in (col, row)
@@ -51,6 +51,11 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
+
+
+def _fractions(text: str) -> list[Fraction]:
+    """The exact rationals of a comma-separated list; empty items are skipped."""
+    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
 # Options whose value may start with a minus sign: argparse takes "-5/2" or
@@ -116,6 +121,10 @@ def _resolve_lambda(args) -> SpectralParam:
 
 
 class UsageError(Exception):
+    pass
+
+
+class InputError(Exception):
     pass
 
 
@@ -279,7 +288,43 @@ def _read_dump(path: str) -> dict:
         return obj
 
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_hook=hook)
+        data = json.load(fh, object_hook=hook)
+    _check_header(data, path)
+    return data
+
+
+# Per header field that verify reads, a test of its JSON type and the type's name.
+_INT = (lambda x: type(x) is int, "an integer")  # JSON true and false are not
+_NUMBER = (lambda x: type(x) in (int, float), "a number")
+_STRING = (lambda x: type(x) is str, "a string")
+_HEADER = {"kind": _STRING, "dim": _INT, "config": (lambda x: type(x) is dict, "an object"),
+           "generators": (lambda x: type(x) is list and x and all(type(g) is dict for g in x),
+                          "a non-empty list of objects")}
+_GENERATOR = {"i": _INT, "nnz": _INT}
+_CONFIG = {"q": _NUMBER, "r": _INT, "s": _INT, "epsilon": _INT, "cutoff": _INT,
+           "lambda_re": _STRING, "lambda_im_t": _STRING, "lambda_im": _STRING,
+           "basis_kind": _STRING, "lambda_float": (
+               lambda x: type(x) is list and len(x) == 2 and all(map(_NUMBER[0], x)),
+               "two numbers")}
+
+
+def _check_header(data, path: str) -> None:
+    """Refuse a header field of the wrong JSON type with an InputError naming it.
+
+    An absent field is left to the KeyError of its first read.
+    """
+    def check(where: str, obj: dict, fields: dict) -> None:
+        for name, (ok, what) in fields.items():
+            if name in obj and not ok(obj[name]):
+                raise InputError(f"{path}: {where}{name} is "
+                                 f"{json.dumps(obj[name], default=repr):.40}, not {what}")
+
+    if type(data) is not dict:
+        raise InputError(f"{path}: the dump is not a JSON object")
+    check("", data, _HEADER)
+    check("config.", data.get("config", {}), _CONFIG)
+    for k, g in enumerate(data.get("generators", ())):
+        check(f"generators[{k}].", g, _GENERATOR)
 
 
 def _target(args, qp: QParam) -> tuple:
@@ -434,11 +479,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    lams = [SpectralParam.exact(L) for L in
-            range(args.lambda_int_min, args.lambda_int_max + 1)]
-    if args.lambda_rationals:
-        lams += [SpectralParam.exact(Fraction(tok))
-                 for tok in args.lambda_rationals.split(",") if tok.strip()]
+    lams = [SpectralParam(x) for x in
+            [*range(args.lambda_int_min, args.lambda_int_max + 1), *args.lambda_rationals]]
     if not lams:
         raise UsageError(
             f"no lambda to scan: the integer range {args.lambda_int_min}.."
@@ -502,7 +544,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--epsilon", type=int, required=True, choices=(0, 1))
     ps.add_argument("--lambda-int-min", type=int, default=-4)
     ps.add_argument("--lambda-int-max", type=int, default=8)
-    ps.add_argument("--lambda-rationals", default="")
+    ps.add_argument("--lambda-rationals", type=_fractions, default="")
     _add_output(ps)
     ps.set_defaults(func=cmd_scan)
 
@@ -521,7 +563,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"soqrs: error: {exc}\n")
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, InputError) as exc:
         # before ValueError, of which the two decode errors are subclasses
         sys.stderr.write(f"soqrs: input error: {exc}\n")
         return EXIT_CHECK_FAILED

@@ -18,8 +18,8 @@ arrays of each matrix with one sort of its coordinates, with no scipy
 COO matrix in between.
 
 The chain factor R of so'_q(n) is written once, in _chain_factor: the
-ladders of class1_arrays read it per chain, R_coeff at one entry, and
-degenrep at the next rank as the noncompact K and L factors.
+ladders of class1_arrays read it per chain, and degenrep at the next rank
+as the noncompact K and L factors.
 """
 
 from __future__ import annotations
@@ -147,15 +147,6 @@ def _chain_factor(m1, m2, n: int, q, p: QParam) -> np.ndarray:
     out = np.zeros(len(m1))
     out[live] = np.sqrt(radicand)
     return out
-
-
-def R_coeff(m1: int, m2: int, n: int, p: QParam) -> float:
-    """Chain factor R(m_{n-1}) for so'_q(n), n >= 4: _chain_factor at m_{n-1} = m1, m_{n-2} = m2."""
-    if n < 4:
-        raise ValueError("R_coeff applies to n >= 4; so'_q(3) uses d_coeff")
-    # one entry reads four brackets: qnum itself is lighter than a table
-    return float(_chain_factor(np.array([m1]), np.array([m2]), n,
-                               lambda x: np.array([p.qnum(v) for v in x.tolist()]), p)[0])
 
 
 class _Table:

@@ -14,8 +14,8 @@ where E embeds the chains of one top label into the next, K and L depend
 only on the two leading labels of the respective chain, and the factor is
 a scalar of the edge.  K is the chain factor R of the next rank,
 R of so'_q(r+1) at (m, k) for the left chain (r, m, k, ...), and L is the
-same of rank s: both come from compactrep._chain_factor, and K_coeff is
-R_coeff(m, k, r + 1).  In the standard basis the four families are
+same of rank s: both come from compactrep._chain_factor.  In the
+standard basis the four families are
 
     up/up      +K_m L_{m'}     [lambda + m + m']
     up/down    -K_m L_{m'-1}   [lambda + m - m' - s + 2]
@@ -69,7 +69,6 @@ import scipy
 
 from .compactrep import (
     GeneratorMatrix,
-    R_coeff,
     _chain_factor,
     _chain_keys,
     _csc_order,
@@ -111,12 +110,6 @@ class RepSpec:
     def lambda_value(self) -> complex:
         return self.lam.value(self.qp)
 
-    def to_dict(self) -> dict:
-        lam = self.lam
-        return {"r": self.r, "s": self.s, "epsilon": self.epsilon,
-                "lambda_re": str(lam.re), "lambda_im_t": str(lam.im_t),
-                "lambda_im": str(lam.im_y), "q": self.qp.q, "cutoff": self.cutoff}
-
 
 @dataclass
 class DegenerateRep:
@@ -138,10 +131,6 @@ class DegenerateRep:
     signs: tuple | None = field(default=None, repr=False, compare=False)
     edge_values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
     def gen(self, i: int) -> GeneratorMatrix:
         n = self.spec.r + self.spec.s
         if not 2 <= i <= n:
@@ -154,18 +143,6 @@ class DegenerateRep:
     @property
     def noncompact(self) -> GeneratorMatrix:
         return self.gen(self.spec.r + 1)
-
-
-def K_coeff(m: int, k: int, r: int, p: QParam) -> float:
-    """Transition factor K_m of the left chain (r, m, k), and L of the right chain (s, m', k').
-
-    K is the chain factor R of the next rank: R of so'_q(r+1) at
-    m_r = m, m_{r-1} = k.  k is the second label of the chain (for r = 3
-    the possibly negative so(2) label; the factor is even in k).  K_{-1},
-    queried when lowering from m = 0, is 0 through its [m-k+1] factor,
-    before the denominator (which may itself vanish there) is read.
-    """
-    return R_coeff(m, k, r + 1, p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,16 +113,12 @@ class SpectralParam:
 
     @classmethod
     def exact(cls, re, im_t=0, im_y=0) -> "SpectralParam":
-        """The constructor under its older name, which callers still use."""
+        """The constructor under its older name, which perfbench and a CI step still call."""
         return cls(re, im_t, im_y)
 
     @property
-    def is_real(self) -> bool:
-        return self.im_t == 0 and self.im_y == 0
-
-    @property
     def is_integer(self) -> bool:
-        return self.is_real and self.re.denominator == 1
+        return self.im_t == 0 and self.im_y == 0 and self.re.denominator == 1
 
     def value(self, p: QParam) -> complex:
         """Numeric value of lambda for the given deformation."""

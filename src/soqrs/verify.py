@@ -105,6 +105,11 @@ FOUND = "found"
 NONE = "none"
 INDEFINITE = "indefinite"
 
+# the relative tolerance of the metric and intertwiner solvers: of a
+# recurrence's mismatch around a cycle, of the imaginary parts of the
+# weights, and of the weighted residual
+_SOLVER_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RelationResidual:
@@ -163,15 +168,26 @@ class ResidualReport:
 
 
 def _coerce(rep, qp: QParam | None = None):
-    """Accept a DegenerateRep, which brings its own q, or a bare compact generator list."""
+    """Accept a DegenerateRep, which brings its own q, or a bare compact generator list.
+
+    Rows are keyed by generator index, so the indices must be 2..n, each
+    once, with n = r+s for a rep and one more than the length of a list.
+    """
     if isinstance(rep, DegenerateRep):
         if qp is not None:
             raise ValueError("a DegenerateRep brings its own q: pass no qp with it")
-        return rep.generators, rep.spec.qp, rep.space, rep.spec.r + 1
-    gens = list(rep)
-    if not gens or not isinstance(gens[0], GeneratorMatrix):
-        raise TypeError("expected a DegenerateRep or a list of GeneratorMatrix")
-    return gens, qp, None, None
+        gens, qp, space, noncompact_i = rep.generators, rep.spec.qp, rep.space, rep.spec.r + 1
+        n = rep.spec.r + rep.spec.s
+    else:
+        gens = list(rep)
+        if not gens or not isinstance(gens[0], GeneratorMatrix):
+            raise TypeError("expected a DegenerateRep or a list of GeneratorMatrix")
+        space = noncompact_i = None
+        n = len(gens) + 1
+    found = sorted(g.i for g in gens)
+    if found != list(range(2, n + 1)):
+        raise ValueError(f"generator indices must be 2..{n}, each once; found {found}")
+    return gens, qp, space, noncompact_i
 
 
 def _check_limits(tol: float, depth: int = 0) -> None:
@@ -656,7 +672,7 @@ def _steps(solved: np.ndarray, ratio: np.ndarray, inverse: np.ndarray) -> tuple:
     return forward.tolist(), backward.tolist()
 
 
-def _propagate(edges: BlockEdges, forward: list, backward: list, usable: list, tol: float):
+def _propagate(edges: BlockEdges, forward: list, backward: list, usable: list):
     """Block values from the base block along the usable edges, breadth first.
 
     forward[k] is the step value(dst) / value(src) along edge k and
@@ -664,8 +680,8 @@ def _propagate(edges: BlockEdges, forward: list, backward: list, usable: list, t
     constraint.  Returns (value per block id, None where unreached; ids
     in discovery order; the first broken edge or None).  An edge breaks
     when it proposes the value 0 for a block, or, walked again, a value
-    off by a relative mismatch over tol; it is reported as (edge, block,
-    mismatch), with mismatch 1.0 for a proposed 0.
+    off by a relative mismatch over _SOLVER_TOL; it is reported as
+    (edge, block, mismatch), with mismatch 1.0 for a proposed 0.
     """
     adjacency = edges.adjacency
     values = [None] * len(adjacency)
@@ -687,7 +703,7 @@ def _propagate(edges: BlockEdges, forward: list, backward: list, usable: list, t
             else:
                 scale = max(abs(known), abs(proposed), 1e-300)
                 mismatch = abs(known - proposed) / scale
-                if mismatch > tol and broken is None:
+                if mismatch > _SOLVER_TOL and broken is None:
                     broken = (k, other, mismatch)
     return values, order, broken
 
@@ -734,7 +750,7 @@ def _columns(mat: _Csc) -> np.ndarray:
     return np.arange(mat.shape[1]).repeat(mat.indptr[1:] - mat.indptr[:-1])
 
 
-def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
+def solve_metric(rep: DegenerateRep) -> MetricSolution:
     """Positive block weights c making the noncompact generator Hermitian.
 
     Solves c_dst * A[dst,src] = c_src * conj(A[src,dst]) across block
@@ -744,9 +760,9 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     needs sign changes, `none` when the recurrences are inconsistent or
     inherently non-real; `reason` names the edge, block or residual
     behind any status but `found`, a non-finite amplitude or residual
-    among them.
+    among them.  Mismatches and residuals are measured relative, against
+    _SOLVER_TOL.
     """
-    _check_limits(tol)
     space = rep.space
     edges = space.block_edges
     blocks = space.blocks
@@ -774,7 +790,7 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     ratio = np.conj(back[solved]) / fwd[solved]
     forward, backward = _steps(solved, ratio, 1.0 / ratio)
     values, order, broken = _propagate(edges, forward, backward,
-                                       (one_sided | solved).tolist(), tol)
+                                       (one_sided | solved).tolist())
     connected = len(order) == len(blocks)
     if broken is not None:
         k, other, mismatch = broken
@@ -785,11 +801,11 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
                       f"|A[src,dst]| = {abs_b[k]:.3e}, zero below {ztol:.3e}")
         else:
             reason = (f"inconsistent edge {block_pair(k)}: relative mismatch "
-                      f"{mismatch:.3e} > {tol:g}")
+                      f"{mismatch:.3e} > {_SOLVER_TOL:g}")
         return MetricSolution(NONE, None, None, connected, reason)
     vals = np.array([v for v in values if v is not None])
     imag, size = np.abs(vals.imag).max(), np.abs(vals).max()
-    if imag > tol * size:
+    if imag > _SOLVER_TOL * size:
         return MetricSolution(NONE, None, None, connected,
                               f"weights are not real: max |Im c| = {imag:.3e} "
                               f"against max |c| = {size:.3e}")
@@ -813,10 +829,10 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
         return MetricSolution(NONE, weights, residual, connected,
                               f"weighted adjoint residual {residual} is not finite")
     rel = residual / max(scale * max(abs(v) for v in weights.values()), 1e-300)
-    if rel > tol:
+    if rel > _SOLVER_TOL:
         return MetricSolution(NONE, weights, residual, connected,
                               f"weighted adjoint residual {residual:.3e} is "
-                              f"{rel:.3e} relative, over {tol:g}")
+                              f"{rel:.3e} relative, over {_SOLVER_TOL:g}")
     if min(weights.values()) <= 0.0:
         b = next(b for b in blocks if weights[b] <= 0.0)
         return MetricSolution(INDEFINITE, weights, residual, connected,
@@ -824,19 +840,18 @@ def solve_metric(rep: DegenerateRep, tol: float = 1e-8) -> MetricSolution:
     return MetricSolution(FOUND, weights, residual, connected)
 
 
-def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
-                      tol: float = 1e-8) -> IntertwinerSolution | None:
+def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep) -> IntertwinerSolution | None:
     """Block-scalar diagonal S with S T_A(X) = T_B(X) S for all generators.
 
     Returns None when the linear conditions are inconsistent or require a
     non-invertible S, or when an edge amplitude or a residual is not
-    finite.  The diagonal is normalized to 1 on the base block.
+    finite; a mismatch or residual is measured relative, against
+    _SOLVER_TOL.  The diagonal is normalized to 1 on the base block.
     A compact generator adds no residual and is skipped when both reps
     hold the same frame's own compact generators (the first two points of
     the structural check) and its record finds the generator
     block-diagonal.
     """
-    _check_limits(tol)
     sa, sb = repA.spec, repB.spec
     if (sa.r, sa.s, sa.epsilon, sa.cutoff, sa.qp) != (sb.r, sb.s, sb.epsilon, sb.cutoff, sb.qp):
         raise ValueError("intertwiner requires matching (r, s, epsilon, q, cutoff)")
@@ -854,7 +869,7 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
     ratio = _quotient(b_fwd[solved], a_fwd[solved])
     forward, backward = _steps(solved, ratio, _quotient(1.0, ratio))
     values, order, broken = _propagate(edges, forward, backward,
-                                       (~(zero_a & zero_b)).tolist(), tol)
+                                       (~(zero_a & zero_b)).tolist())
     if broken is not None or len(order) < len(space.blocks):
         return None
     block_values = {space.blocks[b]: values[b] for b in order}
@@ -877,6 +892,6 @@ def solve_intertwiner(repA: DegenerateRep, repB: DegenerateRep,
             return None
         residual = max(residual, part)
     rel_scale = scale * max(abs(v) for v in block_values.values())
-    if residual > tol * max(rel_scale, 1.0):
+    if residual > _SOLVER_TOL * max(rel_scale, 1.0):
         return None
     return IntertwinerSolution(block_values, diag, residual)

@@ -19,11 +19,12 @@ block graph with plain sets; the table reference lists every step of a
 window with the shift of its bracket and reads the components and the
 closure of a region off the steps lambda cuts.  The primed-refusal
 reference evaluates every factor of the primed transform in floating
-point and names the first one that is numerically zero.  The assembly reference for T_{eps,lambda} is the one exception to
-the no-import rule: it takes its scalars from the package and rebuilds
-every generator block by block on each call, with no frame shared
-between calls.  The dump reference writes `soqrs build` JSON the way it
-was first written: sorted (row, col, re, im) triplets and basis rows
+point and names the first one that is numerically zero.  The assembly
+reference for T_{eps,lambda} is the one exception to the no-import rule:
+it takes its scalars from the package (package_R reads the chain factor)
+and rebuilds every generator block by block on each call, with no frame
+shared between calls.  The dump reference writes `soqrs build` JSON the
+way it was first written: sorted (row, col, re, im) triplets and basis rows
 built per pattern, through the stdlib's indent=2 encoder.  The metric
 and intertwiner references are the solvers as first written, through
 sparse products and scalar lookups, returning the package's solution
@@ -691,6 +692,24 @@ def coo_to_csc(dim: int, rows, cols, vals):
         shape=(dim, dim)).tocsc()
 
 
+def package_R(m1, m2, n: int, p):
+    """The package's chain factor R of so'_q(n) at the entries (m_{n-1}, m_{n-2}) = (m1, m2).
+
+    m1 and m2 are ints or int sequences of one length.  One
+    compactrep._chain_factor call, its brackets read by QParam.qnum one
+    by one; a scalar entry gives a float, sequences an array.
+    """
+    import numpy as np
+
+    from soqrs.compactrep import _chain_factor
+
+    one = np.ndim(m1) == 0
+    out = _chain_factor(np.atleast_1d(np.asarray(m1, dtype=np.int64)),
+                        np.atleast_1d(np.asarray(m2, dtype=np.int64)), n,
+                        lambda x: np.array([p.qnum(v) for v in x.tolist()]), p)
+    return float(out[0]) if one else out
+
+
 def kron_assembly(spec, primed: bool = False) -> list:
     """csc matrices of generators 2..r+s of T_{eps,lambda}, assembled per call.
 
@@ -698,9 +717,10 @@ def kron_assembly(spec, primed: bool = False) -> list:
     class-1 COO arrays per block and compact generator, and
     kron(E_L diag K, E_R diag L) times (sign * bracket factor) per block
     edge, each family's factor evaluated through a closure.  The scalars
-    come from the package (class1_arrays per top label, K_coeff,
-    QParam.qnum), so a byte comparison checks how the package splits and
-    reassembles the work, not libm; the matrices come from scipy's own
+    come from the package (class1_arrays per top label, one package_R
+    call per rank, top label and step for K and L, QParam.qnum), so a
+    byte comparison checks how the package splits and reassembles the
+    work, not libm; the matrices come from scipy's own
     COO -> CSC conversion, not from the package's assemble.
     """
     import cmath
@@ -708,7 +728,6 @@ def kron_assembly(spec, primed: bool = False) -> list:
     import numpy as np
 
     from soqrs.compactrep import class1_arrays
-    from soqrs.degenrep import K_coeff
     from soqrs.gtbasis import TruncatedSpace
 
     lam, p, r, s = spec.lambda_value, spec.qp, spec.r, spec.s
@@ -778,7 +797,8 @@ def kron_assembly(spec, primed: bool = False) -> list:
                 if top + step > space.top_ring:
                     continue
                 m = top if step == 1 else top - 1
-                factor = {k: K_coeff(m, k, n, p) for k in {c[1] for c in of_top}}
+                ks = sorted({c[1] for c in of_top})
+                factor = dict(zip(ks, package_R([m] * len(ks), ks, n + 1, p).tolist()))
                 src = [i for i, c in enumerate(of_top) if factor[c[1]]]
                 tables[n, top, step] = (
                     np.array(src, dtype=np.int64),

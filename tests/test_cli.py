@@ -191,6 +191,49 @@ def test_verify_malformed_dump_is_an_input_error(tmp_path, capsys, damage):
     assert err.startswith("soqrs: input error: "), err
 
 
+@pytest.mark.parametrize("field,value,shown", [
+    (("dim",), "9", '"9"'), (("dim",), 9.5, "9.5"), (("dim",), True, "true"),
+    (("generators", 1, "i"), "x", '"x"'), (("generators",), [], "[]"),
+    (("generators",), None, "null"), (("config", "q"), None, "null"),
+    (("config",), None, "null"), (("kind",), 7, "7")])
+def test_verify_dump_refuses_a_header_field_of_the_wrong_type(tmp_path, capsys, field, value,
+                                                              shown):
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--class1", "--n", "4", "--m", "1", "--out", str(dump)]) == 0
+    data = json.loads(dump.read_text())
+    *at, last = field
+    holder = data
+    for key in at:
+        holder = holder[key]
+    holder[last] = value
+    dump.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--dump", str(dump))
+    name = ".".join(map(str, field)).replace(".1.", "[1].")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"soqrs: input error: {dump}: {name} is {shown}, not "), err
+
+
+def test_verify_dump_refuses_a_missing_or_repeated_generator(tmp_path, capsys):
+    # the checks key generators by index: with generator 2 deleted, or
+    # replaced by a copy of generator 3, the dump passed on the rows left
+    dump = tmp_path / "rep.json"
+    for build, edit, found in (
+            (["--degenerate", "--r", "3", "--s", "3", "--epsilon", "0", "--lambda-re", "1/3",
+              "--cutoff", "6"], lambda gens: gens[1:], "2..6, each once; found [3, 4, 5, 6]"),
+            (["--degenerate", "--r", "3", "--s", "3", "--epsilon", "0", "--lambda-re", "1/3",
+              "--cutoff", "6"], lambda gens: gens[:2] + gens[3:],
+             "2..6, each once; found [2, 3, 5, 6]"),
+            (["--class1", "--n", "4", "--m", "1"], lambda gens: [gens[1]] + gens[1:],
+             "2..4, each once; found [3, 3, 4]")):
+        assert main(["build", *build, "--out", str(dump)]) == 0
+        data = json.loads(dump.read_text())
+        data["generators"] = edit(data["generators"])
+        dump.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--dump", str(dump))
+        assert code == 3 and out == ""
+        assert err == f"soqrs: parameter error: generator indices must be {found}\n", err
+
+
 def test_classify_reducible_with_ladder(capsys):
     code, out, _ = run(capsys, "classify", "--r", "4", "--s", "4",
                        "--epsilon", "0", "--lambda-re", "2", "--json")
@@ -231,6 +274,16 @@ def test_scan_refuses_an_empty_lambda_list(capsys):
                        "--lambda-int-min", "5", "--lambda-int-max", "4",
                        "--lambda-rationals", "1/2", "--json")
     assert code == 0 and len(json.loads(out)["rows"]) == 1
+
+
+def test_scan_refuses_a_bad_lambda_rational_as_a_usage_error(capsys):
+    # each token is read as --lambda-re is; 1/0 escaped main as a ZeroDivisionError
+    for token, why in (("1/0", "Fraction(1, 0)"), ("abc", "Invalid literal for Fraction: 'abc'")):
+        code, out, err = run(capsys, "scan", "--r", "3", "--s", "4", "--epsilon", "0",
+                             "--lambda-rationals", f"1/2,{token}")
+        assert code == 3 and out == ""
+        assert err.endswith("error: argument --lambda-rationals: not an exact rational: "
+                            f"{token!r} ({why})\n"), err
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,7 +8,6 @@ from scipy import sparse
 
 from soqrs import (
     QParam,
-    R_coeff,
     build_class1,
     build_so3,
     check_relations,
@@ -16,7 +15,8 @@ from soqrs import (
     d_coeff,
 )
 from soqrs.compactrep import assemble
-from oracles import class1_chains, cl_compact_matrices, cl_R, coo_to_csc, q_compact_coo
+from oracles import (class1_chains, cl_compact_matrices, cl_R, coo_to_csc, package_R,
+                     q_compact_coo)
 
 
 def test_out_of_range_q_is_refused():
@@ -37,10 +37,10 @@ def test_out_of_range_q_is_refused():
     # the denominator overflows, so the ratio underflows to 0
     with pytest.raises(ValueError, match=r"^R of so'_q\(5\) at \(27, 27\) is out of "
                                          r"floating-point range at q=1000000"):
-        R_coeff(27, 27, 5, QParam(1e6))
+        package_R(27, 27, 5, QParam(1e6))
     # a truly negative radicand still is an inadmissible pattern
     with pytest.raises(ArithmeticError, match=r"negative radicand .* R of so'_q\(4\) at \(-2, -3\)"):
-        R_coeff(-2, -3, 4, QParam(2.0))
+        package_R(-2, -3, 4, QParam(2.0))
     # so'_q(3) at top 25 stays in range at q = 1e6 and still builds
     assert all(np.isfinite(g.mat.data).all() for g in build_class1(3, 25, QParam(1e6)))
 
@@ -82,16 +82,15 @@ def test_so3_classical_ladder():
 
 
 def test_R_coeff_values():
-    assert R_coeff(0, 0, 4, QParam(1.0)) == pytest.approx(1 / math.sqrt(3), abs=1e-14)
-    assert R_coeff(1, 0, 5, QParam(1.0)) == pytest.approx(0.5, abs=1e-14)
-    assert R_coeff(0, 1, 4, QParam(2.0)) == 0.0  # wall: [m1 - m2 + 1] = [0]
-    with pytest.raises(ValueError):
-        R_coeff(1, 0, 3, QParam(2.0))
+    # the chain factor R of so'_q(n), read by compactrep._chain_factor at one entry
+    assert package_R(0, 0, 4, QParam(1.0)) == pytest.approx(1 / math.sqrt(3), abs=1e-14)
+    assert package_R(1, 0, 5, QParam(1.0)) == pytest.approx(0.5, abs=1e-14)
+    assert package_R(0, 1, 4, QParam(2.0)) == 0.0  # wall: [m1 - m2 + 1] = [0]
     # cross-check against the classical oracle at q = 1
     for m1 in range(0, 4):
         for m2 in range(0, m1 + 1):
             for n in (4, 5, 6):
-                assert R_coeff(m1, m2, n, QParam(1.0)) == pytest.approx(
+                assert package_R(m1, m2, n, QParam(1.0)) == pytest.approx(
                     cl_R(m1, m2, n), abs=1e-14)
 
 

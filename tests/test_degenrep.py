@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from soqrs import (
-    K_coeff,
     PrimedBasisUndefined,
     QParam,
     RepSpec,
@@ -22,6 +21,7 @@ from oracles import (
     block_diagonal,
     block_slices,
     cl_degenerate_noncompact,
+    package_R,
     primed_zero_factor,
     q_KL,
     q_degenerate_noncompact_entries,
@@ -32,27 +32,31 @@ E = SpectralParam.exact
 Q2 = QParam(2.0)
 
 
+def K(m: int, k: int, r: int, p: QParam) -> float:
+    """K_m of the left chain (r, m, k): the chain factor R of so'_q(r+1) at (m, k)."""
+    return package_R(m, k, r + 1, p)
+
+
 def test_K_coeff_values():
-    assert K_coeff(0, 0, 3, QParam(1.0)) == pytest.approx(1 / math.sqrt(3), abs=1e-14)
+    assert K(0, 0, 3, QParam(1.0)) == pytest.approx(1 / math.sqrt(3), abs=1e-14)
     # lowering wall from m = 0: zero through the numerator, any rank, any q
-    assert K_coeff(-1, 0, 3, Q2) == 0.0
-    assert K_coeff(-1, 0, 4, Q2) == 0.0  # denominator [0] is never touched
+    assert K(-1, 0, 3, Q2) == 0.0
+    assert K(-1, 0, 4, Q2) == 0.0  # denominator [0] is never touched
     # direct numeric oracle for L_0 at s=4, q=2
     w = lambda b: (2 ** (b / 2) - 2 ** (-b / 2)) / (2 ** 0.5 - 2 ** -0.5)
     expected = math.sqrt(w(1) * w(2) / (w(4) * w(2)))
-    assert K_coeff(0, 0, 4, Q2) == pytest.approx(expected, abs=1e-14)
+    assert K(0, 0, 4, Q2) == pytest.approx(expected, abs=1e-14)
 
 
 def test_K_coeff_out_of_range_q_is_a_value_error():
     with pytest.raises(ValueError, match="out of floating-point range at q=50"):
-        K_coeff(200, 0, 3, QParam(50.0))
+        K(200, 0, 3, QParam(50.0))
 
 
 def test_K_coeff_even_in_k():
     for m in range(0, 4):
         for k in range(-m, m + 1):
-            assert K_coeff(m, k, 3, Q2) == pytest.approx(
-                K_coeff(m, -k, 3, Q2), abs=1e-15)
+            assert K(m, k, 3, Q2) == pytest.approx(K(m, -k, 3, Q2), abs=1e-15)
 
 
 def test_frame_kl_is_the_oracle_K_times_L_bit_for_bit():

@@ -202,7 +202,7 @@ def test_relation_rows_report_the_scalar_abs():
     qp = QParam(0.5)
     rep = build_degenerate(RepSpec(3, 3, 0, E(2, 0, Fraction(3, 4)), qp, 2))
     report = check_relations(rep, depth=0)
-    want = full_product_relations(rep.generators, qp.a, rep.dim, basis_rows(rep.space).__getitem__)
+    want = full_product_relations(rep.generators, qp.a, rep.space.dim, basis_rows(rep.space).__getitem__)
     assert [(r.relation, r.residual, r.worst) for r in report.rows] == want
 
 

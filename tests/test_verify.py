@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ def test_check_relations_takes_a_qp_only_with_bare_generators():
         check_relations(rep, qp=QParam(7.0))
     with pytest.raises(ValueError, match="a QParam is required"):
         check_relations(rep.generators)
-    assert check_relations(rep.generators, qp=Q2).dim == rep.dim
+    assert check_relations(rep.generators, qp=Q2).dim == rep.space.dim
 
 
 def test_so3_relations_pass():
@@ -98,7 +99,7 @@ def test_relations_match_full_products(q):
             for depth in (0, 1, 2, 3, 4, space.top_ring + 1):
                 report = check_relations(rep, depth=depth)
                 ncols = len(space.interior_indices(depth))
-                assert (report.columns, report.dim) == (ncols, rep.dim)
+                assert (report.columns, report.dim) == (ncols, rep.space.dim)
                 want = full_product_relations(rep.generators, qp.a, ncols,
                                               basis_rows(space).__getitem__)
                 assert _rows(report) == want, (r, s, eps, cutoff, depth)
@@ -375,7 +376,7 @@ def test_metric_reason_residual_over_tolerance():
     rep = _found_rep()
     edges, A = rep.space.block_edges, rep.noncompact.mat
     linked = set(edges.col_src.tolist()) | set(edges.col_dst.tolist())
-    col = max(set(range(rep.dim)) - linked, key=lambda c: A.indptr[c + 1] - A.indptr[c])
+    col = max(set(range(rep.space.dim)) - linked, key=lambda c: A.indptr[c + 1] - A.indptr[c])
     bad = _with_entry_scaled(rep, A.indices[A.indptr[col]], col, 1.5)
     ms = solve_metric(bad)
     assert ms.status == NONE and ms.weights is not None
@@ -561,11 +562,30 @@ def test_checks_and_solvers_refuse_a_tol_that_is_not_finite_and_positive(tol):
     rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 4))
     gens = build_class1(4, 1, Q2)
     calls = [lambda: check_relations(rep, tol=tol), lambda: check_relations(gens, qp=Q2, tol=tol),
-             lambda: check_star(rep, tol=tol), lambda: check_star(gens, tol=tol),
-             lambda: solve_metric(rep, tol=tol), lambda: solve_intertwiner(rep, rep, tol=tol)]
+             lambda: check_star(rep, tol=tol), lambda: check_star(gens, tol=tol)]
     for call in calls:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             call()
+
+
+def test_checks_refuse_a_missing_or_repeated_generator_index():
+    # relation and star rows are keyed by generator index: a missing index
+    # dropped its rows, and a repeated one a whole generator, so both passed
+    rep = build_degenerate(RepSpec(3, 3, 0, E(Fraction(1, 3)), Q2, 6))
+    gens = build_class1(4, 1, Q2)
+    cases = [
+        (DegenerateRep(rep.spec, rep.space, rep.generators[1:]), "2..6", [3, 4, 5, 6]),
+        (DegenerateRep(rep.spec, rep.space, rep.generators[:2] + rep.generators[3:]),
+         "2..6", [2, 3, 5, 6]),
+        ([GeneratorMatrix(3, gens[0].mat)] + gens[1:], "2..4", [3, 3, 4]),
+        (gens[:1] + gens[2:], "2..3", [2, 4]),
+    ]
+    for target, span, found in cases:
+        kwargs = {} if isinstance(target, DegenerateRep) else {"qp": Q2}
+        message = f"generator indices must be {span}, each once; found {found}"
+        for call in (lambda: check_relations(target, **kwargs), lambda: check_star(target)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 def test_check_relations_refuses_a_negative_depth():
@@ -573,7 +593,7 @@ def test_check_relations_refuses_a_negative_depth():
     for target, kwargs in ((rep, {}), (build_class1(4, 1, Q2), {"qp": Q2})):
         with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
             check_relations(target, depth=-1, **kwargs)
-    assert check_relations(rep, depth=0).columns == rep.dim
+    assert check_relations(rep, depth=0).columns == rep.space.dim
 
 
 def test_compact_generator_made_writeable_is_recomputed():
