@@ -55,23 +55,27 @@ every strip point, solve_metric finds a positive metric at the centre
 lambda = (r+s-2)/2 (the principal series), and solve_intertwiner links
 every strip point to its mirror.  Every reducible lambda then reduces to
 a canonical L <= (r+s-2)/2, which the decomposition tables cover.
+
+Only Region.contains and Region.blocks work on arrays; they load numpy and
+gtbasis when called, so the module itself imports neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .degenrep import RepSpec
-from .gtbasis import FAMILIES, block_arrays, check_tower
 from .qarith import (
     EQUIVALENT_FLIP,
     SpectralParam,
     normalize_spectral,
     vanishing_point,
 )
+from .tower import FAMILIES, check_tower
+
+if TYPE_CHECKING:
+    from .degenrep import RepSpec
 
 PRINCIPAL = "principal"
 STRANGE = "strange"
@@ -95,6 +99,8 @@ class Region:
 
     def contains(self, m, mp):
         """Whether block (m, m') lies in the region, elementwise on int arrays."""
+        import numpy as np
+
         sigma, d = m + mp, m - mp
         inside = np.ones(np.shape(sigma), dtype=bool)
         for lo, hi, x in ((self.sigma_min, self.sigma_max, sigma),
@@ -106,6 +112,8 @@ class Region:
         return inside
 
     def blocks(self, epsilon: int, cutoff: int) -> frozenset:
+        from .gtbasis import block_arrays
+
         m, mp = block_arrays(epsilon, cutoff)
         inside = self.contains(m, mp)
         return frozenset(zip(m[inside].tolist(), mp[inside].tolist()))
@@ -239,7 +247,7 @@ def classify_star(r: int, s: int, epsilon: int, lam: SpectralParam) -> str:
 # block-lattice scanner
 
 
-# Report names of the gtbasis.FAMILIES steps, in that order.
+# Report names of the tower.FAMILIES steps, in that order.
 _FAMILY_NAMES = ("ring_up", "diag_m_up", "diag_mp_up", "ring_down")
 
 

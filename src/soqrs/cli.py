@@ -8,10 +8,15 @@ of the wrong JSON type), 3 usage or parameter error.
 A `build` dump is the bytes of json.dumps(report, indent=2): a header, the
 basis rows and, per generator, its (row, col, re, im) entries in (col, row)
 order.  The basis and entry tables are written from arrays in slices of
-_SLICE_ROWS rows, one C-encoder call per column of a slice, and each piece
-goes to every sink as it is made.  `verify --dump` turns each generator's
-entries into a checked array as the parser closes it, and assembles the
-matrices after the parse.
+_SLICE_ROWS rows, one C-encoder call per column of a slice on its distinct
+values, and each piece goes to every sink as it is made.  `verify --dump`
+turns each generator's entries into a checked array as the parser closes
+it, and assembles the matrices after the parse; the check runs at the q
+and cutoff of the dump's config, which the report records.
+
+Each command imports the library modules it runs when it runs, so
+`classify` and `scan` load neither numpy nor scipy, and `build` loads
+neither verify nor classify.
 """
 
 from __future__ import annotations
@@ -26,15 +31,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
-from .compactrep import GeneratorMatrix, assemble, build_class1, build_so3
-from .classify import cross_check, predict_constituents
-from .degenrep import (DegenerateRep, RepSpec, build_degenerate, build_degenerate_primed,
-                       primed_transform)
-from .gtbasis import TruncatedSpace, chain_labels
 from .qarith import QParam, SpectralParam
-from .verify import check_relations, check_star, solve_metric
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -99,6 +96,16 @@ def _add_targets(p: argparse.ArgumentParser):
     return group
 
 
+# verify --dump runs at the dump's q and cutoff and refuses a --q or --cutoff
+# given on the command line, which it tells from the defaults by their types.
+class _DefaultQ(float):
+    """The type of the --q default."""
+
+
+class _DefaultCutoff(int):
+    """The type of the --cutoff default."""
+
+
 def _add_target_options(p: argparse.ArgumentParser) -> None:
     """The options `build` and `verify` share: the parameters of a target, q, cutoff, output."""
     p.add_argument("--primed", action="store_true")
@@ -109,8 +116,8 @@ def _add_target_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--epsilon", type=int, default=0, choices=(0, 1))
     _add_lambda_args(p)
-    p.add_argument("--q", type=float, default=2.0, help="deformation q > 0")
-    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--q", type=float, default=_DefaultQ(2.0), help="deformation q > 0")
+    p.add_argument("--cutoff", type=int, default=_DefaultCutoff(8))
     _add_output(p)
 
 
@@ -159,14 +166,31 @@ class _Table:
 _SLICE_ROWS = 4096
 
 
+def _tokens(col) -> list[str]:
+    """The JSON token of each item of the 1-d array col, as json.dumps writes it.
+
+    The distinct items are encoded by one call of the C encoder (json.dumps
+    without indent), which formats numbers with the same repr as the
+    pure-Python encoder that indent=2 selects, and their tokens are
+    gathered back.  Floats are told apart by their bits, so -0.0 and 0.0
+    keep their own tokens and every NaN is kept.
+    """
+    import numpy as np
+
+    keys = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # JSON text escapes NUL, so a raw "\0" separates tokens unambiguously
+    tokens = json.dumps(col[first].tolist(), separators=("\0", ":"))[1:-1].split("\0")
+    return list(map(tokens.__getitem__, inverse.tolist()))
+
+
 def _table_json(columns, indent: str) -> Iterator[str]:
     """json.dumps(list of rows, indent=2) for rows zip(*columns), nested at `indent`.
 
     The text comes in pieces of at most _SLICE_ROWS rows.  Each column of
-    a slice is converted and encoded once by the C encoder (json.dumps
-    without indent), which formats numbers with the same repr as the
-    pure-Python encoder that indent=2 selects; the tokens are then
-    interleaved with the fixed separators of the row and item levels.
+    a slice is encoded by _tokens, on the slice, not the table, so that
+    the work arrays stay small; the tokens are then interleaved with the
+    fixed separators of the row and item levels.
     """
     n, k = len(columns[0]), len(columns)
     if n == 0:
@@ -178,9 +202,7 @@ def _table_json(columns, indent: str) -> Iterator[str]:
         rows = min(n - lo, _SLICE_ROWS)
         flat = [",\n" + item] * (2 * rows * k)
         for j, col in enumerate(columns):
-            # JSON text escapes NUL, so a raw "\0" separates tokens unambiguously
-            flat[2 * j::2 * k] = json.dumps(col[lo:lo + rows].tolist(),
-                                            separators=("\0", ":"))[1:-1].split("\0")
+            flat[2 * j::2 * k] = _tokens(col[lo:lo + rows])
         flat[2 * k - 1::2 * k] = [f"\n{row}],\n{row}[\n{item}"] * rows
         flat[-1] = f"\n{row}]"
         yield ("," if lo else "") + f"\n{row}[\n{item}" + "".join(flat)
@@ -221,6 +243,10 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
 
 def _chain_table(n: int, top: Fraction) -> _Table:
     """The chains (top, ..., m_2) ascending; half-integer so'_q(3) labels as strings."""
+    import numpy as np
+
+    from .gtbasis import chain_labels
+
     if top.denominator == 2:
         return _Table(*np.array([(str(top), str(j - top))
                                  for j in range(int(2 * top) + 1)]).T)
@@ -233,11 +259,13 @@ def _entry_table(mat) -> _Table:
     The matrices are canonical CSC, whose storage order is the (col, row)
     order of the dump.
     """
+    import numpy as np
+
     cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
     return _Table(mat.indices, cols, mat.data.real, mat.data.imag)
 
 
-def _entry_array(g: dict, path: str) -> np.ndarray:
+def _entry_array(g: dict, path: str):
     """The (nnz, 4) float array of generator g's [row, col, re, im] entries.
 
     Refused with ValueError naming the generator and the entry: an entry
@@ -246,6 +274,8 @@ def _entry_array(g: dict, path: str) -> np.ndarray:
     an integer (a float cast would truncate it, and the check would run on
     a matrix the file does not hold).
     """
+    import numpy as np
+
     entries = g["entries"]
     where = f"generator {g['i']} of {path}"
     if not isinstance(entries, list):
@@ -301,7 +331,7 @@ _HEADER = {"kind": _STRING, "dim": _INT, "config": (lambda x: type(x) is dict, "
            "generators": (lambda x: type(x) is list and x and all(type(g) is dict for g in x),
                           "a non-empty list of objects")}
 _GENERATOR = {"i": _INT, "nnz": _INT}
-_CONFIG = {"q": _NUMBER, "r": _INT, "s": _INT, "epsilon": _INT, "cutoff": _INT,
+_CONFIG = {"q": _NUMBER, "n": _INT, "r": _INT, "s": _INT, "epsilon": _INT, "cutoff": _INT,
            "lambda_re": _STRING, "lambda_im_t": _STRING, "lambda_im": _STRING,
            "basis_kind": _STRING, "lambda_float": (
                lambda x: type(x) is list and len(x) == 2 and all(map(_NUMBER[0], x)),
@@ -335,6 +365,8 @@ def _target(args, qp: QParam) -> tuple:
     PrimedBasisUndefined, a parameter error, naming the vanishing factor
     and its block.
     """
+    from .compactrep import build_class1, build_so3
+
     if args.so3:
         lf = Fraction(args.l)
         return "so3", {**_config_dict(args), "l": str(lf)}, build_so3(lf, qp), None
@@ -343,6 +375,8 @@ def _target(args, qp: QParam) -> tuple:
                 build_class1(args.n, args.m, qp), None)
     if args.r is None or args.s is None:
         raise UsageError("--degenerate needs --r and --s")
+    from .degenrep import RepSpec, build_degenerate, build_degenerate_primed, primed_transform
+
     lam = _resolve_lambda(args)
     spec = RepSpec(args.r, args.s, args.epsilon, lam, qp, args.cutoff)
     if args.primed:
@@ -384,6 +418,22 @@ def cmd_verify(args) -> int:
                          f"is compared with it")
     if args.depth < 0:
         raise UsageError(f"--depth {args.depth} must be at least 0")
+    import numpy as np
+
+    from .compactrep import GeneratorMatrix, assemble, build_class1
+    from .degenrep import DegenerateRep, RepSpec
+    from .gtbasis import TruncatedSpace
+    from .verify import check_relations, check_star, solve_metric
+
+    if args.dump is not None:
+        for opt, default in (("q", _DefaultQ), ("cutoff", _DefaultCutoff)):
+            if not isinstance(getattr(args, opt), default):
+                raise UsageError(f"--{opt} cannot be given with --dump: the check runs at "
+                                 f"the {opt} of the dump's config")
+        data = _read_dump(args.dump)
+        cfg = data["config"]
+        # the report's config records the q and cutoff the check ran at
+        args.q, args.cutoff = cfg.get("q", args.q), cfg.get("cutoff")
     qp = QParam(args.q)
     checks = []
     texts = []
@@ -393,10 +443,14 @@ def cmd_verify(args) -> int:
         texts.append(f"== {name}\n" + _report_rows(report))
 
     if args.dump is not None:
-        data = _read_dump(args.dump)
         dim = data["dim"]
-        q = data["config"].get("q", args.q)
-        qp = QParam(q)
+        if data["kind"] in ("class1", "so3"):
+            # the config, not the list, gives the rank: a missing generator is an error
+            n = cfg["n"] if data["kind"] == "class1" else 3
+            found = sorted(g["i"] for g in data["generators"])
+            if found != list(range(2, n + 1)):
+                raise ValueError(f"generator indices must be 2..{n}, each once; "
+                                 f"found {found}")
         gens = []
         for g in data["generators"]:
             rows, cols, re, im = g["entries"].T
@@ -409,7 +463,6 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"generator {g['i']} of {args.dump}: {exc}") from None
             gens.append(GeneratorMatrix(g["i"], mat))
         if data["kind"] == "degenerate":
-            cfg = data["config"]
             if "lambda_re" in cfg:
                 lam = SpectralParam(Fraction(cfg["lambda_re"]), Fraction(cfg["lambda_im_t"]),
                                     Fraction(cfg.get("lambda_im", 0)))
@@ -459,6 +512,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import predict_constituents
+
     lam = _resolve_lambda(args)
     cl = predict_constituents(args.r, args.s, args.epsilon, lam)
     payload = {"config": _config_dict(args, lam), **cl.to_dict()}
@@ -479,6 +534,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .classify import cross_check
+
     lams = [SpectralParam(x) for x in
             [*range(args.lambda_int_min, args.lambda_int_max + 1), *args.lambda_rationals]]
     if not lams:

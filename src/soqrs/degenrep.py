@@ -77,8 +77,9 @@ from .compactrep import (
     assemble,
     class1_arrays,
 )
-from .gtbasis import FAMILIES, TruncatedSpace, check_tower, enumerate_blocks
+from .gtbasis import TruncatedSpace, enumerate_blocks
 from .qarith import QParam, SpectralParam, vanishing_point
+from .tower import FAMILIES, check_tower
 
 
 class PrimedBasisUndefined(ValueError):

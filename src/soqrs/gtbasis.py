@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .tower import FAMILIES, check_tower
+
 
 def class1_dim(n: int, m) -> int:
     """Dimension of the class-1 representation of so'_q(n) with top label m."""
@@ -51,21 +53,6 @@ def chain_labels(n: int, top) -> list[np.ndarray]:
     return [a.astype(np.int64) for a in labels]
 
 
-def check_tower(r: int, s: int, epsilon: int, cutoff: int | None = None) -> None:
-    """Refuse a tower the degenerate series does not define, with ValueError.
-
-    The rules of every tower: ranks r, s > 2, epsilon 0 or 1 and, when a
-    cutoff is given, a cutoff of at least epsilon, so that a block fits.
-    """
-    if r <= 2 or s <= 2:
-        raise ValueError(f"ranks must exceed 2, got r={r}, s={s}")
-    if epsilon not in (0, 1):
-        raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-    if cutoff is not None and cutoff < epsilon:
-        raise ValueError(f"cutoff {cutoff} is below epsilon {epsilon}: "
-                         "the truncated tower has no blocks")
-
-
 def enumerate_blocks(epsilon: int, cutoff: int) -> list[tuple[int, int]]:
     """Blocks (m, m') with m + m' <= cutoff and m + m' == epsilon (mod 2).
 
@@ -83,13 +70,6 @@ def block_arrays(epsilon: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     sigma = np.repeat(rings, sizes)
     m = np.arange(sigma.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return m, sigma - m
-
-
-FAMILIES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-"""The steps (dm, dm') between neighbouring blocks, one per noncompact family.
-
-An edge's family indexes this.
-"""
 
 
 def lattice_steps(epsilon: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -224,7 +224,14 @@ def test_verify_dump_refuses_a_missing_or_repeated_generator(tmp_path, capsys):
               "--cutoff", "6"], lambda gens: gens[:2] + gens[3:],
              "2..6, each once; found [2, 3, 5, 6]"),
             (["--class1", "--n", "4", "--m", "1"], lambda gens: [gens[1]] + gens[1:],
-             "2..4, each once; found [3, 3, 4]")):
+             "2..4, each once; found [3, 3, 4]"),
+            # a class-1 or so'_q(3) dump's rank is its config's: with the last
+            # generator deleted, it passed on the smaller algebra the rest span
+            (["--class1", "--n", "4", "--m", "1"], lambda gens: gens[:-1],
+             "2..4, each once; found [2, 3]"),
+            (["--class1", "--n", "6", "--m", "2"], lambda gens: gens[:-1],
+             "2..6, each once; found [2, 3, 4, 5]"),
+            (["--so3", "--l", "3/2"], lambda gens: gens[:-1], "2..3, each once; found [2]")):
         assert main(["build", *build, "--out", str(dump)]) == 0
         data = json.loads(dump.read_text())
         data["generators"] = edit(data["generators"])
@@ -397,6 +404,22 @@ def test_primed_basis_that_does_not_exist_is_refused(capsys, command):
     assert code == 0
 
 
+def test_verify_dump_reports_the_q_and_cutoff_it_ran_at(tmp_path, capsys):
+    dump = tmp_path / "rep.json"
+    assert main(["build", "--degenerate", "--r", "3", "--s", "3", "--epsilon", "0",
+                 "--lambda-re", "1/3", "--cutoff", "6", "--q", "0.5", "--out", str(dump)]) == 0
+    code, out, _ = run(capsys, "verify", "--dump", str(dump), "--json")
+    assert code == 0
+    cfg = json.loads(out)["config"]
+    assert (cfg["q"], cfg["cutoff"]) == (0.5, 6)
+    # the check runs at the dump's q and cutoff, so an option that names others is refused
+    for extra in (["--q", "5"], ["--q", "2"], ["--cutoff", "8"], ["--cutoff=6"]):
+        code, out, err = run(capsys, "verify", "--dump", str(dump), *extra, "--json")
+        assert code == 3 and out == ""
+        assert err.startswith(f"soqrs: error: {extra[0].split('=')[0]} cannot be given with "
+                              "--dump"), err
+
+
 def test_reports_embed_config(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     assert main(["verify", "--so3", "--l", "2", "--q", "2",
@@ -545,27 +568,82 @@ def test_dump_tables_keep_explicit_and_negative_zeros():
     assert json.loads(text)["generators"][0]["nnz"] == 4
 
 
-def test_classify_and_scan_leave_scipy_sparse_unloaded():
-    """scipy itself is imported with soqrs; scipy.sparse waits for the first matrix."""
-    probe = (
+def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports soqrs from this checkout; it must exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_table_tokens_match_the_json_encoder_across_slices():
+    # each slice encodes its distinct values once; -0.0, 0.0 and NaN keep their own tokens
+    n = 2 * _S + 5
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e308, -1e308,
+                        1.5, 1.5, -1.5, 0.1 + 0.2, 1e-7])
+    vals = np.empty(n, dtype=complex)
+    vals.real, vals.imag = rng.choice(special, n), rng.choice(special, n)
+    rows = rng.integers(0, n, n).astype(np.int32)
+    mat = sparse.csc_matrix((vals, rows, np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+    assert mat.indices.dtype == np.int32
+    labels = cli._chain_table(3, Fraction(7, 2)).columns  # half-integer labels, as strings
+    assert labels[0].dtype.kind == "U"
+    basis = np.tile(np.column_stack(labels), (n // len(labels[0]) + 1, 1))[:n]
+    wide = rng.integers(-2 ** 62, 2 ** 62, n)  # int64
+    gens = [GeneratorMatrix(2, mat)]
+    payload = {"kind": "so3", "config": {"q": 2.0}, "dim": n,
+               "basis": cli._Table(*basis.T, wide),
+               "generators": [{"i": g.i, "nnz": g.mat.nnz, "entries": cli._entry_table(g.mat)}
+                              for g in gens]}
+    expected = oracles.dump_text("so3", {"q": 2.0}, n,
+                                 [[*row, w] for row, w in zip(basis.tolist(), wide.tolist())],
+                                 gens)
+    assert "".join(cli._json_chunks(payload)) == expected
+    for token in ("-0.0", "NaN", "-Infinity", "5e-324", "-1e+308", '"-7/2"'):
+        assert token in expected
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # import soqrs loads no submodule, and classify and scan load no numpy or scipy
+    _probe(
         "import sys\n"
-        "import soqrs, soqrs.cli\n"
-        "assert 'scipy' in sys.modules and 'scipy.sparse' not in sys.modules\n"
+        "import soqrs\n"
+        "assert [m for m in sys.modules if m.startswith('soqrs.')] == [], sorted(sys.modules)\n"
+        "import soqrs.cli\n"
         "for argv in (['classify', '--r', '4', '--s', '4', '--epsilon', '0',\n"
         "              '--lambda-re=-2', '--json'],\n"
         "             ['scan', '--r', '3', '--s', '4', '--epsilon', '1',\n"
         "              '--lambda-int-min=-2', '--lambda-int-max=4', '--json']):\n"
         "    assert soqrs.cli.main(argv) == 0\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
-        "soqrs.build_class1(3, 1, soqrs.QParam(2.0))\n"
-        "assert 'scipy.sparse' in sys.modules\n"
+        "unused = ('numpy', 'scipy', 'soqrs.gtbasis', 'soqrs.compactrep', 'soqrs.degenrep',\n"
+        "          'soqrs.verify')\n"
+        "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    # build loads neither verify nor classify
+    _probe(
+        "import sys\n"
+        "import soqrs.cli\n"
+        "for target in (['--so3', '--l', '3/2'], ['--class1', '--n', '4', '--m', '1'],\n"
+        "               ['--degenerate', '--primed', '--r', '3', '--s', '4', '--epsilon', '1',\n"
+        "                '--lambda-re', '1/3', '--cutoff', '3']):\n"
+        "    assert soqrs.cli.main(['build', *target, '--out', sys.argv[1]]) == 0\n"
+        "assert 'soqrs.verify' not in sys.modules and 'soqrs.classify' not in sys.modules\n",
+        str(tmp_path / "rep.json"))
+    # every public name resolves on first access, through a star import too
+    _probe(
+        "import soqrs\n"
+        "star = {}\n"
+        "exec('from soqrs import *', star)\n"
+        "names = soqrs.__all__\n"
+        "assert len(set(names)) == len(names) and set(names) <= set(star) & set(dir(soqrs))\n"
+        "assert not hasattr(soqrs, 'UnclassifiedReducibleCase')\n"
+        "from soqrs.verify import check_relations\n"
+        "assert star['check_relations'] is soqrs.check_relations is check_relations\n"
+    )
 
 
 def test_cli_import_leaves_csgraph_and_linalg_unloaded():
@@ -578,12 +656,7 @@ def test_cli_import_leaves_csgraph_and_linalg_unloaded():
         "assert cross_check(4, 4, 0, SpectralParam.exact(2)).agree\n"
         "assert not [m for m in heavy if m in sys.modules], sorted(sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _probe(probe)
 
 
 def _table_payload(n: int):
@@ -637,12 +710,7 @@ def test_dump_reader_leaves_scipy_sparse_unloaded(tmp_path):
         "assert soqrs.cli.main(['verify', '--dump', sys.argv[1]]) == 0\n"
         "assert 'scipy.sparse' in sys.modules\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe, str(dump)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = _probe(probe, str(dump))
     got = json.loads(proc.stdout.splitlines()[0])
     assert got == [[g["i"], g["nnz"], [[float(x) for x in e] for e in g["entries"]]]
                    for g in gens]
